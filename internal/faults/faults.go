@@ -203,10 +203,12 @@ type Injector struct {
 	retry RetryPolicy
 	rng   *rand.Rand
 
-	tapeFailAt  []float64      // per-tape permanent failure time (+Inf = never)
-	driveFailAt []float64      // per-drive next failure time (+Inf = never)
-	bad         map[int64]bool // packed (tape,pos) of permanently dead copies
-	badInjected int            // bad blocks placed at initialization
+	tapeFailAt  []float64 // per-tape permanent failure time (+Inf = never)
+	driveFailAt []float64 // per-drive next failure time (+Inf = never)
+	// bad marks permanently dead copies at tape*tapeCap+pos; nil until the
+	// first one, so runs without bad blocks skip the lookup.
+	bad         []bool
+	badInjected int // bad blocks placed at initialization
 	tapeCap     int
 
 	latent  map[int64]float64 // packed (tape,pos) -> latent-error onset time
@@ -241,7 +243,6 @@ func New(cfg Config, tapes, drives, tapeCapBlocks int) (*Injector, error) {
 		cfg:     cfg,
 		retry:   cfg.Retry.withDefaults(),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		bad:     make(map[int64]bool),
 		tapeCap: tapeCapBlocks,
 	}
 	inj.tapeFailAt = make([]float64, tapes)
@@ -264,9 +265,8 @@ func New(cfg Config, tapes, drives, tapeCapBlocks int) (*Injector, error) {
 				start := inj.rng.Intn(tapeCapBlocks)
 				length := 1 + inj.rng.Intn(cfg.BadBlockRangeLen)
 				for p := start; p < start+length && p < tapeCapBlocks; p++ {
-					key := packCopy(t, p)
-					if !inj.bad[key] {
-						inj.bad[key] = true
+					if !inj.CopyDead(t, p) {
+						inj.MarkDead(t, p)
 						inj.badInjected++
 					}
 				}
@@ -287,10 +287,10 @@ func New(cfg Config, tapes, drives, tapeCapBlocks int) (*Injector, error) {
 				length := 1 + inj.rng.Intn(inj.cfg.BadBlockRangeLen)
 				onset := inj.rng.ExpFloat64() * inj.cfg.LatentMeanOnsetSec
 				for p := start; p < start+length && p < tapeCapBlocks; p++ {
-					key := packCopy(t, p)
-					if inj.bad[key] {
+					if inj.CopyDead(t, p) {
 						continue // already dead at birth: nothing latent about it
 					}
+					key := packCopy(t, p)
 					if prev, dup := inj.latent[key]; dup {
 						// Overlapping latent ranges: the earliest onset wins.
 						if onset < prev {
@@ -360,17 +360,32 @@ func (i *Injector) FailedTapes(now float64) int {
 // CopyDead reports whether the physical copy at (tape, pos) is permanently
 // unreadable: inside an injected bad-block range or escalated after retry
 // exhaustion. It does not account for whole-tape failures (see TapeFailed).
+// Positions outside the injector's geometry hold no copy and report false.
 func (i *Injector) CopyDead(tape, pos int) bool {
-	if len(i.bad) == 0 {
+	if i.bad == nil || !i.inGeometry(tape, pos) {
 		return false
 	}
-	return i.bad[packCopy(tape, pos)]
+	return i.bad[tape*i.tapeCap+pos]
 }
 
 // MarkDead escalates the copy at (tape, pos) to permanently unreadable
-// (retry exhaustion, or a latent error's first detected read).
+// (retry exhaustion, or a latent error's first detected read). It panics
+// on a position outside the injector's geometry.
 func (i *Injector) MarkDead(tape, pos int) {
-	i.bad[packCopy(tape, pos)] = true
+	if !i.inGeometry(tape, pos) {
+		panic(fmt.Sprintf("faults: MarkDead(%d, %d) outside %d tapes of %d blocks",
+			tape, pos, len(i.tapeFailAt), i.tapeCap))
+	}
+	if i.bad == nil {
+		i.bad = make([]bool, len(i.tapeFailAt)*i.tapeCap)
+	}
+	i.bad[tape*i.tapeCap+pos] = true
+}
+
+// inGeometry reports whether (tape, pos) lies on one of the injector's
+// tapes.
+func (i *Injector) inGeometry(tape, pos int) bool {
+	return uint(tape) < uint(len(i.tapeFailAt)) && uint(pos) < uint(i.tapeCap)
 }
 
 // InjectedLatentErrors returns the number of latent bad-block positions
@@ -389,9 +404,8 @@ func (i *Injector) LatentActive(tape, pos int, now float64) bool {
 	if len(i.latent) == 0 {
 		return false
 	}
-	key := packCopy(tape, pos)
-	onset, ok := i.latent[key]
-	return ok && now >= onset && !i.bad[key]
+	onset, ok := i.latent[packCopy(tape, pos)]
+	return ok && now >= onset && !i.CopyDead(tape, pos)
 }
 
 // LatentOnset returns the onset time of the latent error at (tape, pos),

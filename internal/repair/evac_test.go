@@ -133,7 +133,7 @@ func evacKillResumeCase(t *testing.T, seed int64) {
 	step := make(map[int64]Step)
 	checkMonotone := func(now float64) {
 		t.Helper()
-		for _, j := range pl.Ranked(now) {
+		for _, j := range ranked(pl, now) {
 			if prev, ok := step[j.ID]; ok && j.Step < prev {
 				t.Fatalf("seed %d: job %d regressed from step %d to %d", seed, j.ID, prev, j.Step)
 			}
@@ -200,7 +200,7 @@ func evacKillResumeCase(t *testing.T, seed int64) {
 			}
 		}
 		// Occasionally the From copy dies under an active job, mooting it.
-		if jobs := pl.Ranked(now); len(jobs) > 0 && rng.Intn(8) == 0 {
+		if jobs := ranked(pl, now); len(jobs) > 0 && rng.Intn(8) == 0 {
 			j := jobs[rng.Intn(len(jobs))]
 			if j.Kind == KindEvacuate && !jk.dead[j.From] {
 				jk.dead[j.From] = true
@@ -211,7 +211,7 @@ func evacKillResumeCase(t *testing.T, seed int64) {
 			retryPending(true)
 		}
 
-		jobs := pl.Ranked(now)
+		jobs := ranked(pl, now)
 		if len(jobs) == 0 {
 			continue
 		}
@@ -260,7 +260,7 @@ func evacKillResumeCase(t *testing.T, seed int64) {
 	// Drain: complete every remaining job and flush the vetoed removals.
 	noDest := make(map[layout.BlockID]bool) // no feasible destination remained
 	for guard := 0; pl.Active() > 0 && guard < 10*blocks; guard++ {
-		j := pl.Ranked(now)[0]
+		j := ranked(pl, now)[0]
 		now++
 		_, st := pl.PickSource(j, nil)
 		switch st {

@@ -22,6 +22,10 @@ type Heat struct {
 	halfLife float64
 	count    []float64
 	stamp    []float64
+	// lastDt and lastFactor memoize the most recent decay factor. Blocks
+	// decayed together at one idle visit share their dt at the next, and
+	// the same dt always yields the same factor bits.
+	lastDt, lastFactor float64
 }
 
 // NewHeat returns a tracker for `blocks` blocks with the given half-life
@@ -41,7 +45,10 @@ func (h *Heat) decayTo(b int, now float64) {
 		return
 	}
 	if dt := now - h.stamp[b]; dt > 0 {
-		h.count[b] *= math.Exp2(-dt / h.halfLife)
+		if dt != h.lastDt {
+			h.lastDt, h.lastFactor = dt, math.Exp2(-dt/h.halfLife)
+		}
+		h.count[b] *= h.lastFactor
 	}
 	h.stamp[b] = now
 }

@@ -1,7 +1,8 @@
 package repair
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"tapejuke/internal/layout"
 )
@@ -105,15 +106,38 @@ type Planner struct {
 	// onto a tape queued for evacuation would be wasted motion).
 	destOK func(tape int) bool
 
-	jobs      []*Job // active jobs in ID order
-	byBlock   map[layout.BlockID]*Job
-	base      []int32        // copies per block at construction time
-	reserved  map[int64]bool // packed (tape,pos) held by in-flight writes
+	jobs      []*Job  // active jobs in ID order
+	byBlock   []*Job  // the job covering each block, nil when none
+	base      []int32 // copies per block at construction time
+	reserved  []bool  // tape*TapeCap+pos held by an in-flight write
+	nReserved int
 	resByTape []int32
 	nextID    int64
 	cursor    int // rotating scan position
 	created   int64
-	ranked    []*Job // scratch for Ranked
+	rank      []rankKey  // heap of the snapshot taken by Rank
+	cands     []destCand // scratch for ChooseDest
+}
+
+// rankKey is one job's entry in the hottest-first heap: its block's heat
+// decayed to the Rank time.
+type rankKey struct {
+	heat float64
+	job  *Job
+}
+
+// before orders keys hotter first, ties toward the older job. Job IDs are
+// unique, so this is a strict total order.
+func (a rankKey) before(b rankKey) bool {
+	if a.heat != b.heat {
+		return a.heat > b.heat
+	}
+	return a.job.ID < b.job.ID
+}
+
+// destCand is a candidate destination tape with its unreserved capacity.
+type destCand struct {
+	tape, spare int
 }
 
 // New builds a planner over lay. copyOK, tapeUp, and posOK inject
@@ -135,9 +159,9 @@ func New(lay *layout.Layout, heat *Heat, cfg Config,
 	}
 	p := &Planner{
 		lay: lay, heat: heat, cfg: cfg, copyOK: copyOK, tapeUp: tapeUp, posOK: posOK,
-		byBlock:   make(map[layout.BlockID]*Job),
+		byBlock:   make([]*Job, lay.NumBlocks()),
 		base:      make([]int32, lay.NumBlocks()),
-		reserved:  make(map[int64]bool),
+		reserved:  make([]bool, lay.Tapes()*lay.TapeCap()),
 		resByTape: make([]int32, lay.Tapes()),
 		nextID:    1,
 	}
@@ -146,8 +170,6 @@ func New(lay *layout.Layout, heat *Heat, cfg Config,
 	}
 	return p
 }
-
-func packPos(tape, pos int) int64 { return int64(tape)<<32 | int64(uint32(pos)) }
 
 // SetDestFilter installs (or clears, with nil) the destination-tape filter
 // consulted by feasibility checks and ChooseDest for every job. Existing
@@ -179,7 +201,7 @@ func (p *Planner) Created() int64 { return p.created }
 // ReservedCount returns the number of outstanding destination
 // reservations; it must be zero once the job table drains (leaked scratch
 // state otherwise).
-func (p *Planner) ReservedCount() int { return len(p.reserved) }
+func (p *Planner) ReservedCount() int { return p.nReserved }
 
 // Feasible reports whether some up tape could receive a new copy of j's
 // block right now: no existing copy there and spare capacity beyond the
@@ -270,20 +292,59 @@ func (p *Planner) NoteCopyDead(tape, pos int, now float64) {
 	}
 }
 
-// Ranked returns the active jobs hottest-first (ties break toward the
-// older job) so idle drive time goes to the blocks most likely to be
-// requested. The returned slice is reused across calls.
-func (p *Planner) Ranked(now float64) []*Job {
-	p.ranked = append(p.ranked[:0], p.jobs...)
-	sort.SliceStable(p.ranked, func(i, j int) bool {
-		hi := p.heat.At(int(p.ranked[i].Block), now)
-		hj := p.heat.At(int(p.ranked[j].Block), now)
-		if hi != hj {
-			return hi > hj
+// Rank snapshots the active jobs for Next to hand out hottest-first (ties
+// break toward the older job), so idle drive time goes to the blocks most
+// likely to be requested. Each job's heat is decayed to now exactly once,
+// and the snapshot is a heap, so a caller that stops at the first job it
+// can issue never pays for a full sort. Jobs enqueued or cancelled after
+// Rank do not change the snapshot. A lone job is not compared with
+// anything, so its heat is left undecayed.
+func (p *Planner) Rank(now float64) {
+	h := p.rank[:0]
+	for _, j := range p.jobs {
+		k := rankKey{job: j}
+		if len(p.jobs) > 1 {
+			k.heat = p.heat.At(int(j.Block), now)
 		}
-		return p.ranked[i].ID < p.ranked[j].ID
-	})
-	return p.ranked
+		h = append(h, k)
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	p.rank = h
+}
+
+// Next pops the hottest remaining job of the last Rank snapshot, or nil
+// once the snapshot is exhausted.
+func (p *Planner) Next() *Job {
+	h := p.rank
+	if len(h) == 0 {
+		return nil
+	}
+	j := h[0].job
+	last := len(h) - 1
+	h[0], h[last] = h[last], rankKey{}
+	p.rank = h[:last]
+	siftDown(p.rank, 0)
+	return j
+}
+
+// siftDown restores the heap order below h[i].
+func siftDown(h []rankKey, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // PickSource selects the surviving copy j's read step should use. ok, when
@@ -325,10 +386,7 @@ func (p *Planner) ChooseDest(j *Job, tapeOK func(int) bool) (layout.Replica, boo
 	if j.Reserved {
 		return j.Dst, true
 	}
-	type cand struct {
-		tape, spare int
-	}
-	var cands []cand
+	cands := p.cands[:0]
 	for t := 0; t < p.lay.Tapes(); t++ {
 		if !p.tapeUp(t) || (tapeOK != nil && !tapeOK(t)) ||
 			(p.destOK != nil && !p.destOK(t)) {
@@ -339,25 +397,25 @@ func (p *Planner) ChooseDest(j *Job, tapeOK func(int) bool) (layout.Replica, boo
 		}
 		spare := p.lay.FreeBlocks(t) - int(p.resByTape[t])
 		if spare > 0 {
-			cands = append(cands, cand{t, spare})
+			cands = append(cands, destCand{t, spare})
 		}
 	}
-	sort.Slice(cands, func(i, k int) bool {
-		if cands[i].spare != cands[k].spare {
-			return cands[i].spare > cands[k].spare
-		}
-		return cands[i].tape < cands[k].tape
+	p.cands = cands
+	slices.SortFunc(cands, func(a, b destCand) int {
+		return cmp.Or(cmp.Compare(b.spare, a.spare), cmp.Compare(a.tape, b.tape))
 	})
 	for _, c := range cands {
+		row := c.tape * p.lay.TapeCap()
 		pos := p.lay.FirstFree(c.tape, func(pos int) bool {
-			return !p.reserved[packPos(c.tape, pos)] && p.posOK(c.tape, pos)
+			return !p.reserved[row+pos] && p.posOK(c.tape, pos)
 		})
 		if pos < 0 {
 			continue
 		}
 		j.Dst = layout.Replica{Tape: c.tape, Pos: pos}
 		j.Reserved = true
-		p.reserved[packPos(c.tape, pos)] = true
+		p.reserved[row+pos] = true
+		p.nReserved++
 		p.resByTape[c.tape]++
 		return j.Dst, true
 	}
@@ -369,7 +427,8 @@ func (p *Planner) release(j *Job) {
 	if !j.Reserved {
 		return
 	}
-	delete(p.reserved, packPos(j.Dst.Tape, j.Dst.Pos))
+	p.reserved[j.Dst.Tape*p.lay.TapeCap()+j.Dst.Pos] = false
+	p.nReserved--
 	p.resByTape[j.Dst.Tape]--
 	j.Reserved = false
 }
@@ -412,7 +471,7 @@ func (p *Planner) drop(j *Job) {
 		}
 	}
 	if p.byBlock[j.Block] == j {
-		delete(p.byBlock, j.Block)
+		p.byBlock[j.Block] = nil
 	}
 }
 

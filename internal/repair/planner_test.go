@@ -1,7 +1,9 @@
 package repair
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"tapejuke/internal/layout"
@@ -53,10 +55,148 @@ func (j *testJuke) planner(cfg Config, heat *Heat) *Planner {
 	return New(j.lay, heat, cfg, j.copyOK, func(tp int) bool { return !j.down[tp] }, nil)
 }
 
+// ranked drains the planner's hottest-first order at now into a fresh
+// slice: the order an idle drive visits the jobs in.
+func ranked(p *Planner, now float64) []*Job {
+	p.Rank(now)
+	var jobs []*Job
+	for j := p.Next(); j != nil; j = p.Next() {
+		jobs = append(jobs, j)
+	}
+	return jobs
+}
+
+// refHeat is Heat without the decay-factor memo: the formula the memoized
+// decay must reproduce bit for bit.
+type refHeat struct {
+	halfLife     float64
+	count, stamp []float64
+}
+
+func (h *refHeat) at(b int, now float64) float64 {
+	if h.halfLife > 0 {
+		if dt := now - h.stamp[b]; dt > 0 {
+			h.count[b] *= math.Exp2(-dt / h.halfLife)
+		}
+		h.stamp[b] = now
+	}
+	return h.count[b]
+}
+
+func (h *refHeat) touch(b int, now float64) {
+	h.at(b, now)
+	h.count[b]++
+}
+
+// referenceRanked is the full stable sort that lazy ranking replaced: it
+// re-decays both heats on every comparison, so it decays every job's block
+// when there are two or more jobs and none when there is one.
+func referenceRanked(jobs []*Job, h *refHeat, now float64) []*Job {
+	out := append([]*Job(nil), jobs...)
+	sort.SliceStable(out, func(i, j int) bool {
+		hi := h.at(int(out[i].Block), now)
+		hj := h.at(int(out[j].Block), now)
+		if hi != hj {
+			return hi > hj
+		}
+		return out[i].ID < out[j].ID
+	})
+	return out
+}
+
+// rankCase checks lazy ranking against the reference sort over one random
+// history: same visit order, and bit-identical heat counts and stamps
+// afterwards. The lower half of the blocks is touched in pairs so equal
+// heats tie, many blocks are never touched so zero heats tie, and `now`
+// often repeats.
+func rankCase(t *testing.T, seed int64, maxJobs int, halfLife float64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	jk := newTestJuke(t, 6, 64, 1, 96)
+	blocks := jk.lay.NumBlocks()
+	heat := NewHeat(blocks, halfLife)
+	ref := &refHeat{halfLife: halfLife, count: make([]float64, blocks), stamp: make([]float64, blocks)}
+	pl := jk.planner(Config{}, heat)
+	touch := func(b int, now float64) {
+		heat.Touch(b, now)
+		ref.touch(b, now)
+	}
+	// enqueue adds a promotion-style job for a random uncovered block.
+	enqueue := func(now float64) {
+		b := layout.BlockID(rng.Intn(blocks))
+		pl.enqueue(b, now, pl.Base(b)+1)
+	}
+
+	now := 0.0
+	for round := 0; round < 40; round++ {
+		if rng.Intn(3) > 0 { // otherwise rank again at the same now
+			now += float64(1 + rng.Intn(50))
+		}
+		for k := rng.Intn(6); k > 0; k-- {
+			if b := rng.Intn(blocks); b < blocks/2 {
+				// Blocks 2i and 2i+1 are always touched together, so
+				// their heats tie.
+				b &^= 1
+				touch(b, now)
+				touch(b+1, now)
+			} else {
+				touch(b, now)
+			}
+		}
+		for pl.Active() < maxJobs && rng.Intn(4) > 0 {
+			enqueue(now)
+		}
+		if pl.Active() > 0 && rng.Intn(3) == 0 {
+			pl.Cancel(pl.jobs[rng.Intn(pl.Active())])
+		}
+
+		want := referenceRanked(pl.jobs, ref, now)
+		pl.Rank(now)
+		var got []*Job
+		for j := pl.Next(); j != nil; j = pl.Next() {
+			got = append(got, j)
+			// Jobs cancelled or enqueued mid-visit leave the snapshot alone.
+			if rng.Intn(4) == 0 {
+				pl.Cancel(j)
+				enqueue(now)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d round %d: ranked %d jobs, want %d", seed, round, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d round %d: position %d is job %d, want job %d",
+					seed, round, i, got[i].ID, want[i].ID)
+			}
+		}
+		for b := 0; b < blocks; b++ {
+			if math.Float64bits(heat.count[b]) != math.Float64bits(ref.count[b]) ||
+				math.Float64bits(heat.stamp[b]) != math.Float64bits(ref.stamp[b]) {
+				t.Fatalf("seed %d round %d: block %d heat (%v @ %v), want (%v @ %v)",
+					seed, round, b, heat.count[b], heat.stamp[b], ref.count[b], ref.stamp[b])
+			}
+		}
+	}
+}
+
+// TestRankMatchesStableSort pins the lazy heap ranking to the stable sort
+// it replaced, over job tables of at most 0, 1, 2, a few and many jobs
+// (past the sort's 20-element insertion blocks), with decay on and off.
+func TestRankMatchesStableSort(t *testing.T) {
+	for _, maxJobs := range []int{0, 1, 2, 3, 21, 45} {
+		for _, halfLife := range []float64{0, 37, 1000} {
+			for seed := int64(0); seed < 25; seed++ {
+				rankCase(t, seed, maxJobs, halfLife)
+			}
+		}
+	}
+}
+
 // driveJob runs one full, uninterrupted repair cycle for the hottest job.
 func driveJob(t *testing.T, jk *testJuke, pl *Planner, now float64) {
 	t.Helper()
-	jobs := pl.Ranked(now)
+	jobs := ranked(pl, now)
 	if len(jobs) == 0 {
 		t.Fatal("no job to drive")
 	}
@@ -202,7 +342,7 @@ func killResumeCase(t *testing.T, seed int64) {
 
 	checkMonotone := func() {
 		t.Helper()
-		for _, j := range pl.Ranked(now) {
+		for _, j := range ranked(pl, now) {
 			if prev, ok := step[j.ID]; ok && j.Step < prev {
 				t.Fatalf("seed %d: job %d regressed from step %d to %d", seed, j.ID, prev, j.Step)
 			}
@@ -261,7 +401,7 @@ func killResumeCase(t *testing.T, seed int64) {
 			pl.Scan(now, reclaim)
 		}
 
-		jobs := pl.Ranked(now)
+		jobs := ranked(pl, now)
 		if len(jobs) == 0 {
 			continue
 		}
@@ -321,7 +461,7 @@ func killResumeCase(t *testing.T, seed int64) {
 
 	// Drain: run every remaining job to completion or cancellation.
 	for guard := 0; pl.Active() > 0 && guard < 10*blocks; guard++ {
-		j := pl.Ranked(now)[0]
+		j := ranked(pl, now)[0]
 		now++
 		_, st := pl.PickSource(j, nil)
 		switch st {
@@ -341,7 +481,7 @@ func killResumeCase(t *testing.T, seed int64) {
 			t.Fatalf("seed %d: drain Commit: %v", seed, err)
 		}
 	}
-	for _, j := range pl.Ranked(now) {
+	for _, j := range ranked(pl, now) {
 		pl.Cancel(j)
 	}
 	if pl.ReservedCount() != 0 {
