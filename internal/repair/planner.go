@@ -69,22 +69,32 @@ type Job struct {
 	Busy bool
 }
 
-// Config tunes the planner's promotion and reclamation policy.
+// Config configures the self-healing replication extension: whether it
+// runs, the heat tracker's half-life, and the planner's promotion and
+// reclamation policy. The zero value disables it.
 type Config struct {
-	// MaxCopies caps the number of copies per block that promotion may
-	// reach. Repair of lost copies targets each block's build-time count
-	// regardless.
-	MaxCopies int
+	// Enable turns the repair subsystem on.
+	Enable bool
+	// HalfLifeSec is the heat tracker's exponential-decay half-life in
+	// simulated seconds. 0 means the simulator's 100,000 s default.
+	HalfLifeSec float64
 	// PromoteHeat, when positive, enqueues an extra copy for blocks whose
-	// decayed heat reaches it.
+	// decayed heat reaches it (up to MaxCopies).
 	PromoteHeat float64
 	// ReclaimHeat, when positive, nominates excess copies of blocks whose
 	// heat has fallen to or below it for reclamation.
 	ReclaimHeat float64
+	// MaxCopies caps the number of copies per block that promotion may
+	// reach; 0 means the simulator's default of 1 + Replicas. Repair of
+	// lost copies targets each block's build-time count regardless.
+	MaxCopies int
 	// ScanRate is the number of blocks the rotating promote/reclaim scan
-	// inspects per idle visit.
+	// inspects per idle visit. 0 means 64.
 	ScanRate int
 }
+
+// Enabled reports whether the repair extension is active.
+func (c Config) Enabled() bool { return c.Enable }
 
 // Planner owns the repair job table. It mutates the layout only inside
 // Commit (adding the minted copy); everything else is bookkeeping, so an

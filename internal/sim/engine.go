@@ -11,13 +11,7 @@ import (
 )
 
 // Run executes one simulation and returns its metrics.
-func Run(cfg Config) (*Result, error) {
-	e, err := newEngine(cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	return e.run()
-}
+func Run(cfg Config) (*Result, error) { return NewSession().Run(cfg) }
 
 // newCostModel builds a cost model with its dense block-grid table enabled.
 // The table devirtualizes the cost hot path and is bit-exact, so results
@@ -33,12 +27,11 @@ func newCostModel(prof tapemodel.Positioner, blockMB float64, maxBlocks int) *sc
 const reservoirK = 4096
 
 // engine is the state of one in-progress simulation: the shared scheduling
-// state, one drive record per drive, the workload streams, and the metric
-// accumulators. A single-drive jukebox is simply the one-drive case of the
-// same event-calendar kernel (kernel.go).
+// state, one drive record per drive, the workload streams, and the metrics
+// ledger. A single-drive jukebox is simply the one-drive case of the same
+// event-calendar kernel (kernel.go).
 type engine struct {
 	cfg     Config
-	prof    tapemodel.Positioner
 	sh      *sched.Shared
 	drives  []drive
 	gen     workload.Source
@@ -60,20 +53,14 @@ type engine struct {
 	// completion.
 	intn func(int64) int64
 
-	// metrics
+	// res is the run's only metrics ledger: every counter and drive-time
+	// bucket is charged into it where it happens, and result() derives
+	// only the means, percentiles, and ratios. The accumulators below feed
+	// those derived figures.
+	res          *Result
 	resp         stats.Accumulator
 	respSample   *stats.Reservoir
-	completed    int64 // post-warmup
-	switches     int64 // post-warmup
-	totalArr     int64
-	totalDone    int64
-	locateSec    float64
-	readSec      float64
-	switchSec    float64
-	idleSec      float64
 	queueAreaSec float64
-
-	readsPerTape []int64
 
 	// Deferred observer events, ordered by (time, push sequence); operations
 	// queue their interior and end-of-operation events at issue time and the
@@ -88,9 +75,9 @@ type engine struct {
 	hlt    *healthState   // proactive media-health extension, nil when disabled
 }
 
-// newEngine assembles one run's state. sess, when non-nil, supplies cached
-// layouts/cost tables and recycled scratch (see Session); nil preserves the
-// build-everything-fresh path of the package-level Run.
+// newEngine assembles one run's state. sess supplies cached layouts and
+// cost tables and recycled scratch (see Session); a fresh session builds
+// everything anew, which is what the package-level Run uses.
 func newEngine(cfg Config, sess *Session) (*engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -109,12 +96,12 @@ func newEngine(cfg Config, sess *Session) (*engine, error) {
 		return nil, err
 	}
 	var lay *layout.Layout
-	if sess != nil && !cfg.Repair.Enabled() {
-		lay, err = sess.cachedLayout(layCfg)
-	} else {
+	if cfg.Repair.Enabled() {
 		// Repair mutates the layout in place, so a run with it enabled
 		// must own a fresh instance rather than the session-shared one.
 		lay, err = layout.Build(layCfg)
+	} else {
+		lay, err = sess.cachedLayout(layCfg)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
@@ -151,17 +138,11 @@ func newEngine(cfg Config, sess *Session) (*engine, error) {
 	// The cost table (enabled inside newCostModel/cachedCosts) covers the
 	// whole tape: data region plus write reserve.
 	tableBlocks := int(cfg.TapeCapMB / cfg.BlockMB)
-	var costs *sched.CostModel
-	var sh *sched.Shared
-	if sess != nil {
-		costs = sess.cachedCosts(cfg.Profile, cfg.BlockMB, tableBlocks)
-		if sh = sess.sh; sh != nil {
-			sh.Reset(lay, costs)
-		}
+	costs := sess.cachedCosts(cfg.Profile, cfg.BlockMB, tableBlocks)
+	sh := sess.sh
+	if sh != nil {
+		sh.Reset(lay, costs)
 	} else {
-		costs = newCostModel(cfg.Profile, cfg.BlockMB, tableBlocks)
-	}
-	if sh == nil {
 		sh = &sched.Shared{Layout: lay, Costs: costs}
 	}
 	if nd > 1 {
@@ -171,42 +152,28 @@ func newEngine(cfg Config, sess *Session) (*engine, error) {
 	}
 	e := &engine{
 		cfg:       cfg,
-		prof:      cfg.Profile,
 		sh:        sh,
 		gen:       gen,
 		arr:       arr,
 		warmupEnd: cfg.Horizon * cfg.WarmupFrac,
+		res:       &Result{ReadsPerTape: make([]int64, cfg.Tapes)},
 	}
-	if sess != nil {
-		// Adopt the session's recycled scratch: the request free list, the
-		// reservoir with its sample buffers, the per-tape counters, the
-		// drive records, and the event calendar's storage.
-		e.reqFree, sess.reqFree = sess.reqFree, nil
-		if r := sess.respSample; r != nil && r.K == reservoirK {
-			r.Reset()
-			e.respSample = r
-		}
-		if rt := sess.readsPerTape; cap(rt) >= cfg.Tapes {
-			rt = rt[:cfg.Tapes]
-			for i := range rt {
-				rt[i] = 0
-			}
-			e.readsPerTape = rt
-		}
-		if cap(sess.drives) >= nd {
-			e.drives = sess.drives[:nd]
-		}
-		e.evq = sess.evq[:0]
-	}
-	if e.respSample == nil {
+	// Adopt the session's recycled scratch: the request free list, the
+	// reservoir with its sample buffers, the drive records, and the event
+	// calendar's storage.
+	e.reqFree, sess.reqFree = sess.reqFree, nil
+	if r := sess.respSample; r != nil && r.K == reservoirK {
+		r.Reset()
+		e.respSample = r
+	} else {
 		e.respSample = stats.NewReservoir(reservoirK)
 	}
-	if e.readsPerTape == nil {
-		e.readsPerTape = make([]int64, cfg.Tapes)
-	}
-	if e.drives == nil {
+	if cap(sess.drives) >= nd {
+		e.drives = sess.drives[:nd]
+	} else {
 		e.drives = make([]drive, nd)
 	}
+	e.evq = sess.evq[:0]
 	e.intn = e.gen.Rand().Int63n
 	for i := range e.drives {
 		s := cfg.Scheduler
@@ -245,7 +212,7 @@ func newEngine(cfg Config, sess *Session) (*engine, error) {
 // Request struct when one is free.
 func (e *engine) newRequest(at float64) *sched.Request {
 	e.nextID++
-	e.totalArr++
+	e.res.TotalArrivals++
 	e.outstanding++
 	var r *sched.Request
 	if n := len(e.reqFree); n > 0 {
@@ -320,18 +287,18 @@ func (e *engine) deliver(r *sched.Request) {
 // complete records the completion of request r at the current time and, in
 // the closed model, spawns its replacement.
 func (e *engine) complete(r *sched.Request) {
-	e.totalDone++
+	e.res.TotalCompleted++
 	e.outstanding--
 	if e.rep != nil {
 		e.rep.heat.Touch(int(r.Block), e.now)
 	}
 	if e.now > e.warmupEnd {
-		e.completed++
+		e.res.Completed++
 		rt := e.now - r.Arrival
 		e.resp.Add(rt)
 		e.respSample.Add(rt, e.intn)
 		if r.FaultedAt > 0 {
-			e.flt.rerouted++
+			e.res.Rerouted++
 			e.flt.recovery.Add(e.now - r.FaultedAt)
 		}
 	}
@@ -339,9 +306,9 @@ func (e *engine) complete(r *sched.Request) {
 		r.Done = true
 		if r.Deadline > 0 {
 			if e.now > r.Deadline {
-				o.late++
+				e.res.LateCompletions++
 				if e.now > e.warmupEnd {
-					o.missPost++
+					e.res.DeadlineMisses++
 				}
 			}
 			if e.now > e.warmupEnd {
@@ -358,46 +325,42 @@ func (e *engine) complete(r *sched.Request) {
 	}
 }
 
+// result completes the ledger with the figures derived from it: the
+// measurement window, means, percentiles, and ratios.
 func (e *engine) result() *Result {
+	res := e.res
 	measured := e.now - e.warmupEnd
 	if measured < 0 {
 		measured = 0
 	}
-	res := &Result{
-		SchedulerName:   e.drives[0].schd.Name(),
-		SimSeconds:      e.now,
-		MeasuredSeconds: measured,
-		Completed:       e.completed,
-		TapeSwitches:    e.switches,
-		LocateSeconds:   e.locateSec,
-		ReadSeconds:     e.readSec,
-		SwitchSeconds:   e.switchSec,
-		IdleSeconds:     e.idleSec,
-		TotalArrivals:   e.totalArr,
-		TotalCompleted:  e.totalDone,
-		MeanResponseSec: e.resp.Mean(),
-		MaxResponseSec:  e.resp.Max(),
-		P50ResponseSec:  e.respSample.Percentile(0.50),
-		P95ResponseSec:  e.respSample.Percentile(0.95),
-		P99ResponseSec:  e.respSample.Percentile(0.99),
-		ReadsPerTape:    append([]int64(nil), e.readsPerTape...),
-	}
+	res.SchedulerName = e.drives[0].schd.Name()
+	res.SimSeconds = e.now
+	res.MeasuredSeconds = measured
+	res.MeanResponseSec = e.resp.Mean()
+	res.MaxResponseSec = e.resp.Max()
+	res.P50ResponseSec = e.respSample.Percentile(0.50)
+	res.P95ResponseSec = e.respSample.Percentile(0.95)
+	res.P99ResponseSec = e.respSample.Percentile(0.99)
 	if measured > 0 {
-		res.ThroughputKBps = float64(e.completed) * e.cfg.BlockMB * 1024 / measured
-		res.RequestsPerMinute = float64(e.completed) * 60 / measured
+		res.ThroughputKBps = float64(res.Completed) * e.cfg.BlockMB * 1024 / measured
+		res.RequestsPerMinute = float64(res.Completed) * 60 / measured
 	}
 	if e.now > 0 {
 		res.MeanQueueLen = e.queueAreaSec / e.now
 	}
 	if w := e.writes; w != nil {
-		res.WritesFlushed = w.flushed
-		res.WriteSeconds = w.flushSec
 		res.MeanWriteDelaySec = w.delay.Mean()
-		res.MaxBufferedWrites = w.maxBuffer
 	}
-	e.faultResult(res)
-	e.overloadResult(res)
-	e.repairResult(res)
-	e.healthResult(res)
+	e.faultResult()
+	if o := e.ovl; o != nil && o.deadlinedPost > 0 {
+		res.DeadlineMissRate = float64(res.DeadlineMisses) / float64(o.deadlinedPost)
+	}
+	if rp := e.rep; rp != nil {
+		res.RepairJobs = rp.pl.Created()
+		res.MeanTimeToRepairSec = rp.mttr.Mean()
+	}
+	if h := e.hlt; h != nil {
+		res.ScrubbedMB = float64(h.scrubbedBlocks) * e.cfg.BlockMB
+	}
 	return res
 }

@@ -8,32 +8,22 @@ import (
 )
 
 // faultState is the engine-side bookkeeping of the fault model: the stream
-// injector, the shared down-tape mask, and the fault metrics. nil when the
-// fault model is disabled, which keeps the fault-free hot path to a handful
-// of nil checks.
+// injector, the shared down-tape mask, and what the derived fault metrics
+// need beyond the engine's Result. nil when the fault model is disabled,
+// which keeps the fault-free hot path to a handful of nil checks.
 type faultState struct {
 	inj       *faults.Injector
 	down      []bool // shared with Shared.Down: tapes discovered failed
 	upTapes   int    // tapes not yet discovered failed: len(down) minus set bits
 	maskDirty bool   // a copy or tape was lost since the last pending scan
 
-	retries    int64
-	transient  int64
-	permanent  int64
-	switchFlt  int64
-	driveFails int64
-	repairSec  float64
-	faultSec   float64
-	unserv     int64 // whole run, for conservation
-	unservPost int64 // post-warmup, for availability
-	rerouted   int64
+	unservPost int64 // post-warmup unserviceable requests, for availability
 	recovery   stats.Accumulator
 
 	// latentDet records when each latent error was first detected (packed
 	// (tape,pos) -> detection time), by whichever path touched it first:
 	// a failing user read, a scrub pass, or a repair read's verification.
-	latentDet   map[int64]float64
-	latentFound int64
+	latentDet map[int64]float64
 }
 
 // packCopyKey packs a physical position into the latent-detection map key.
@@ -74,6 +64,7 @@ func (e *engine) initFaults(capBlocks int) error {
 	}
 	e.sh.Down = e.flt.down
 	e.sh.DeadCopy = inj.CopyDead
+	e.res.LatentErrorsInjected = inj.InjectedLatentErrors()
 	return nil
 }
 
@@ -92,7 +83,7 @@ func (e *engine) noteLatentFound(tape, pos int, at float64, byScrub bool) {
 		f.latentDet = make(map[int64]float64)
 	}
 	f.latentDet[key] = at
-	f.latentFound++
+	e.res.LatentErrorsFound++
 	f.inj.MarkDead(tape, pos)
 	f.maskDirty = true
 	if e.rep != nil {
@@ -102,7 +93,7 @@ func (e *engine) noteLatentFound(tape, pos int, at float64, byScrub bool) {
 	e.push(Event{Kind: EventLatentFound, Time: at, Tape: tape, Pos: pos, Seconds: at - onset})
 	if h := e.hlt; h != nil {
 		if byScrub {
-			h.foundByScrub++
+			e.res.LatentFoundByScrub++
 		}
 		h.sc.NoteTapeError(tape, at)
 		e.updateSuspect(tape, at)
@@ -114,7 +105,7 @@ func (e *engine) noteLatentFound(tape, pos int, at float64, byScrub bool) {
 func (e *engine) unserviceable(r *sched.Request) {
 	r.Done = true
 	e.outstanding--
-	e.flt.unserv++
+	e.res.Unserviceable++
 	if e.now > e.warmupEnd {
 		e.flt.unservPost++
 	}
@@ -160,6 +151,7 @@ func (e *engine) markTapeDown(tape int) {
 	e.flt.down[tape] = true
 	e.flt.upTapes--
 	e.flt.maskDirty = true
+	e.res.TapeFailures++
 	e.push(Event{Kind: EventTapeFail, Time: e.now, Tape: tape, Pos: -1})
 	if e.rep != nil {
 		e.rep.pl.NoteTapeFail(tape, e.now)
@@ -203,183 +195,19 @@ func (e *engine) abortSweep(d int, r *sched.Request) {
 	}
 }
 
-// resolveFaultyRead issues one sweep request on drive d under the fault
-// model, resolving the entire fault story now: transient errors retry with
-// simulated-time backoff over the virtual clock vt and escalate the copy to
-// dead on exhaustion; a tape past its failure time aborts the whole sweep;
-// a due drive failure inserts its repair before the attempt. Only the
-// completion time goes on the calendar -- requeues and tape masks apply at
-// settle, the discovery time.
-func (e *engine) resolveFaultyRead(d int, r *sched.Request) {
-	f := e.flt
-	dr := &e.drives[d]
-	st := dr.st
-	tape, pos := r.Target.Tape, r.Target.Pos
-	vt := e.now
-	for attempt := 0; ; {
-		if vt >= f.inj.DriveFailAt(d) {
-			rep := f.inj.DriveRepair(d, vt)
-			f.driveFails++
-			f.repairSec += rep
-			vt += rep
-			e.push(Event{Kind: EventDriveRepair, Time: vt, Tape: -1, Pos: -1, Seconds: rep})
-			e.noteFaultErr(d, -1, vt)
-		}
-		if f.inj.TapeFailed(tape, vt) {
-			// The medium died mid-schedule: the locate runs into the failure
-			// and the rest of the sweep is rerouted to surviving replicas.
-			loc, _, _ := e.sh.Costs.ServeOneParts(st.Head, pos)
-			vt += loc
-			f.faultSec += loc
-			f.permanent++
-			dr.failTape = tape
-			e.abortSweep(d, r)
-			e.beginOp(d, vt, true)
-			return
-		}
-		loc, rd, newHead := e.sh.Costs.ServeOneParts(st.Head, pos)
-		if f.inj.CopyDead(tape, pos) {
-			// Possible when an earlier request in this sweep escalated the
-			// same position; schedulers never target a copy already dead.
-			vt += loc + rd
-			f.faultSec += loc + rd
-			st.Head = newHead
-			f.permanent++
-			e.push(Event{Kind: EventFault, Time: vt, Tape: tape, Pos: pos,
-				Seconds: loc + rd, Request: r.ID})
-			dr.faulted = r
-			e.beginOp(d, vt, true)
-			return
-		}
-		if f.inj.LatentActive(tape, pos, vt) {
-			// A latent error developed here undetected and this user read
-			// is the first to touch it: the read fails permanently, the
-			// copy escalates to dead, and the request reroutes to a
-			// surviving replica. Detection by table lookup -- no draw.
-			vt += loc + rd
-			f.faultSec += loc + rd
-			st.Head = newHead
-			f.permanent++
-			e.push(Event{Kind: EventFault, Time: vt, Tape: tape, Pos: pos,
-				Seconds: loc + rd, Request: r.ID})
-			e.noteLatentFound(tape, pos, vt, false)
-			dr.faulted = r
-			e.beginOp(d, vt, true)
-			return
-		}
-		if !f.inj.ReadAttemptFails() {
-			vt += loc
-			e.locateSec += loc
-			vt += rd
-			e.readSec += rd
-			st.Head = newHead
-			if vt > e.warmupEnd {
-				e.readsPerTape[tape]++
-			}
-			e.push(Event{Kind: EventRead, Time: vt, Tape: tape, Pos: pos,
-				Seconds: loc + rd, Request: r.ID})
-			dr.inFlight = r
-			e.beginOp(d, vt, true)
-			return
-		}
-		// Transient media error: the attempt consumed the drive anyway.
-		vt += loc + rd
-		f.faultSec += loc + rd
-		st.Head = newHead
-		f.transient++
-		e.push(Event{Kind: EventFault, Time: vt, Tape: tape, Pos: pos,
-			Seconds: loc + rd, Request: r.ID})
-		e.noteFaultErr(d, tape, vt)
-		attempt++
-		if attempt > f.inj.Retry().MaxRetries {
-			f.inj.MarkDead(tape, pos)
-			f.maskDirty = true
-			f.permanent++
-			if e.rep != nil {
-				e.rep.pl.NoteCopyDead(tape, pos, e.now)
-			}
-			dr.faulted = r
-			e.beginOp(d, vt, true)
-			return
-		}
-		f.retries++
-		bo := f.inj.Retry().Delay(attempt)
-		vt += bo
-		f.faultSec += bo
-	}
-}
-
-// resolveFaultySwitch issues drive d's tape switch under the fault model.
-// Load attempts may fail with the configured probability, each consuming
-// the mechanical time, retried up to the policy bound; a tape past its
-// failure time is discovered dead at load. When the load never succeeds,
-// the drive ends the operation empty and the tape is masked at settle.
-func (e *engine) resolveFaultySwitch(d int, tape int, sw float64) {
-	f := e.flt
-	dr := &e.drives[d]
-	vt := e.now
-	for attempt := 0; ; {
-		if f.inj.TapeFailed(tape, vt) {
-			// The robot fetches the cartridge and the load fails for good:
-			// this is how an unmounted tape's death is discovered.
-			vt += sw
-			f.faultSec += sw
-			break
-		}
-		if !f.inj.SwitchAttemptFails() {
-			vt += sw
-			e.switchSec += sw
-			if vt > e.warmupEnd {
-				e.switches++
-			}
-			e.push(Event{Kind: EventSwitch, Time: vt, Tape: tape, Pos: -1, Seconds: sw})
-			e.beginOp(d, vt, true)
-			return
-		}
-		f.switchFlt++
-		vt += sw
-		f.faultSec += sw
-		e.push(Event{Kind: EventFault, Time: vt, Tape: tape, Pos: -1, Seconds: sw})
-		e.noteFaultErr(d, tape, vt)
-		attempt++
-		if attempt > f.inj.Retry().MaxRetries {
-			// The loader cannot mount the cartridge; treat it as damaged.
-			break
-		}
-		f.retries++
-	}
-	dr.failTape, dr.loadFail = tape, true
-	e.abortSweep(d, nil)
-	e.beginOp(d, vt, false)
-}
-
-// faultResult folds the fault metrics into the result.
-func (e *engine) faultResult(res *Result) {
+// faultResult derives the fault model's ratios: availability, mean
+// recovery, and mean time to detect.
+func (e *engine) faultResult() {
+	res := e.res
 	res.Availability = 1
 	f := e.flt
 	if f == nil {
 		return
 	}
-	res.Retries = f.retries
-	res.TransientFaults = f.transient
-	res.PermanentFaults = f.permanent
-	res.SwitchFaults = f.switchFlt
-	for _, d := range f.down {
-		if d {
-			res.TapeFailures++
-		}
-	}
-	res.DriveFailures = f.driveFails
-	res.DriveRepairSeconds = f.repairSec
-	res.FaultSeconds = f.faultSec
-	res.Unserviceable = f.unserv
-	res.Rerouted = f.rerouted
 	res.MeanRecoverySec = f.recovery.Mean()
-	if e.completed+f.unservPost > 0 {
-		res.Availability = float64(e.completed) / float64(e.completed+f.unservPost)
+	if res.Completed+f.unservPost > 0 {
+		res.Availability = float64(res.Completed) / float64(res.Completed+f.unservPost)
 	}
-	res.LatentErrorsInjected = f.inj.InjectedLatentErrors()
-	res.LatentErrorsFound = f.latentFound
 	// Mean time to detect, over every latent error that developed within
 	// the run: detection latency when found, censored at run end when not.
 	// Censoring makes the metric comparable across detection regimes -- a

@@ -13,7 +13,7 @@ import (
 // when the last tape goes down.
 func TestUpTapeCounter(t *testing.T) {
 	cfg := faultCfg(1, faults.Config{TapeMTBFSec: 1})
-	e, err := newEngine(cfg, nil)
+	e, err := newEngine(cfg, NewSession())
 	if err != nil {
 		t.Fatal(err)
 	}

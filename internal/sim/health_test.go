@@ -262,7 +262,7 @@ func TestHealthEvacuationDrainsSuspectTape(t *testing.T) {
 		Health: HealthConfig{Enable: true, ScrubRate: 128,
 			ErrHalfLifeSec: 1e12, SuspectScore: 2, Evacuate: true},
 	}
-	e, err := newEngine(cfg, nil)
+	e, err := newEngine(cfg, NewSession())
 	if err != nil {
 		t.Fatal(err)
 	}

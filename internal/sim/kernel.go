@@ -71,7 +71,7 @@ func (e *engine) run() (*Result, error) {
 		if e.now < e.cfg.Horizon {
 			e.expireDue()
 			e.pumpArrivals()
-			if e.cfg.MaxCompletions > 0 && e.completed >= e.cfg.MaxCompletions {
+			if e.cfg.MaxCompletions > 0 && e.res.Completed >= e.cfg.MaxCompletions {
 				e.flushEvents()
 				return e.result(), nil
 			}
@@ -113,7 +113,7 @@ func (e *engine) run() (*Result, error) {
 			} else {
 				dt = wake - e.now
 			}
-			e.idleSec += dt
+			e.res.IdleSeconds += dt
 			e.advanceClock(e.now + dt)
 			e.push(Event{Kind: EventIdle, Time: e.now, Tape: -1, Pos: -1, Seconds: dt})
 			e.flushEvents()
@@ -249,7 +249,7 @@ func (e *engine) issue(d int) error {
 	if st.Active != nil {
 		if !st.Active.Empty() {
 			// Mid-sweep, a due drive failure binds to the next read attempt
-			// (resolveFaultyRead inserts the repair before the attempt).
+			// (startRead inserts the repair before the attempt).
 			e.startRead(d)
 			return nil
 		}
@@ -266,12 +266,7 @@ func (e *engine) issue(d int) error {
 		// repair before any further operation; the pending-hygiene scan
 		// waits until the drive is back.
 		if e.now >= e.flt.inj.DriveFailAt(d) {
-			rep := e.flt.inj.DriveRepair(d, e.now)
-			e.flt.driveFails++
-			e.flt.repairSec += rep
-			e.beginOp(d, e.now+rep, false)
-			e.push(Event{Kind: EventDriveRepair, Time: dr.freeAt, Tape: -1, Pos: -1, Seconds: rep})
-			e.noteFaultErr(d, -1, dr.freeAt)
+			e.beginOp(d, e.repairDrive(d, e.now), false)
 			return nil
 		}
 		e.dropUnserviceable()
@@ -293,7 +288,7 @@ func (e *engine) issue(d int) error {
 		return nil
 	}
 	tape, sweep, ok := dr.schd.Reschedule(st)
-	if ok && e.ovl != nil && e.ovl.degrade.MaxSweep > 0 && e.overloaded() {
+	if ok && e.cfg.Degrade.MaxSweep > 0 && e.overloaded() {
 		sweep = e.truncateSweep(st, tape, sweep)
 	}
 	if !ok {
@@ -307,33 +302,16 @@ func (e *engine) issue(d int) error {
 		// greedy nearest-first physical order from the head the schedule
 		// starts at (0 after a switch). Scheduling costs were evaluated on
 		// the elevator order; the reorder is a drive-level service detail.
-		sweep.ReorderRAO(e.prof, e.cfg.BlockMB, st.StartHead(tape))
+		sweep.ReorderRAO(e.cfg.Profile, e.cfg.BlockMB, st.StartHead(tape))
 	}
 	if e.sh.Busy != nil && e.sh.Busy[tape] && tape != st.Mounted {
 		return fmt.Errorf("sim: scheduler %s selected busy tape %d", dr.schd.Name(), tape)
 	}
 	if tape != st.Mounted {
 		sw := e.sh.Costs.SwitchCost(st.Mounted, st.Head, tape)
-		if e.sh.Busy != nil {
-			if st.Mounted >= 0 {
-				e.sh.Busy[st.Mounted] = false
-			}
-			e.sh.Busy[tape] = true
-		}
-		st.Mounted, st.Head = tape, 0
-		e.noteMount(tape)
+		e.mount(st, tape)
 		st.Active = sweep
-		if e.flt != nil {
-			e.resolveFaultySwitch(d, tape, sw)
-			return nil
-		}
-		vt := e.now + sw
-		e.switchSec += sw
-		if vt > e.warmupEnd {
-			e.switches++
-		}
-		e.push(Event{Kind: EventSwitch, Time: vt, Tape: tape, Pos: -1, Seconds: sw})
-		e.beginOp(d, vt, true)
+		e.startSwitch(d, tape, sw)
 		return nil
 	}
 	st.Active = sweep
@@ -341,34 +319,173 @@ func (e *engine) issue(d int) error {
 	return nil
 }
 
+// mount claims tape for drive state st, releasing the tape it held, and
+// loads it with the head at the beginning of the tape. Every mount attempt
+// counts toward the tape's wear, whether or not the load then succeeds.
+func (e *engine) mount(st *sched.State, tape int) {
+	if e.sh.Busy != nil {
+		if st.Mounted >= 0 {
+			e.sh.Busy[st.Mounted] = false
+		}
+		e.sh.Busy[tape] = true
+	}
+	st.Mounted, st.Head = tape, 0
+	e.noteMount(tape)
+}
+
+// startSwitch issues drive d's scheduled switch to the just-mounted tape,
+// which costs sw. Under the fault model, load attempts may fail with the
+// configured probability, each consuming the mechanical time, retried up
+// to the policy bound; a tape past its failure time is discovered dead at
+// load. When the load never succeeds, the drive ends the operation empty
+// and the tape is masked at settle.
+func (e *engine) startSwitch(d, tape int, sw float64) {
+	f := e.flt
+	dr := &e.drives[d]
+	vt := e.now
+	for attempt := 0; ; {
+		if f != nil && f.inj.TapeFailed(tape, vt) {
+			// The robot fetches the cartridge and the load fails for good:
+			// this is how an unmounted tape's death is discovered.
+			vt += sw
+			e.res.FaultSeconds += sw
+			break
+		}
+		if f == nil || !f.inj.SwitchAttemptFails() {
+			vt += sw
+			e.res.SwitchSeconds += sw
+			if vt > e.warmupEnd {
+				e.res.TapeSwitches++
+			}
+			e.push(Event{Kind: EventSwitch, Time: vt, Tape: tape, Pos: -1, Seconds: sw})
+			e.beginOp(d, vt, true)
+			return
+		}
+		e.res.SwitchFaults++
+		vt += sw
+		e.res.FaultSeconds += sw
+		e.push(Event{Kind: EventFault, Time: vt, Tape: tape, Pos: -1, Seconds: sw})
+		e.noteFaultErr(d, tape, vt)
+		attempt++
+		if attempt > f.inj.Retry().MaxRetries {
+			// The loader cannot mount the cartridge; treat it as damaged.
+			break
+		}
+		e.res.Retries++
+	}
+	dr.failTape, dr.loadFail = tape, true
+	e.abortSweep(d, nil)
+	e.beginOp(d, vt, false)
+}
+
+// repairDrive takes drive d, failed at the virtual time vt, through its
+// repair downtime and returns the time it is back in service.
+func (e *engine) repairDrive(d int, vt float64) float64 {
+	rep := e.flt.inj.DriveRepair(d, vt)
+	e.res.DriveFailures++
+	e.res.DriveRepairSeconds += rep
+	vt += rep
+	e.push(Event{Kind: EventDriveRepair, Time: vt, Tape: -1, Pos: -1, Seconds: rep})
+	e.noteFaultErr(d, -1, vt)
+	return vt
+}
+
 // startRead pops the drive's next sweep request and issues its retrieval,
-// resolving the completion time (and, under the fault model, the whole
-// fault story) now.
+// resolving the completion time now. Under the fault model that resolves
+// the whole fault story: transient errors retry with simulated-time
+// backoff over the virtual clock vt and escalate the copy to dead on
+// exhaustion; a tape past its failure time aborts the whole sweep; a due
+// drive failure inserts its repair before the attempt. Only the completion
+// time goes on the calendar -- requeues and tape masks apply at settle,
+// the discovery time.
 func (e *engine) startRead(d int) {
+	f := e.flt
 	dr := &e.drives[d]
 	st := dr.st
 	r := st.Active.Pop()
 	if e.ovl != nil && e.now > e.warmupEnd {
 		e.noteQueueAge(e.now - r.Arrival)
 	}
-	if e.flt != nil {
-		e.resolveFaultyRead(d, r)
-		return
-	}
-	loc, rd, newHead := e.sh.Costs.ServeOneParts(st.Head, r.Target.Pos)
+	tape, pos := r.Target.Tape, r.Target.Pos
 	vt := e.now
-	vt += loc
-	e.locateSec += loc
-	vt += rd
-	e.readSec += rd
-	st.Head = newHead
-	if vt > e.warmupEnd {
-		e.readsPerTape[r.Target.Tape]++
+	for attempt := 0; ; {
+		if f != nil && vt >= f.inj.DriveFailAt(d) {
+			vt = e.repairDrive(d, vt)
+		}
+		loc, rd, newHead := e.sh.Costs.ServeOneParts(st.Head, pos)
+		if f != nil && f.inj.TapeFailed(tape, vt) {
+			// The medium died mid-schedule: the locate runs into the failure
+			// and the rest of the sweep is rerouted to surviving replicas.
+			vt += loc
+			e.res.FaultSeconds += loc
+			e.res.PermanentFaults++
+			dr.failTape = tape
+			e.abortSweep(d, r)
+			e.beginOp(d, vt, true)
+			return
+		}
+		if f != nil {
+			// A copy already dead is possible when an earlier request in this
+			// sweep escalated the same position (schedulers never target a
+			// copy already dead). A latent error that developed here
+			// undetected is found by this user read, the first to touch it,
+			// by table lookup -- no draw. Either way the read fails
+			// permanently and the request reroutes to a surviving replica.
+			if dead := f.inj.CopyDead(tape, pos); dead || f.inj.LatentActive(tape, pos, vt) {
+				vt += loc + rd
+				e.res.FaultSeconds += loc + rd
+				st.Head = newHead
+				e.res.PermanentFaults++
+				e.push(Event{Kind: EventFault, Time: vt, Tape: tape, Pos: pos,
+					Seconds: loc + rd, Request: r.ID})
+				if !dead {
+					e.noteLatentFound(tape, pos, vt, false)
+				}
+				dr.faulted = r
+				e.beginOp(d, vt, true)
+				return
+			}
+		}
+		if f == nil || !f.inj.ReadAttemptFails() {
+			vt += loc
+			e.res.LocateSeconds += loc
+			vt += rd
+			e.res.ReadSeconds += rd
+			st.Head = newHead
+			if vt > e.warmupEnd {
+				e.res.ReadsPerTape[tape]++
+			}
+			e.push(Event{Kind: EventRead, Time: vt, Tape: tape, Pos: pos,
+				Seconds: loc + rd, Request: r.ID})
+			dr.inFlight = r
+			e.beginOp(d, vt, true)
+			return
+		}
+		// Transient media error: the attempt consumed the drive anyway.
+		vt += loc + rd
+		e.res.FaultSeconds += loc + rd
+		st.Head = newHead
+		e.res.TransientFaults++
+		e.push(Event{Kind: EventFault, Time: vt, Tape: tape, Pos: pos,
+			Seconds: loc + rd, Request: r.ID})
+		e.noteFaultErr(d, tape, vt)
+		attempt++
+		if attempt > f.inj.Retry().MaxRetries {
+			f.inj.MarkDead(tape, pos)
+			f.maskDirty = true
+			e.res.PermanentFaults++
+			if e.rep != nil {
+				e.rep.pl.NoteCopyDead(tape, pos, e.now)
+			}
+			dr.faulted = r
+			e.beginOp(d, vt, true)
+			return
+		}
+		e.res.Retries++
+		bo := f.inj.Retry().Delay(attempt)
+		vt += bo
+		e.res.FaultSeconds += bo
 	}
-	e.push(Event{Kind: EventRead, Time: vt, Tape: r.Target.Tape,
-		Pos: r.Target.Pos, Seconds: loc + rd, Request: r.ID})
-	dr.inFlight = r
-	e.beginOp(d, vt, true)
 }
 
 // verifyBusy checks the busy-vector hygiene invariants: every mounted (or

@@ -13,22 +13,12 @@ import (
 // extensions: the deadline calendar, the admission controller, and the
 // degradation counters. nil when deadlines, admission control, and
 // degradation are all disabled, which keeps the overload-free hot path to a
-// handful of nil checks (the same pattern as faultState).
+// handful of nil checks (the same pattern as faultState). Its metrics are
+// charged straight into the engine's Result.
 type overloadState struct {
-	ttl     *workload.TTLSampler // deadline assignment, nil when deadlines off
-	dl      deadlineHeap         // outstanding deadlined requests, lazily pruned
-	admit   AdmissionConfig
-	degrade DegradeConfig
-
-	expired       int64 // requests cancelled at their deadline (whole run)
-	late          int64 // completions past their deadline (whole run)
-	missPost      int64 // post-warmup expiries + late completions
-	deadlinedPost int64 // post-warmup deadlined outcomes (completions + expiries)
-	shed          int64
-	rejected      int64
-	maxQueueAge   float64
-	truncated     int64
-	deferred      int64
+	ttl           *workload.TTLSampler // deadline assignment, nil when deadlines off
+	dl            deadlineHeap         // outstanding deadlined requests, lazily pruned
+	deadlinedPost int64                // post-warmup deadlined outcomes (completions + expiries)
 }
 
 // deadlineHeap is a monomorphic 4-ary min-heap of deadlined requests on
@@ -110,7 +100,7 @@ func (e *engine) initOverload() error {
 	if !cfg.Deadlines.Enabled() && !cfg.Admission.Enabled() && !cfg.Degrade.Enabled() {
 		return nil
 	}
-	o := &overloadState{admit: cfg.Admission, degrade: cfg.Degrade}
+	o := &overloadState{}
 	if d := cfg.Deadlines; d.Enabled() {
 		seed := d.Seed
 		if seed == 0 {
@@ -126,8 +116,8 @@ func (e *engine) initOverload() error {
 	return nil
 }
 
-// newArrivals builds the arrival process, bursty when configured. A
-// non-nil session donates its recycled Poisson stream.
+// newArrivals builds the arrival process, bursty when configured. The
+// session donates its recycled Poisson stream.
 func newArrivals(cfg *Config, sess *Session) (workload.Arrivals, error) {
 	b := cfg.Burst
 	if cfg.QueueLength > 0 {
@@ -256,11 +246,10 @@ func (e *engine) expireOne(r *sched.Request) {
 	}
 	r.Expired, r.Done = true, true
 	e.outstanding--
-	o := e.ovl
-	o.expired++
+	e.res.Expired++
 	if e.now > e.warmupEnd {
-		o.missPost++
-		o.deadlinedPost++
+		e.res.DeadlineMisses++
+		e.ovl.deadlinedPost++
 		e.noteQueueAge(e.now - r.Arrival)
 	}
 	e.push(Event{Kind: EventExpire, Time: e.now, Tape: -1, Pos: -1, Request: r.ID})
@@ -295,16 +284,16 @@ func (e *engine) removePendingOne(r *sched.Request) bool {
 // room by dropping the oldest pending request first. Arrivals rejected with
 // no pending victim to shed are counted as rejected under either policy.
 func (e *engine) admitArrival() bool {
-	o := e.ovl
-	if o == nil || !o.admit.Enabled() || e.outstanding < int64(o.admit.MaxQueue) {
+	a := e.cfg.Admission
+	if !a.Enabled() || e.outstanding < int64(a.MaxQueue) {
 		return true
 	}
-	if o.admit.Policy == AdmitShed && len(e.sh.Pending) > 0 {
+	if a.Policy == AdmitShed && len(e.sh.Pending) > 0 {
 		victim := e.sh.Pending[0]
 		e.sh.Pending = e.sh.Pending[1:]
 		victim.Done = true
 		e.outstanding--
-		o.shed++
+		e.res.Shed++
 		if e.now > e.warmupEnd {
 			e.noteQueueAge(e.now - victim.Arrival)
 		}
@@ -312,30 +301,31 @@ func (e *engine) admitArrival() bool {
 		e.freeRequest(victim)
 		return true
 	}
-	o.rejected++
+	e.res.Rejected++
 	e.push(Event{Kind: EventReject, Time: e.now, Tape: -1, Pos: -1})
 	return false
 }
 
 // noteQueueAge tracks the oldest age any request reached before service,
-// expiry, or shedding (post-warmup; callers gate on warm-up).
+// expiry, or shedding (post-warmup, overload extension on; callers gate on
+// both).
 func (e *engine) noteQueueAge(age float64) {
-	if e.ovl != nil && age > e.ovl.maxQueueAge {
-		e.ovl.maxQueueAge = age
+	if age > e.res.MaxQueueAgeSec {
+		e.res.MaxQueueAgeSec = age
 	}
 }
 
 // overloaded reports whether the outstanding-request count exceeds the
 // degradation threshold.
 func (e *engine) overloaded() bool {
-	o := e.ovl
-	return o != nil && o.degrade.Enabled() && e.outstanding > int64(o.degrade.QueueThreshold)
+	g := e.cfg.Degrade
+	return g.Enabled() && e.outstanding > int64(g.QueueThreshold)
 }
 
 // deferWrites reports whether policy-driven delta flushes are suspended
 // (graceful degradation; the force-drain threshold still applies).
 func (e *engine) deferWrites() bool {
-	return e.ovl != nil && e.ovl.degrade.DeferWrites && e.overloaded()
+	return e.cfg.Degrade.DeferWrites && e.overloaded()
 }
 
 // truncateSweep cuts a freshly built sweep down to the MaxSweep most urgent
@@ -344,7 +334,7 @@ func (e *engine) deferWrites() bool {
 // earliest deadline first, deadline-free requests last, ties by arrival --
 // so drive time concentrates on the requests that can still make it.
 func (e *engine) truncateSweep(st *sched.State, tape int, sweep *sched.Sweep) *sched.Sweep {
-	max := e.ovl.degrade.MaxSweep
+	max := e.cfg.Degrade.MaxSweep
 	if sweep.Len() <= max {
 		return sweep
 	}
@@ -369,7 +359,7 @@ func (e *engine) truncateSweep(st *sched.State, tape int, sweep *sched.Sweep) *s
 		r.Target = layout.Replica{}
 		e.insertPending(r)
 	}
-	e.ovl.truncated++
+	e.res.TruncatedSweeps++
 	e.sh.ReleaseSweep(sweep)
 	return e.sh.NewSweep(reqs[:max], st.StartHead(tape))
 }
@@ -385,23 +375,4 @@ func (e *engine) insertPending(r *sched.Request) {
 	copy(p[i+1:], p[i:])
 	p[i] = r
 	e.sh.Pending = p
-}
-
-// overloadResult folds the overload metrics into the result.
-func (e *engine) overloadResult(res *Result) {
-	o := e.ovl
-	if o == nil {
-		return
-	}
-	res.Expired = o.expired
-	res.LateCompletions = o.late
-	res.DeadlineMisses = o.missPost
-	if o.deadlinedPost > 0 {
-		res.DeadlineMissRate = float64(o.missPost) / float64(o.deadlinedPost)
-	}
-	res.Shed = o.shed
-	res.Rejected = o.rejected
-	res.MaxQueueAgeSec = o.maxQueueAge
-	res.TruncatedSweeps = o.truncated
-	res.DeferredFlushes = o.deferred
 }

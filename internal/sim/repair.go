@@ -12,28 +12,10 @@ import (
 
 // RepairConfig enables the self-healing replication extension: background
 // jobs that rebuild lost replicas, promote newly hot blocks, and reclaim
-// cold excess copies during drive idle time. Zero value: disabled.
-type RepairConfig struct {
-	// Enable turns the repair subsystem on.
-	Enable bool
-	// HalfLifeSec is the heat tracker's exponential-decay half-life in
-	// simulated seconds. 0 means the 100,000 s default.
-	HalfLifeSec float64
-	// PromoteHeat, when positive, mints an extra copy of any block whose
-	// decayed heat reaches it (up to MaxCopies).
-	PromoteHeat float64
-	// ReclaimHeat, when positive, reclaims excess copies of blocks whose
-	// heat has fallen to or below it.
-	ReclaimHeat float64
-	// MaxCopies caps promotion. 0 means 1 + Replicas.
-	MaxCopies int
-	// ScanRate is the number of blocks the rotating promote/reclaim scan
-	// inspects per idle visit. 0 means 64.
-	ScanRate int
-}
-
-// Enabled reports whether the repair extension is active.
-func (r RepairConfig) Enabled() bool { return r.Enable }
+// cold excess copies during drive idle time. It is the repair planner's
+// own configuration; see repair.Config for the fields. Zero value:
+// disabled.
+type RepairConfig = repair.Config
 
 // validateRepair checks the repair extension's configuration.
 func (c *Config) validateRepair() error {
@@ -66,7 +48,8 @@ func (c *Config) validateRepair() error {
 }
 
 // repairState is the engine-side bookkeeping of the repair extension: the
-// heat tracker, the job planner, and the repair metrics. nil when repair
+// heat tracker, the job planner, and the time-to-repair accumulator (the
+// counters are charged straight into the engine's Result). nil when repair
 // is disabled, keeping the default path to a handful of nil checks.
 //
 // Repair consumes no injector randomness -- tape liveness is a pure time
@@ -75,17 +58,13 @@ func (c *Config) validateRepair() error {
 type repairState struct {
 	pl   *repair.Planner
 	heat *repair.Heat
-
-	repaired  int64   // copies minted
-	reclaimed int64   // excess copies given back
-	repairSec float64 // drive time spent on repair reads and writes
-	mttr      stats.Accumulator
+	mttr stats.Accumulator
 }
 
 // initRepair wires the repair subsystem when enabled. Must run after
 // initFaults (the planner's liveness closures read the fault masks).
 func (e *engine) initRepair() {
-	rc := e.cfg.Repair
+	rc := &e.cfg.Repair
 	if !rc.Enabled() {
 		return
 	}
@@ -97,12 +76,7 @@ func (e *engine) initRepair() {
 	}
 	lay := e.sh.Layout
 	heat := repair.NewHeat(lay.NumBlocks(), rc.HalfLifeSec)
-	pl := repair.New(lay, heat, repair.Config{
-		MaxCopies:   rc.MaxCopies,
-		PromoteHeat: rc.PromoteHeat,
-		ReclaimHeat: rc.ReclaimHeat,
-		ScanRate:    rc.ScanRate,
-	}, e.sh.CopyOK, e.sh.Up, func(tape, pos int) bool {
+	pl := repair.New(lay, heat, *rc, e.sh.CopyOK, e.sh.Up, func(tape, pos int) bool {
 		return e.sh.DeadCopy == nil || !e.sh.DeadCopy(tape, pos)
 	})
 	e.rep = &repairState{pl: pl, heat: heat}
@@ -143,33 +117,25 @@ func (e *engine) idleRepairOp(d int) bool {
 // repair job or a scrub pass; sink receives the drive time on the failed
 // path, so each subsystem is charged for its own mounts). Idle switches
 // are real mounts: they emit EventSwitch so traces replay on the deck. A
-// tape already dead at load is discovered exactly as in
-// resolveFaultySwitch -- the drive ends the operation empty and the tape
-// is masked at settle -- but without any injector draw, so the fault
-// stream is unchanged. Returns the post-switch virtual time and whether
-// the mount succeeded.
+// tape already dead at load is discovered exactly as in startSwitch --
+// the drive ends the operation empty and the tape is masked at settle --
+// but without any injector draw, so the fault stream is unchanged.
+// Returns the post-switch virtual time and whether the mount succeeded.
 func (e *engine) idleSwitch(d, tape int, sink *float64) (float64, bool) {
 	dr := &e.drives[d]
 	st := dr.st
 	sw := e.sh.Costs.SwitchCost(st.Mounted, st.Head, tape)
 	vt := e.now + sw
-	if e.sh.Busy != nil {
-		if st.Mounted >= 0 {
-			e.sh.Busy[st.Mounted] = false
-		}
-		e.sh.Busy[tape] = true
-	}
-	st.Mounted, st.Head = tape, 0
-	e.noteMount(tape)
+	e.mount(st, tape)
 	if e.flt != nil && e.flt.inj.TapeFailed(tape, e.now) {
 		*sink += sw
 		dr.failTape, dr.loadFail = tape, true
 		e.beginOp(d, vt, false)
 		return vt, false
 	}
-	e.switchSec += sw
+	e.res.SwitchSeconds += sw
 	if vt > e.warmupEnd {
-		e.switches++
+		e.res.TapeSwitches++
 	}
 	e.push(Event{Kind: EventSwitch, Time: vt, Tape: tape, Pos: -1, Seconds: sw})
 	return vt, true
@@ -197,7 +163,7 @@ func (e *engine) issueRepairRead(d int, j *repair.Job) bool {
 	vt := e.now
 	if src.Tape != st.Mounted {
 		var ok bool
-		if vt, ok = e.idleSwitch(d, src.Tape, &rp.repairSec); !ok {
+		if vt, ok = e.idleSwitch(d, src.Tape, &e.res.RepairSeconds); !ok {
 			return true // the failed load occupied the drive
 		}
 	}
@@ -205,7 +171,7 @@ func (e *engine) issueRepairRead(d int, j *repair.Job) bool {
 		// The source tape died while mounted: the locate runs into the
 		// failure; the job resumes from the read step with another copy.
 		loc, _, _ := e.sh.Costs.ServeOneParts(st.Head, src.Pos)
-		rp.repairSec += loc
+		e.res.RepairSeconds += loc
 		dr.failTape = src.Tape
 		e.beginOp(d, vt+loc, false)
 		return true
@@ -216,7 +182,7 @@ func (e *engine) issueRepairRead(d int, j *repair.Job) bool {
 		// dead, and the job resumes from the read step with another copy.
 		loc, rd, newHead := e.sh.Costs.ServeOneParts(st.Head, src.Pos)
 		vt += loc + rd
-		rp.repairSec += loc + rd
+		e.res.RepairSeconds += loc + rd
 		st.Head = newHead
 		// The failed attempt is a request-less fault record: the job ID
 		// would collide with request IDs in the fault ledger, and the
@@ -229,7 +195,7 @@ func (e *engine) issueRepairRead(d int, j *repair.Job) bool {
 	}
 	loc, rd, newHead := e.sh.Costs.ServeOneParts(st.Head, src.Pos)
 	vt += loc + rd
-	rp.repairSec += loc + rd
+	e.res.RepairSeconds += loc + rd
 	st.Head = newHead
 	rp.pl.FinishRead(j)
 	e.push(Event{Kind: EventRepairRead, Time: vt, Tape: src.Tape, Pos: src.Pos,
@@ -271,14 +237,14 @@ func (e *engine) issueRepairWrite(d int, j *repair.Job) bool {
 	}
 	vt := e.now
 	if dst.Tape != st.Mounted {
-		if vt, ok = e.idleSwitch(d, dst.Tape, &rp.repairSec); !ok {
+		if vt, ok = e.idleSwitch(d, dst.Tape, &e.res.RepairSeconds); !ok {
 			rp.pl.Abort(j)
 			return true
 		}
 	}
 	if e.flt != nil && e.flt.inj.TapeFailed(dst.Tape, vt) {
 		loc, _, _ := e.sh.Costs.ServeOneParts(st.Head, dst.Pos)
-		rp.repairSec += loc
+		e.res.RepairSeconds += loc
 		rp.pl.Abort(j)
 		dr.failTape = dst.Tape
 		e.beginOp(d, vt+loc, false)
@@ -286,7 +252,7 @@ func (e *engine) issueRepairWrite(d int, j *repair.Job) bool {
 	}
 	loc, wr, newHead := e.sh.Costs.ServeOneParts(st.Head, dst.Pos)
 	vt += loc + wr
-	rp.repairSec += loc + wr
+	e.res.RepairSeconds += loc + wr
 	st.Head = newHead
 	e.push(Event{Kind: EventRepairWrite, Time: vt, Tape: dst.Tape, Pos: dst.Pos,
 		Seconds: loc + wr, Request: j.ID})
@@ -320,7 +286,7 @@ func (e *engine) commitRepair(j *repair.Job) {
 		}
 		return
 	}
-	rp.repaired++
+	e.res.RepairedCopies++
 	rp.mttr.Add(e.now - j.At)
 }
 
@@ -335,7 +301,7 @@ func (e *engine) reclaimCopy(b layout.BlockID, c layout.Replica) bool {
 	if err := e.sh.Layout.RemoveCopy(b, c.Tape); err != nil {
 		return false
 	}
-	e.rep.reclaimed++
+	e.res.ReclaimedCopies++
 	e.push(Event{Kind: EventReclaim, Time: e.now, Tape: c.Tape, Pos: c.Pos})
 	e.notifyCopyRemoved(b, c)
 	return true
@@ -388,17 +354,4 @@ func (e *engine) notifyCopyRemoved(b layout.BlockID, c layout.Replica) {
 			co.OnCopyRemoved(dr.st, b, c)
 		}
 	}
-}
-
-// repairResult folds the repair metrics into the result.
-func (e *engine) repairResult(res *Result) {
-	rp := e.rep
-	if rp == nil {
-		return
-	}
-	res.RepairJobs = rp.pl.Created()
-	res.RepairedCopies = rp.repaired
-	res.ReclaimedCopies = rp.reclaimed
-	res.RepairSeconds = rp.repairSec
-	res.MeanTimeToRepairSec = rp.mttr.Mean()
 }

@@ -146,7 +146,7 @@ func TestRepairDeterminism(t *testing.T) {
 func TestRepairInvariants(t *testing.T) {
 	cfg := openRepairCfg(2)
 	cfg.Repair = RepairConfig{Enable: true}
-	e, err := newEngine(cfg, nil)
+	e, err := newEngine(cfg, NewSession())
 	if err != nil {
 		t.Fatal(err)
 	}

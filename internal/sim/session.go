@@ -18,20 +18,19 @@ import (
 // which is reset rather than reallocated. A Session is not safe for
 // concurrent use: create one per worker goroutine.
 //
-// Session.Run is result-identical to the package-level Run for every
-// configuration; the session tests pin this.
+// The package-level Run is Run on a fresh Session, and a reused session
+// gives the same results; the session tests pin this.
 type Session struct {
 	layKey  layout.Config
 	lay     *layout.Layout
 	costKey costKey
 	costs   *sched.CostModel
 
-	sh           *sched.Shared
-	drives       []drive
-	reqFree      []*sched.Request
-	respSample   *stats.Reservoir
-	readsPerTape []int64
-	evq          eventQueue
+	sh         *sched.Shared
+	drives     []drive
+	reqFree    []*sched.Request
+	respSample *stats.Reservoir
+	evq        eventQueue
 
 	genRand *rand.Rand // workload generator stream, reseeded per run
 	arrRand *rand.Rand // Poisson arrival stream, reseeded per run
@@ -49,8 +48,7 @@ type costKey struct {
 // NewSession creates an empty session.
 func NewSession() *Session { return &Session{} }
 
-// Run executes one simulation like the package-level Run, reusing the
-// session's caches and scratch.
+// Run executes one simulation, reusing the session's caches and scratch.
 func (s *Session) Run(cfg Config) (*Result, error) {
 	e, err := newEngine(cfg, s)
 	if err != nil {
@@ -101,23 +99,11 @@ func (s *Session) cachedCosts(prof tapemodel.Positioner, blockMB float64, maxBlo
 
 // genRng returns the session's recycled workload generator stream,
 // reseeded in place -- Rand.Seed(s) reproduces exactly the stream of
-// rand.New(rand.NewSource(s)), so reuse cannot change results. Nil-safe: a
-// nil session returns a fresh generator, which is what the one-shot Run
-// path uses.
-func (s *Session) genRng(seed int64) *rand.Rand {
-	if s == nil {
-		return rand.New(rand.NewSource(seed))
-	}
-	return reseed(&s.genRand, seed)
-}
+// rand.New(rand.NewSource(s)), so reuse cannot change results.
+func (s *Session) genRng(seed int64) *rand.Rand { return reseed(&s.genRand, seed) }
 
 // arrRng is genRng for the Poisson arrival stream.
-func (s *Session) arrRng(seed int64) *rand.Rand {
-	if s == nil {
-		return rand.New(rand.NewSource(seed))
-	}
-	return reseed(&s.arrRand, seed)
-}
+func (s *Session) arrRng(seed int64) *rand.Rand { return reseed(&s.arrRand, seed) }
 
 func reseed(slot **rand.Rand, seed int64) *rand.Rand {
 	if *slot == nil {
@@ -135,9 +121,6 @@ func reseed(slot **rand.Rand, seed int64) *rand.Rand {
 // the pending list would risk double-freeing; their runs just let the
 // stragglers go to the garbage collector.
 func (s *Session) reclaim(e *engine) {
-	if e == nil {
-		return
-	}
 	free := e.reqFree
 	if e.flt == nil && e.ovl == nil {
 		for i, r := range e.sh.Pending {
@@ -166,6 +149,5 @@ func (s *Session) reclaim(e *engine) {
 	s.sh = e.sh
 	s.drives = e.drives[:0]
 	s.respSample = e.respSample
-	s.readsPerTape = e.readsPerTape
 	s.evq = e.evq[:0]
 }

@@ -50,20 +50,17 @@ type pendingWrite struct {
 	tape    int
 }
 
-// writeState tracks the write extension inside the engine.
+// writeState tracks the write extension inside the engine; its metrics
+// are charged straight into the engine's Result.
 type writeState struct {
-	arr        *workload.PoissonArrivals
-	next       float64
-	buffer     [][]pendingWrite // per tape
-	buffered   int
-	maxBuffer  int
-	logStart   int   // first block position of each tape's delta region
-	logBlocks  int   // delta region length in blocks
-	logCursor  []int // next append slot per tape (wraps; old deltas compact offline)
-	flushed    int64
-	flushSec   float64
-	delay      stats.Accumulator
-	flushCount int64 // flush operations (not blocks)
+	arr       *workload.PoissonArrivals
+	next      float64
+	buffer    [][]pendingWrite // per tape
+	buffered  int
+	logStart  int   // first block position of each tape's delta region
+	logBlocks int   // delta region length in blocks
+	logCursor []int // next append slot per tape (wraps; old deltas compact offline)
+	delay     stats.Accumulator
 }
 
 // initWrites sets up the write extension when configured.
@@ -100,8 +97,8 @@ func (e *engine) pumpWrites() {
 		tape := e.sh.Layout.Replicas(blk)[0].Tape
 		w.buffer[tape] = append(w.buffer[tape], pendingWrite{arrival: w.next, tape: tape})
 		w.buffered++
-		if w.buffered > w.maxBuffer {
-			w.maxBuffer = w.buffered
+		if w.buffered > e.res.MaxBufferedWrites {
+			e.res.MaxBufferedWrites = w.buffered
 		}
 		w.next = w.arr.Next()
 	}
@@ -127,14 +124,13 @@ func (e *engine) resolveFlush(st *sched.State, vt float64) float64 {
 		w.logCursor[tape] = (w.logCursor[tape] + 1) % w.logBlocks
 		loc, wr, newHead := e.sh.Costs.ServeOneParts(st.Head, pos)
 		vt += loc + wr
-		w.flushSec += loc + wr
+		e.res.WriteSeconds += loc + wr
 		st.Head = newHead
-		w.flushed++
+		e.res.WritesFlushed++
 		if vt > e.warmupEnd {
 			w.delay.Add(vt - pw.arrival)
 		}
 	}
-	w.flushCount++
 	e.push(Event{Kind: EventWriteFlush, Time: vt, Tape: tape, Pos: st.Head,
 		Seconds: 0, Request: int64(len(batch))})
 	return vt
@@ -160,17 +156,11 @@ func (e *engine) fullestAvailable(st *sched.State) int {
 func (e *engine) switchForFlush(st *sched.State, tape int, vt float64) float64 {
 	sw := e.sh.Costs.SwitchCost(st.Mounted, st.Head, tape)
 	vt += sw
-	e.switchSec += sw
+	e.res.SwitchSeconds += sw
 	if vt > e.warmupEnd {
-		e.switches++
+		e.res.TapeSwitches++
 	}
-	if e.sh.Busy != nil {
-		if st.Mounted >= 0 {
-			e.sh.Busy[st.Mounted] = false
-		}
-		e.sh.Busy[tape] = true
-	}
-	st.Mounted, st.Head = tape, 0
+	e.mount(st, tape)
 	return vt
 }
 
@@ -191,7 +181,7 @@ func (e *engine) piggybackOp(d int) bool {
 			if e.deferWrites() {
 				// Graceful degradation: keep the drive on read work while
 				// overloaded; the force-drain threshold below still applies.
-				e.ovl.deferred++
+				e.res.DeferredFlushes++
 			} else {
 				vt = e.resolveFlush(st, vt)
 				did = true
@@ -226,7 +216,7 @@ func (e *engine) idleFlushOp(d int) bool {
 		return false
 	}
 	if e.deferWrites() {
-		e.ovl.deferred++
+		e.res.DeferredFlushes++
 		return false
 	}
 	st := e.drives[d].st
