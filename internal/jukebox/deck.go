@@ -1,23 +1,23 @@
 // Package jukebox provides an imperative model of a robotic tape library:
 // a Deck wraps one drive and a set of tapes and exposes the physical
-// operations (mount, locate, read, rewind) with simulated-time accounting.
+// operations (mount, locate, read, unload) with the simulated time each
+// one takes.
 //
 // The discrete-event simulator in internal/sim drives its own inlined drive
-// state for speed; Deck is the library-facing building block for callers
-// who want direct control -- replaying traces, validating schedules
-// computed elsewhere, or scripting experiments operation by operation.
+// state for speed; Deck is the independent model trace.Verify replays
+// recorded traces on, so the two implementations of the same physics check
+// each other.
 package jukebox
 
 import (
 	"errors"
 	"fmt"
 
-	"tapejuke/internal/faults"
 	"tapejuke/internal/tapemodel"
 )
 
 // Deck is one drive plus its tape pool. The zero value is not usable; see
-// NewDeck. All times are simulated seconds accumulated in Clock.
+// NewDeck. All times are simulated seconds.
 type Deck struct {
 	prof    tapemodel.Positioner
 	blockMB float64
@@ -26,16 +26,6 @@ type Deck struct {
 
 	mounted int // -1 when the drive is empty
 	head    int // block boundary on the mounted tape
-
-	clock     float64
-	locateSec float64
-	readSec   float64
-	switchSec float64
-	faultSec  float64
-	reads     int64
-	switches  int64
-
-	flt *faults.Injector // nil disables the fault model
 }
 
 // NewDeck builds a deck of `tapes` tapes of capBlocks blocks of blockMB
@@ -56,19 +46,11 @@ func NewDeck(prof tapemodel.Positioner, blockMB float64, tapes, capBlocks int) (
 	}, nil
 }
 
-// Clock returns the accumulated simulated time.
-func (d *Deck) Clock() float64 { return d.clock }
-
 // Mounted returns the mounted tape index, or -1 for an empty drive.
 func (d *Deck) Mounted() int { return d.mounted }
 
 // Head returns the head position (block boundary) on the mounted tape.
 func (d *Deck) Head() int { return d.head }
-
-// Stats returns operation counts and the time decomposition.
-func (d *Deck) Stats() (reads, switches int64, locateSec, readSec, switchSec float64) {
-	return d.reads, d.switches, d.locateSec, d.readSec, d.switchSec
-}
 
 func (d *Deck) posMB(pos int) float64 { return float64(pos) * d.blockMB }
 
@@ -88,14 +70,8 @@ func (d *Deck) Mount(tape int) (float64, error) {
 	} else {
 		sec = d.prof.FullSwitch(d.posMB(d.head))
 	}
-	if err := d.mountFault(tape, sec); err != nil {
-		return sec, err
-	}
 	d.mounted = tape
 	d.head = 0
-	d.clock += sec
-	d.switchSec += sec
-	d.switches++
 	return sec, nil
 }
 
@@ -116,10 +92,10 @@ func (d *Deck) SwitchCost(tape int) (float64, error) {
 	return d.prof.FullSwitch(d.posMB(d.head)), nil
 }
 
-// Unload empties the drive without time accounting: the cartridge goes
-// back to the library and the head state resets. It models the end of a
-// failed load, where the tape never mounted; the mechanical time was
-// already charged to the failed attempt.
+// Unload empties the drive at no cost: the cartridge goes back to the
+// library and the head state resets. It models the end of a failed load,
+// where the tape never mounted; the mechanical time belongs to the failed
+// attempt.
 func (d *Deck) Unload() {
 	d.mounted = -1
 	d.head = 0
@@ -136,49 +112,6 @@ func (d *Deck) ReadBlock(pos int) (float64, error) {
 	}
 	loc, dir := d.prof.Locate(d.posMB(d.head), d.posMB(pos))
 	rd := d.prof.Read(d.blockMB, dir)
-	if err := d.readFault(pos, loc+rd); err != nil {
-		return loc + rd, err
-	}
 	d.head = pos + 1
-	d.clock += loc + rd
-	d.locateSec += loc
-	d.readSec += rd
-	d.reads++
 	return loc + rd, nil
-}
-
-// Rewind returns the head to the beginning of the mounted tape.
-func (d *Deck) Rewind() (float64, error) {
-	if d.mounted < 0 {
-		return 0, errors.New("jukebox: no tape mounted")
-	}
-	sec := d.prof.Rewind(d.posMB(d.head))
-	d.head = 0
-	d.clock += sec
-	d.switchSec += sec
-	return sec, nil
-}
-
-// Idle advances the clock without drive activity (waiting for work).
-func (d *Deck) Idle(sec float64) error {
-	if sec < 0 {
-		return errors.New("jukebox: negative idle time")
-	}
-	d.clock += sec
-	return nil
-}
-
-// ExecuteSweep reads the given positions in order on the mounted tape and
-// returns the total elapsed time. It is the Deck-level equivalent of
-// executing a service list.
-func (d *Deck) ExecuteSweep(positions []int) (float64, error) {
-	total := 0.0
-	for _, p := range positions {
-		sec, err := d.ReadBlock(p)
-		if err != nil {
-			return total, err
-		}
-		total += sec
-	}
-	return total, nil
 }

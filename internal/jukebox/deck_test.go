@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"tapejuke/internal/sched"
 	"tapejuke/internal/tapemodel"
 )
 
@@ -36,7 +37,7 @@ func TestDeckConstruction(t *testing.T) {
 		}
 	}
 	d := newDeck(t)
-	if d.Mounted() != -1 || d.Head() != 0 || d.Clock() != 0 {
+	if d.Mounted() != -1 || d.Head() != 0 {
 		t.Error("fresh deck not in the empty state")
 	}
 }
@@ -101,72 +102,42 @@ func TestDeckReadAccounting(t *testing.T) {
 	if _, err := d.ReadBlock(448); err == nil {
 		t.Error("out-of-range position accepted")
 	}
-	reads, switches, loc, rd, sw := d.Stats()
-	if reads != 1 || switches != 1 {
-		t.Errorf("counts: %d reads, %d switches", reads, switches)
-	}
-	if !almost(loc, wantLoc) || !almost(rd, wantRead) || !almost(sw, 62) {
-		t.Errorf("decomposition: loc=%v rd=%v sw=%v", loc, rd, sw)
-	}
-	if !almost(d.Clock(), 62+wantLoc+wantRead) {
-		t.Errorf("clock = %v", d.Clock())
+	if d.Head() != 11 {
+		t.Errorf("rejected read moved the head to %d", d.Head())
 	}
 }
 
-func TestDeckRewindAndIdle(t *testing.T) {
-	d := newDeck(t)
-	if _, err := d.Rewind(); err == nil {
-		t.Error("rewind with empty drive accepted")
-	}
-	d.Mount(0)
-	d.ReadBlock(100)
-	prof := tapemodel.EXB8505XL()
-	sec, err := d.Rewind()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(sec, prof.Rewind(101*16)) {
-		t.Errorf("rewind = %v", sec)
-	}
-	if d.Head() != 0 {
-		t.Error("rewind left the head away from BOT")
-	}
-	before := d.Clock()
-	if err := d.Idle(100); err != nil || !almost(d.Clock(), before+100) {
-		t.Error("idle did not advance the clock")
-	}
-	if err := d.Idle(-1); err == nil {
-		t.Error("negative idle accepted")
-	}
-}
-
-// ExecuteSweep on a deck must agree exactly with the scheduling cost model
-// used by the simulator: two implementations of the same physics.
+// The deck must agree exactly with the scheduling cost model the
+// simulator charges: two implementations of the same physics, which is
+// what lets trace.Verify replay a simulated trace on a deck.
 func TestDeckAgreesWithCostModel(t *testing.T) {
 	d := newDeck(t)
-	d.Mount(2)
-	positions := []int{5, 9, 30, 12, 3}
-	got, err := d.ExecuteSweep(positions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Recompute with the cost model formulae.
-	prof := tapemodel.EXB8505XL()
-	head, want := 0, 0.0
-	for _, p := range positions {
-		loc, dir := prof.Locate(float64(head)*16, float64(p)*16)
-		want += loc + prof.Read(16, dir)
-		head = p + 1
-	}
-	if !almost(got, want) {
-		t.Errorf("sweep = %v, want %v", got, want)
-	}
-	// A failing position aborts mid-sweep but keeps prior accounting.
-	partial, err := d.ExecuteSweep([]int{1, 9999})
-	if err == nil {
-		t.Error("invalid position accepted")
-	}
-	if partial <= 0 {
-		t.Error("partial sweep time lost")
+	costs := &sched.CostModel{Prof: tapemodel.EXB8505XL(), BlockMB: 16}
+	mounted, head := -1, 0
+	for _, tp := range []int{2, 2, 7, 0} {
+		got, err := d.Mount(tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0.0
+		if tp != mounted {
+			want = costs.SwitchCost(mounted, head, tp)
+			mounted, head = tp, 0
+		}
+		if got != want {
+			t.Errorf("mount %d = %v, cost model %v", tp, got, want)
+		}
+		for _, p := range []int{5, 9, 30, 12, 3, 447} {
+			got, err := d.ReadBlock(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loc, rd, newHead := costs.ServeOneParts(head, p)
+			if got != loc+rd || d.Head() != newHead {
+				t.Errorf("read %d from %d = %v (head %d), cost model %v (head %d)",
+					p, head, got, d.Head(), loc+rd, newHead)
+			}
+			head = newHead
+		}
 	}
 }

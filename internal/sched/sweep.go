@@ -137,23 +137,6 @@ func (s *Sweep) Pop() *Request {
 	return nil
 }
 
-// Positions returns the remaining execution order as a position list
-// (explicit order when set, else forward phase then reverse phase). Used
-// for cost evaluation.
-func (s *Sweep) Positions() []int {
-	out := make([]int, 0, s.Len())
-	for _, r := range s.ord {
-		out = append(out, r.Target.Pos)
-	}
-	for _, r := range s.Forward {
-		out = append(out, r.Target.Pos)
-	}
-	for _, r := range s.Reverse {
-		out = append(out, r.Target.Pos)
-	}
-	return out
-}
-
 // Requests returns the remaining requests in execution order.
 func (s *Sweep) Requests() []*Request {
 	out := make([]*Request, 0, s.Len())
