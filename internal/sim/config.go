@@ -493,7 +493,7 @@ type Result struct {
 	SwitchFaults       int64   // failed tape load/unload attempts
 	TapeFailures       int     // tapes discovered permanently failed by the end of the run
 	DriveFailures      int64   // drive failures repaired
-	DriveRepairSeconds float64 // downtime spent repairing drives
+	DriveRepairSeconds float64 // drive downtime: repairs and fence maintenance
 	FaultSeconds       float64 // drive time consumed by failed attempts and retry backoff
 	Unserviceable      int64   // requests abandoned with every copy lost (whole run)
 	Rerouted           int64   // post-warmup completions served by a surviving replica after a permanent fault
