@@ -23,6 +23,6 @@ const (
 // a real request arriving mid-job takes the drive, and the job resumes
 // later without repeating completed work. The zero value disables the
 // extension entirely and the engine is bit-identical to the repair-free
-// one; see the internal sim package mirror of this type for field
-// documentation.
+// one; see the internal repair package's Config, which this type is, for
+// field documentation.
 type RepairConfig = sim.RepairConfig
