@@ -103,6 +103,17 @@ func digestMatrix() []matrixCase {
 	c = closed(DynamicMaxBandwidth)
 	c.AgeWeight = 0.002
 	add("overload/ageweight", c)
+	// Multi-drive aging: near-deadline requests often sit on a tape another
+	// drive holds, so these runs exercise the selection fallback.
+	for _, a := range []struct {
+		drives int
+		alg    Algorithm
+	}{{2, StaticMaxBandwidth}, {3, DynamicMaxBandwidth}, {2, EnvelopeMaxBandwidth}} {
+		c = open(60)
+		c.Algorithm, c.Drives, c.AgeWeight = a.alg, a.drives, 1
+		c.Deadlines = DeadlineConfig{HotTTL: 5_000, ColdTTL: 20_000}
+		add(fmt.Sprintf("overload/ageweight/%d-drive/%s", a.drives, a.alg), c)
+	}
 	c = closed(EnvelopeMaxBandwidth)
 	c.Burst = BurstConfig{Factor: 1, FlashAt: 100_000, FlashCount: 60}
 	add("overload/flash-closed", c)
@@ -390,5 +401,31 @@ func TestDigestPin(t *testing.T) {
 	}
 	for name := range want {
 		t.Errorf("%s: pinned digest has no matrix configuration", name)
+	}
+}
+
+// TestEnvelopeMatchesDynamicAtNR0 pins the paper's observation that without
+// replicated data the envelope algorithm degenerates into the dynamic
+// algorithm with the same tape-selection policy: each closed NR-0 envelope
+// run emits exactly the events of its dynamic counterpart.
+func TestEnvelopeMatchesDynamicAtNR0(t *testing.T) {
+	byName := make(map[string]matrixRun)
+	for _, r := range runMatrix(t) {
+		byName[r.name] = r
+	}
+	for env, dyn := range map[Algorithm]Algorithm{
+		EnvelopeOldestRequest: DynamicOldestMaxRequests,
+		EnvelopeMaxRequests:   DynamicMaxRequests,
+		EnvelopeMaxBandwidth:  DynamicMaxBandwidth,
+	} {
+		e, okE := byName["closed/nr0/"+string(env)]
+		d, okD := byName["closed/nr0/"+string(dyn)]
+		if !okE || !okD {
+			t.Fatalf("matrix lacks closed/nr0/%s or closed/nr0/%s", env, dyn)
+		}
+		if e.events != d.events || e.nEvents != d.nEvents {
+			t.Errorf("%s: events %016x (%d) differ from %s: %016x (%d)",
+				env, e.events, e.nEvents, dyn, d.events, d.nEvents)
+		}
 	}
 }
