@@ -55,11 +55,22 @@ func (v Variant) String() string {
 	return "unknown"
 }
 
+// policy is the sched policy the variant applies within the envelope.
+func (v Variant) policy() sched.Policy {
+	switch v {
+	case OldestRequest:
+		return sched.OldestMaxRequests
+	case MaxBandwidth:
+		return sched.MaxBandwidth
+	}
+	return sched.MaxRequests
+}
+
 // Envelope is the envelope-extension scheduler. It satisfies
 // sched.Scheduler. With no replicated data it degenerates into the dynamic
 // algorithm with the same policy, as the paper observes.
 //
-// An Envelope reuses its builder and selection scratch buffers across
+// An Envelope reuses its builder and its sched.Selector across
 // reschedules, so the steady-state major-reschedule path is allocation-free
 // apart from the sweep handed back to the engine.
 type Envelope struct {
@@ -67,14 +78,8 @@ type Envelope struct {
 	env     []int // upper envelope from the last major reschedule, per tape
 	env0    []int // retired env backing stashed by ResetRun for reuse
 
-	b *builder // reusable envelope construction state
-
-	// Reusable selection/extraction scratch.
-	sets     [][]*sched.Request // selectTape: per-tape in-envelope requests
-	posBits  posSorter          // selectTape: bandwidthBits bitmap scratch
-	oldestOn []bool             // selectTape: tapes covering the oldest request
-	reqsBuf  []*sched.Request   // Reschedule: extracted requests
-	posSets  [][]int            // selectTape: positions of sets' requests, same shape
+	b   *builder       // reusable envelope construction state
+	sel sched.Selector // tape choice and extraction within the envelope
 }
 
 // NewEnvelope returns the envelope-extension scheduler with the given
@@ -125,29 +130,11 @@ func (e *Envelope) Reschedule(st *sched.State) (int, *sched.Sweep, bool) {
 		e.env, e.env0 = e.env0, nil
 	}
 	e.env = append(e.env[:0], e.b.env...)
-	env := e.env
-
-	tape, ok := e.selectTape(st, env)
-	if !ok {
-		return 0, nil, false
-	}
-	// Extract the requests satisfiable by `tape` within the upper envelope
-	// (in general a superset of the per-tape schedule built during envelope
-	// construction -- replicated requests assigned elsewhere may also have
-	// an in-envelope copy here).
-	reqs := e.reqsBuf[:0]
-	for _, r := range st.Pending {
-		if c, in := replicaInside(st, r, tape, env); in {
-			r.Target = c
-			reqs = append(reqs, r)
-		}
-	}
-	e.reqsBuf = reqs[:0]
-	if len(reqs) == 0 {
-		return 0, nil, false
-	}
-	st.RemovePending(reqs)
-	return tape, st.NewSweep(reqs, st.StartHead(tape)), true
+	// Extract the requests satisfiable by the chosen tape within the upper
+	// envelope (in general a superset of the per-tape schedule built during
+	// envelope construction -- replicated requests assigned elsewhere may
+	// also have an in-envelope copy there).
+	return e.sel.Reschedule(st, e.variant.policy(), e.env)
 }
 
 // OnArrival implements the envelope incremental scheduler. A request for a
@@ -248,132 +235,6 @@ func (e *Envelope) OnCopyRemoved(st *sched.State, b layout.BlockID, c layout.Rep
 	if edge < e.env[st.Mounted] {
 		e.env[st.Mounted] = edge
 	}
-}
-
-// replicaInside returns block b's copy on `tape` when that copy lies inside
-// the envelope and is readable. UsableOn is flattened here so the readable
-// check inlines in the per-request extraction loop.
-func replicaInside(st *sched.State, r *sched.Request, tape int, env []int) (layout.Replica, bool) {
-	c, ok := st.Layout.ReplicaOn(r.Block, tape)
-	if !ok || c.Pos+1 > env[tape] || !st.CopyOK(c) {
-		return layout.Replica{}, false
-	}
-	return c, true
-}
-
-// selectTape applies the variant's tape-switch policy to the per-tape sets
-// of requests satisfiable within the upper envelope. The per-tape sets and
-// position buffers live on the Envelope and are reused across reschedules.
-func (e *Envelope) selectTape(st *sched.State, env []int) (int, bool) {
-	n := st.Layout.Tapes()
-	if cap(e.sets) < n {
-		grown := make([][]*sched.Request, n)
-		copy(grown, e.sets)
-		e.sets = grown
-	} else {
-		e.sets = e.sets[:n]
-	}
-	if cap(e.posSets) < n {
-		grown := make([][]int, n)
-		copy(grown, e.posSets)
-		e.posSets = grown
-	} else {
-		e.posSets = e.posSets[:n]
-	}
-	sets, posSets := e.sets, e.posSets
-	for t := range sets {
-		sets[t] = sets[t][:0]
-		posSets[t] = posSets[t][:0]
-	}
-	// The replica positions are recorded alongside the request sets so the
-	// bandwidth scoring below never repeats the replica lookup.
-	for _, r := range st.Pending {
-		for _, c := range st.Layout.Replicas(r.Block) {
-			if c.Pos+1 <= env[c.Tape] && st.CopyOK(c) {
-				sets[c.Tape] = append(sets[c.Tape], r)
-				posSets[c.Tape] = append(posSets[c.Tape], c.Pos)
-			}
-		}
-	}
-
-	candidate := func(t int) bool { return len(sets[t]) > 0 && st.Available(t) }
-	if e.variant == OldestRequest {
-		if cap(e.oldestOn) < n {
-			e.oldestOn = make([]bool, n)
-		} else {
-			e.oldestOn = e.oldestOn[:n]
-		}
-		onTape := e.oldestOn
-		for t := range onTape {
-			onTape[t] = false
-		}
-		for _, c := range st.Layout.Replicas(st.Pending[0].Block) {
-			if c.Pos+1 <= env[c.Tape] && st.CopyOK(c) {
-				onTape[c.Tape] = true
-			}
-		}
-		candidate = func(t int) bool { return onTape[t] && len(sets[t]) > 0 && st.Available(t) }
-	}
-
-	if st.AgeWeight > 0 {
-		// Starvation-aware aging: restrict the choice to tapes whose
-		// in-envelope set holds a request in the urgency window (the same
-		// cut as the simple policies, over in-envelope requests). If no tape
-		// passes both the base predicate and the window -- possible for the
-		// oldest-request variant, whose oldest request may be out-urged by a
-		// young near-deadline one -- fall back to the base predicate so a
-		// schedulable system always schedules.
-		maxU := 0.0
-		for t := range sets {
-			for _, r := range sets[t] {
-				if u := st.Urgency(r); u > maxU {
-					maxU = u
-				}
-			}
-		}
-		cut := maxU * st.AgeWeight / (1 + st.AgeWeight)
-		base := candidate
-		aged := func(t int) bool {
-			if !base(t) {
-				return false
-			}
-			for _, r := range sets[t] {
-				if st.Urgency(r) >= cut {
-					return true
-				}
-			}
-			return false
-		}
-		any := false
-		for t := 0; t < n && !any; t++ {
-			any = aged(t)
-		}
-		if any {
-			candidate = aged
-		}
-	}
-
-	best, bestScore := -1, -1.0
-	st.JukeboxOrder(func(t int) bool {
-		if !candidate(t) {
-			return true
-		}
-		var score float64
-		if e.variant == MaxBandwidth {
-			startHead := st.StartHead(t)
-			score = bandwidthBits(st.Costs, st.Mounted, st.Head, t, startHead, e.posSets[t], &e.posBits)
-		} else {
-			score = float64(len(sets[t]))
-		}
-		if score > bestScore {
-			best, bestScore = t, score
-		}
-		return true
-	})
-	if best < 0 {
-		return 0, false
-	}
-	return best, true
 }
 
 // Theorem2Bound returns the paper's Theorem 2 upper bound on the extension

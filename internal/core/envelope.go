@@ -1,7 +1,6 @@
 package core
 
 import (
-	mathbits "math/bits"
 	"slices"
 	"sort"
 
@@ -534,179 +533,6 @@ func extensionCost(st *sched.State, env, tape int, positions []int) float64 {
 // positions below it.
 func sweepOrderInts(positions []int, head int) []int {
 	return sweepOrderInto(nil, positions, head)
-}
-
-// posSorter is reusable scratch for sweepOrderBits: an occupancy bitmap
-// over block positions plus per-position multiplicities. Both are kept
-// all-zero between calls (the bitmap is cleared word-wise, the counts
-// sparsely through the input positions), so a call touches O(range/64 + n)
-// words rather than the whole position space.
-type posSorter struct {
-	set []uint64
-	cnt []uint32
-}
-
-// sweepOrderBits is sweepOrderInto for positions on the block grid: a
-// counting sort keyed by the occupancy bitmap, emitting each position as
-// many times as it occurs. Positions are small dense block indexes, so
-// extracting set bits word by word replaces both comparison sorts; the
-// output is identical (equal ints are indistinguishable, so counting sort
-// is trivially stable).
-func sweepOrderBits(dst, positions []int, head int, ps *posSorter) []int {
-	maxp := -1
-	for _, p := range positions {
-		if p > maxp {
-			maxp = p
-		}
-	}
-	if maxp < 0 {
-		return dst[:0]
-	}
-	words := maxp>>6 + 1
-	if len(ps.set) < words {
-		ps.set = make([]uint64, words)
-		ps.cnt = make([]uint32, words*64)
-	}
-	set, cnt := ps.set, ps.cnt
-	for _, p := range positions {
-		set[p>>6] |= uint64(1) << uint(p&63)
-		cnt[p]++
-	}
-	dst = dst[:0]
-	start := head
-	if start < 0 {
-		start = 0
-	}
-	for w := start >> 6; w < words; w++ {
-		word := set[w]
-		if w == start>>6 {
-			word &^= uint64(1)<<uint(start&63) - 1
-		}
-		for word != 0 {
-			p := w<<6 | mathbits.TrailingZeros64(word)
-			for c := cnt[p]; c > 0; c-- {
-				dst = append(dst, p)
-			}
-			word &= word - 1
-		}
-	}
-	limit := head
-	if limit > maxp+1 {
-		limit = maxp + 1
-	}
-	if limit > 0 {
-		wtop := (limit - 1) >> 6
-		for w := wtop; w >= 0; w-- {
-			word := set[w]
-			if w == wtop {
-				if r := limit - wtop<<6; r < 64 {
-					word &= uint64(1)<<uint(r) - 1
-				}
-			}
-			for word != 0 {
-				b := 63 - mathbits.LeadingZeros64(word)
-				p := w<<6 | b
-				for c := cnt[p]; c > 0; c-- {
-					dst = append(dst, p)
-				}
-				word &^= uint64(1) << uint(b)
-			}
-		}
-	}
-	for i := 0; i < words; i++ {
-		set[i] = 0
-	}
-	for _, p := range positions {
-		cnt[p] = 0
-	}
-	return dst
-}
-
-// bandwidthBits is sweepOrderBits fused with CostModel.EffectiveBandwidth:
-// it walks the occupancy bitmap in sweep order from startHead and
-// accumulates the serve costs directly, never materializing the ordered
-// position list. The additions happen in exactly the order ExecTime would
-// perform them, so the score is bit-identical to the two-step computation
-// (the core tests pin this). selectTape calls it once per candidate tape
-// per major reschedule, the single hottest call site of the max-bandwidth
-// variant.
-func bandwidthBits(costs *sched.CostModel, mounted, head, tape, startHead int, positions []int, ps *posSorter) float64 {
-	maxp := -1
-	for _, p := range positions {
-		if p > maxp {
-			maxp = p
-		}
-	}
-	if maxp < 0 {
-		return 0
-	}
-	words := maxp>>6 + 1
-	if len(ps.set) < words {
-		ps.set = make([]uint64, words)
-		ps.cnt = make([]uint32, words*64)
-	}
-	set, cnt := ps.set, ps.cnt
-	for _, p := range positions {
-		set[p>>6] |= uint64(1) << uint(p&63)
-		cnt[p]++
-	}
-	exec := 0.0
-	cur := startHead
-	start := startHead
-	if start < 0 {
-		start = 0
-	}
-	for w := start >> 6; w < words; w++ {
-		word := set[w]
-		if w == start>>6 {
-			word &^= uint64(1)<<uint(start&63) - 1
-		}
-		for word != 0 {
-			p := w<<6 | mathbits.TrailingZeros64(word)
-			for c := cnt[p]; c > 0; c-- {
-				step, h := costs.ServeOne(cur, p)
-				exec += step
-				cur = h
-			}
-			word &= word - 1
-		}
-	}
-	limit := startHead
-	if limit > maxp+1 {
-		limit = maxp + 1
-	}
-	if limit > 0 {
-		wtop := (limit - 1) >> 6
-		for w := wtop; w >= 0; w-- {
-			word := set[w]
-			if w == wtop {
-				if r := limit - wtop<<6; r < 64 {
-					word &= uint64(1)<<uint(r) - 1
-				}
-			}
-			for word != 0 {
-				b := 63 - mathbits.LeadingZeros64(word)
-				p := w<<6 | b
-				for c := cnt[p]; c > 0; c-- {
-					step, h := costs.ServeOne(cur, p)
-					exec += step
-					cur = h
-				}
-				word &^= uint64(1) << uint(b)
-			}
-		}
-	}
-	for i := 0; i < words; i++ {
-		set[i] = 0
-	}
-	for _, p := range positions {
-		cnt[p] = 0
-	}
-	total := costs.SwitchCost(mounted, head, tape) + exec
-	if total <= 0 {
-		return 0
-	}
-	return float64(len(positions)) * costs.BlockMB / total
 }
 
 // sweepOrderInto is sweepOrderInts writing into a reusable buffer.

@@ -50,12 +50,12 @@ func TestSelectTapeZeroWeightIdentical(t *testing.T) {
 		addReq(st, 1, coldOn(t, st, 1), 0)
 		addReq(st, 2, coldOn(t, st, 2), 10)
 		addReq(st, 3, coldOn(t, st, 2), 20)
-		base, ok := SelectTape(st, p)
+		base, ok := selectTape(st, p)
 		if !ok {
 			t.Fatalf("%v: no selection", p)
 		}
 		st.AgeWeight = 0
-		again, ok := SelectTape(st, p)
+		again, ok := selectTape(st, p)
 		if !ok || again != base {
 			t.Errorf("%v: explicit zero weight changed the choice: %d vs %d", p, again, base)
 		}
@@ -77,11 +77,11 @@ func TestSelectTapeAgingPullsToUrgent(t *testing.T) {
 		urgent := addReq(st, 4, coldOn(t, st, 1), 900)
 		urgent.Deadline = 1001
 
-		if tape, ok := SelectTape(st, p); !ok || tape != 2 {
+		if tape, ok := selectTape(st, p); !ok || tape != 2 {
 			t.Fatalf("%v: unaged choice = %d, want the popular tape 2", p, tape)
 		}
 		st.AgeWeight = 50
-		if tape, ok := SelectTape(st, p); !ok || tape != 1 {
+		if tape, ok := selectTape(st, p); !ok || tape != 1 {
 			t.Errorf("%v: aged choice = %d, want the urgent tape 1", p, tape)
 		}
 	}
@@ -96,11 +96,11 @@ func TestRoundRobinAgingSkipsAhead(t *testing.T) {
 	urgent := addReq(st, 2, coldOn(t, st, 3), 900)
 	urgent.Deadline = 1001
 
-	if tape, ok := SelectTape(st, RoundRobin); !ok || tape != 1 {
+	if tape, ok := selectTape(st, RoundRobin); !ok || tape != 1 {
 		t.Fatalf("unaged round-robin chose %d, want the first tape in order (1)", tape)
 	}
 	st.AgeWeight = 50
-	if tape, ok := SelectTape(st, RoundRobin); !ok || tape != 3 {
+	if tape, ok := selectTape(st, RoundRobin); !ok || tape != 3 {
 		t.Errorf("aged round-robin chose %d, want the urgent tape 3", tape)
 	}
 }
@@ -119,7 +119,7 @@ func TestOldestPoliciesKeepGuarantee(t *testing.T) {
 		urgent.Deadline = 1000.5
 
 		st.AgeWeight = 1000
-		tape, ok := SelectTape(st, p)
+		tape, ok := selectTape(st, p)
 		if !ok || tape != 3 {
 			t.Errorf("%v: aged choice = %d, want 3 (oldest-request guarantee)", p, tape)
 		}

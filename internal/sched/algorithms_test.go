@@ -21,6 +21,13 @@ func fixture(t *testing.T, nr int, kind layout.Kind) *State {
 	return NewState(l, &CostModel{Prof: tapemodel.EXB8505XL(), BlockMB: 16})
 }
 
+// selectTape runs a fresh Selector over every copy on every tape: the
+// choice the static and dynamic algorithms make.
+func selectTape(st *State, p Policy) (int, bool) {
+	var s Selector
+	return s.Select(st, p, nil)
+}
+
 // addReq appends a pending request for block b arriving at time at.
 func addReq(st *State, id int64, b layout.BlockID, at float64) *Request {
 	r := &Request{ID: id, Block: b, Arrival: at}
@@ -151,13 +158,13 @@ func TestOldestPolicies(t *testing.T) {
 	addReq(st, 3, b+4, 2)
 
 	for _, p := range []Policy{OldestMaxRequests, OldestMaxBandwidth} {
-		tape, ok := SelectTape(st, p)
+		tape, ok := selectTape(st, p)
 		if !ok || tape != 3 {
 			t.Errorf("%v chose tape %d, want 3", p, tape)
 		}
 	}
 	// Plain max-requests ignores the oldest and picks tape 1.
-	if tape, _ := SelectTape(st, MaxRequests); tape != 1 {
+	if tape, _ := selectTape(st, MaxRequests); tape != 1 {
 		t.Errorf("max-requests chose tape %d, want 1", tape)
 	}
 }
@@ -169,7 +176,7 @@ func TestOldestWithReplicationPicksBusiestCopy(t *testing.T) {
 	// winner among the candidates.
 	addReq(st, 1, 0, 0)
 	addReq(st, 2, coldOn(t, st, 2), 1)
-	tape, ok := SelectTape(st, OldestMaxRequests)
+	tape, ok := selectTape(st, OldestMaxRequests)
 	if !ok || tape != 2 {
 		t.Errorf("oldest-max-requests chose tape %d, want 2", tape)
 	}
@@ -235,7 +242,7 @@ func TestRemovePending(t *testing.T) {
 func TestSelectTapeEmptyPending(t *testing.T) {
 	st := fixture(t, 0, layout.Horizontal)
 	for _, p := range []Policy{RoundRobin, MaxRequests, MaxBandwidth, OldestMaxRequests, OldestMaxBandwidth} {
-		if _, ok := SelectTape(st, p); ok {
+		if _, ok := selectTape(st, p); ok {
 			t.Errorf("%v selected a tape with empty pending", p)
 		}
 	}

@@ -39,21 +39,42 @@ func TestStaticDynamicRescheduleAgree(t *testing.T) {
 	}
 }
 
-// CountByTape counts a replicated request once per tape holding a copy.
-func TestCountByTapeWithReplication(t *testing.T) {
+// The selector puts a replicated request in the set of every tape holding
+// a readable copy, and a reach bounds each tape's set.
+func TestSelectorSetsWithReplication(t *testing.T) {
 	st := fixture(t, 3, layout.Horizontal) // 4 tapes, hot blocks on all 4
 	addReq(st, 1, 0, 0)                    // hot, fully replicated
-	addReq(st, 2, coldOn(t, st, 2), 1)     // cold, single copy
-	counts := st.CountByTape()
+	cold := coldOn(t, st, 2)
+	addReq(st, 2, cold, 1) // cold, single copy
+	var s Selector
+	if _, ok := s.Select(st, MaxRequests, nil); !ok {
+		t.Fatal("no selection")
+	}
 	total := 0
-	for _, c := range counts {
-		total += c
+	for _, set := range s.sets {
+		total += len(set)
 	}
 	if total != 4+1 {
-		t.Errorf("total count = %d, want 5 (4 copies + 1 cold)", total)
+		t.Errorf("total set size = %d, want 5 (4 copies + 1 cold)", total)
 	}
-	if counts[2] != 2 {
-		t.Errorf("tape 2 count = %d, want 2", counts[2])
+	if len(s.sets[2]) != 2 {
+		t.Errorf("tape 2 set size = %d, want 2", len(s.sets[2]))
+	}
+
+	// A reach ending just past the cold copy's position leaves tape 2 the
+	// only tape with work once the hot copies are out of reach.
+	pos := st.Layout.Replicas(cold)[0].Pos
+	reach := make([]int, 4)
+	reach[2] = pos + 1
+	tape, sweep, ok := s.Reschedule(st, MaxRequests, reach)
+	if !ok || tape != 2 || sweep.Len() != 1 || sweep.Peek().ID != 2 {
+		t.Fatalf("reach-bounded reschedule = tape %d ok %v, want tape 2 serving request 2", tape, ok)
+	}
+	if got := sweep.Peek().Target; got.Tape != 2 || got.Pos != pos {
+		t.Errorf("target = %+v, want tape 2 position %d", got, pos)
+	}
+	if len(st.Pending) != 1 || st.Pending[0].ID != 1 {
+		t.Errorf("pending should keep only the out-of-reach hot request")
 	}
 }
 
@@ -139,7 +160,7 @@ func TestMaxBandwidthPrefersCloserData(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		st.Pending = append(st.Pending, &Request{ID: int64(i), Block: layout.BlockID(i)})
 	}
-	tape, ok := SelectTape(st, MaxBandwidth)
+	tape, ok := selectTape(st, MaxBandwidth)
 	if !ok || tape != 0 {
 		t.Errorf("max-bandwidth chose tape %d, want 0 (near data)", tape)
 	}
@@ -147,10 +168,10 @@ func TestMaxBandwidthPrefersCloserData(t *testing.T) {
 	// also lands on tape 0 here -- so flip the counts to separate them:
 	// tape 1 has more requests but far data.
 	st.Pending = append(st.Pending, &Request{ID: 5, Block: 2})
-	if tape, _ := SelectTape(st, MaxRequests); tape != 1 {
+	if tape, _ := selectTape(st, MaxRequests); tape != 1 {
 		t.Errorf("max-requests chose tape %d, want 1 (count 3)", tape)
 	}
-	if tape, _ := SelectTape(st, MaxBandwidth); tape != 0 {
+	if tape, _ := selectTape(st, MaxBandwidth); tape != 0 {
 		t.Errorf("max-bandwidth chose tape %d, want 0 despite fewer requests", tape)
 	}
 }
@@ -163,7 +184,7 @@ func TestBusyTapeExclusion(t *testing.T) {
 	st.Busy[1] = true
 
 	for _, p := range []Policy{RoundRobin, MaxRequests, MaxBandwidth} {
-		tape, ok := SelectTape(st, p)
+		tape, ok := selectTape(st, p)
 		if !ok || tape != 2 {
 			t.Errorf("%v: chose tape %d (ok=%v), want 2 (tape 1 busy)", p, tape, ok)
 		}
@@ -178,7 +199,7 @@ func TestBusyTapeExclusion(t *testing.T) {
 
 	// All candidate tapes busy: selection fails.
 	st.Busy[2] = true
-	if _, ok := SelectTape(st, MaxRequests); ok {
+	if _, ok := selectTape(st, MaxRequests); ok {
 		t.Error("selection succeeded with every candidate busy")
 	}
 }

@@ -73,10 +73,11 @@ func BenchmarkRescheduleFIFO(b *testing.B) {
 
 func BenchmarkSweepBuild140(b *testing.B) {
 	st := benchState(b, 140, 0)
-	reqs := st.SatisfiableBy(3)
-	for _, r := range reqs {
-		c, _ := st.Layout.ReplicaOn(r.Block, 3)
-		r.Target = c
+	var s Selector
+	s.Select(st, MaxRequests, nil)
+	reqs := s.sets[3]
+	for i, r := range reqs {
+		r.Target = layout.Replica{Tape: 3, Pos: s.pos[3][i]}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -101,8 +102,9 @@ func BenchmarkSweepInsert(b *testing.B) {
 
 func BenchmarkEffectiveBandwidth(b *testing.B) {
 	st := benchState(b, 140, 0)
-	positions := candidatePositions(st, 3)
-	order := sweepOrder(positions, 100)
+	var s Selector
+	s.Select(st, MaxRequests, nil)
+	order := sweepOrderInts(s.pos[3], 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.Costs.EffectiveBandwidth(3, 100, 3, 100, order)

@@ -7,6 +7,7 @@ package sched
 // block is on the current tape at a position still ahead of the head.
 type Dynamic struct {
 	policy Policy
+	sel    Selector
 }
 
 // NewDynamic returns the dynamic algorithm with the given tape-selection
@@ -21,22 +22,13 @@ func (d *Dynamic) Policy() Policy { return d.policy }
 
 // Reschedule behaves exactly like the static algorithm's major rescheduler.
 func (d *Dynamic) Reschedule(st *State) (int, *Sweep, bool) {
-	tape, ok := SelectTape(st, d.policy)
-	if !ok {
-		return 0, nil, false
-	}
-	return extractTape(st, tape)
+	return d.sel.Reschedule(st, d.policy, nil)
 }
 
 // OnArrival inserts the request into the current sweep when its block has a
-// copy on the mounted tape whose position the head has not yet passed.
+// readable copy on the mounted tape whose position the head has not yet
+// passed.
 func (d *Dynamic) OnArrival(st *State, r *Request) bool {
-	return insertOnMounted(st, r)
-}
-
-// insertOnMounted implements the dynamic incremental scheduler shared by
-// the dynamic algorithms and (within the envelope) the envelope algorithms.
-func insertOnMounted(st *State, r *Request) bool {
 	if st.Active == nil || st.Mounted < 0 || !st.Up(st.Mounted) {
 		return false
 	}

@@ -1,6 +1,10 @@
 package sched
 
-import "sort"
+import (
+	mathbits "math/bits"
+
+	"tapejuke/internal/layout"
+)
 
 // Policy is a tape-selection rule used by the static and dynamic algorithms
 // (Section 3.1) and by the envelope-extension algorithm's final tape choice
@@ -43,242 +47,251 @@ func (p Policy) String() string {
 	return "unknown"
 }
 
-// SelectTape applies the policy to the current pending list and returns the
-// chosen tape. ok is false when the pending list is empty.
-func SelectTape(st *State, p Policy) (tape int, ok bool) {
+// Selector is the tape-selection path of every sweep-building scheduler:
+// the static and dynamic algorithms reach each tape's whole length, the
+// envelope algorithms reach each tape's upper envelope. It groups the
+// pending requests into per-tape sets of requests with a readable copy in
+// reach, picks a tape by policy, and extracts that tape's set as the next
+// sweep. The sets and scoring scratch are reused across calls, so a
+// reschedule allocates nothing but the sweep. The zero value is ready.
+type Selector struct {
+	sets [][]*Request // per tape: requests with a readable in-reach copy, arrival order
+	pos  [][]int      // per tape: the positions of those copies, same shape
+	cand []bool       // per tape: eligible for the current choice
+	urg  []float64    // per tape: highest urgency in its set (aging only)
+	bits posSorter    // bandwidthBits scratch
+}
+
+// Reschedule selects a tape like Select and extracts its set: every
+// request is targeted at its copy there, removed from the pending list,
+// and ordered into a sweep from the tape's start head.
+func (s *Selector) Reschedule(st *State, p Policy, reach []int) (int, *Sweep, bool) {
+	tape, ok := s.Select(st, p, reach)
+	if !ok {
+		return 0, nil, false
+	}
+	reqs := s.sets[tape]
+	for i, r := range reqs {
+		r.Target = layout.Replica{Tape: tape, Pos: s.pos[tape][i]}
+	}
+	st.RemovePending(reqs)
+	return tape, st.NewSweep(reqs, st.StartHead(tape)), true
+}
+
+// Select groups the pending requests into per-tape sets and returns the
+// tape policy p picks among the available tapes with a non-empty set. A
+// copy is in reach when its position lies below reach[t]; a nil reach
+// admits every copy. The oldest-request policies keep only tapes serving
+// the oldest pending request. With aging on, the choice narrows to tapes
+// holding a request in the urgency window, unless none of the remaining
+// candidates does (see ageWindow). ok is false when no candidate remains.
+func (s *Selector) Select(st *State, p Policy, reach []int) (tape int, ok bool) {
 	if len(st.Pending) == 0 {
 		return 0, false
 	}
+	n := st.Layout.Tapes()
+	s.group(st, reach, n)
+
+	cand := s.cand
+	oldest := p == OldestMaxRequests || p == OldestMaxBandwidth
+	for t := range cand {
+		cand[t] = !oldest && len(s.sets[t]) > 0 && st.Available(t)
+	}
+	if oldest {
+		for _, c := range st.Layout.Replicas(st.Pending[0].Block) {
+			if (reach == nil || c.Pos < reach[c.Tape]) && st.CopyOK(c) && st.Available(c.Tape) {
+				cand[c.Tape] = true
+			}
+		}
+	}
 	if st.AgeWeight > 0 {
-		return selectTapeAged(st, p)
+		s.ageWindow(st)
 	}
-	switch p {
-	case RoundRobin:
-		return selectRoundRobin(st)
-	case MaxRequests:
-		return selectByCount(st, allTapes(st))
-	case MaxBandwidth:
-		return selectByBandwidth(st, allTapes(st))
-	case OldestMaxRequests:
-		return selectByCount(st, oldestTapes(st))
-	case OldestMaxBandwidth:
-		return selectByBandwidth(st, oldestTapes(st))
+
+	if p == RoundRobin {
+		// The first candidate after the mounted tape, the mounted tape last.
+		start := st.Mounted + 1
+		for i := 0; i < n; i++ {
+			if t := (start + i) % n; cand[t] {
+				return t, true
+			}
+		}
+		return 0, false
 	}
-	return 0, false
+	bandwidth := p == MaxBandwidth || p == OldestMaxBandwidth
+	best, bestScore := -1, -1.0
+	st.JukeboxOrder(func(t int) bool {
+		if !cand[t] {
+			return true
+		}
+		score := float64(len(s.sets[t]))
+		if bandwidth {
+			score = bandwidthBits(st.Costs, st.Mounted, st.Head, t, st.StartHead(t), s.pos[t], &s.bits)
+		}
+		if score > bestScore {
+			best, bestScore = t, score
+		}
+		return true
+	})
+	return best, best >= 0
 }
 
-// selectTapeAged applies the policy with its tape choice restricted to the
-// aged candidate set: tapes holding a readable copy of a request whose
-// urgency is within AgeWeight/(1+AgeWeight) of the pending maximum. The
-// oldest-request policies intersect their oldest-set with the aged set and
-// fall back to the plain oldest-set when the intersection is empty, so their
-// starvation guarantee is never weakened by aging.
-func selectTapeAged(st *State, p Policy) (int, bool) {
-	aged := agedTapes(st)
-	switch p {
-	case RoundRobin:
-		return selectRoundRobinAmong(st, aged)
-	case MaxRequests:
-		return selectByCount(st, aged)
-	case MaxBandwidth:
-		return selectByBandwidth(st, aged)
-	case OldestMaxRequests:
-		return selectByCount(st, intersectOldest(st, aged))
-	case OldestMaxBandwidth:
-		return selectByBandwidth(st, intersectOldest(st, aged))
+// group rebuilds the per-tape sets over st.Pending within reach, reusing
+// every row's storage.
+func (s *Selector) group(st *State, reach []int, n int) {
+	s.sets, s.pos = grow(s.sets, n), grow(s.pos, n)
+	s.cand, s.urg = grow(s.cand, n), grow(s.urg, n)
+	for t := range s.sets {
+		s.sets[t], s.pos[t] = s.sets[t][:0], s.pos[t][:0]
 	}
-	return 0, false
-}
-
-// agedTapes lists the tapes holding a readable copy of at least one request
-// in the urgency window [cut, max], where cut = max * AgeWeight/(1+AgeWeight).
-// Weight zero admits every tape with a request (plain policy); the limit of
-// large weights admits only tapes serving the most urgent request.
-func agedTapes(st *State) []int {
-	maxU := 0.0
 	for _, r := range st.Pending {
-		if u := st.Urgency(r); u > maxU {
+		for _, c := range st.Layout.Replicas(r.Block) {
+			if (reach == nil || c.Pos < reach[c.Tape]) && st.CopyOK(c) {
+				s.sets[c.Tape] = append(s.sets[c.Tape], r)
+				s.pos[c.Tape] = append(s.pos[c.Tape], c.Pos)
+			}
+		}
+	}
+}
+
+// grow returns s resized to n, keeping the elements already allocated
+// (and so, for rows, their storage).
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
+}
+
+// ageWindow applies starvation-aware aging to the candidates: it keeps
+// only tapes whose set holds a request in the urgency window [cut, max],
+// where max is the highest urgency over every set and cut =
+// max * AgeWeight/(1+AgeWeight). When no candidate holds such a request --
+// the window's tapes are busy on other drives, or the window misses the
+// tapes serving an oldest-request policy's oldest request -- the
+// candidates stay as they were, so a drive never idles while an available
+// tape has work and the oldest request is never starved.
+func (s *Selector) ageWindow(st *State) {
+	maxU := 0.0
+	for t, set := range s.sets {
+		u := 0.0
+		for _, r := range set {
+			if v := st.Urgency(r); v > u {
+				u = v
+			}
+		}
+		s.urg[t] = u
+		if u > maxU {
 			maxU = u
 		}
 	}
 	cut := maxU * st.AgeWeight / (1 + st.AgeWeight)
-	mark := make([]bool, st.Layout.Tapes())
-	for _, r := range st.Pending {
-		if st.Urgency(r) < cut {
-			continue
+	inWindow := false
+	for t, c := range s.cand {
+		inWindow = inWindow || c && s.urg[t] >= cut
+	}
+	if !inWindow {
+		return
+	}
+	for t := range s.cand {
+		s.cand[t] = s.cand[t] && s.urg[t] >= cut
+	}
+}
+
+// posSorter is reusable scratch for bandwidthBits: an occupancy bitmap
+// over block positions plus per-position multiplicities. Both are kept
+// all-zero between calls (the bitmap is cleared word-wise, the counts
+// sparsely through the input positions), so a call touches O(range/64 + n)
+// words rather than the whole position space.
+type posSorter struct {
+	set []uint64
+	cnt []uint32
+}
+
+// bandwidthBits is CostModel.EffectiveBandwidth over the positions in
+// single-sweep order from startHead (ascending positions at or above it,
+// then descending positions below it), computed without materializing the
+// order: a counting sort keyed by the occupancy bitmap walks the positions
+// in sweep order and accumulates the serve costs directly. The additions
+// happen in exactly the order ExecTime would perform them, so the score is
+// bit-identical to the two-step computation (the tests pin this). Select
+// calls it once per candidate tape per reschedule under the max-bandwidth
+// policies.
+func bandwidthBits(costs *CostModel, mounted, head, tape, startHead int, positions []int, ps *posSorter) float64 {
+	maxp := -1
+	for _, p := range positions {
+		if p > maxp {
+			maxp = p
 		}
-		for _, c := range st.Layout.Replicas(r.Block) {
-			if st.CopyOK(c) {
-				mark[c.Tape] = true
+	}
+	if maxp < 0 {
+		return 0
+	}
+	words := maxp>>6 + 1
+	if len(ps.set) < words {
+		ps.set = make([]uint64, words)
+		ps.cnt = make([]uint32, words*64)
+	}
+	set, cnt := ps.set, ps.cnt
+	for _, p := range positions {
+		set[p>>6] |= uint64(1) << uint(p&63)
+		cnt[p]++
+	}
+	exec := 0.0
+	cur := startHead
+	start := startHead
+	if start < 0 {
+		start = 0
+	}
+	for w := start >> 6; w < words; w++ {
+		word := set[w]
+		if w == start>>6 {
+			word &^= uint64(1)<<uint(start&63) - 1
+		}
+		for word != 0 {
+			p := w<<6 | mathbits.TrailingZeros64(word)
+			for c := cnt[p]; c > 0; c-- {
+				step, h := costs.ServeOne(cur, p)
+				exec += step
+				cur = h
+			}
+			word &= word - 1
+		}
+	}
+	limit := startHead
+	if limit > maxp+1 {
+		limit = maxp + 1
+	}
+	if limit > 0 {
+		wtop := (limit - 1) >> 6
+		for w := wtop; w >= 0; w-- {
+			word := set[w]
+			if w == wtop {
+				if r := limit - wtop<<6; r < 64 {
+					word &= uint64(1)<<uint(r) - 1
+				}
+			}
+			for word != 0 {
+				b := 63 - mathbits.LeadingZeros64(word)
+				p := w<<6 | b
+				for c := cnt[p]; c > 0; c-- {
+					step, h := costs.ServeOne(cur, p)
+					exec += step
+					cur = h
+				}
+				word &^= uint64(1) << uint(b)
 			}
 		}
 	}
-	out := make([]int, 0, len(mark))
-	for t, m := range mark {
-		if m {
-			out = append(out, t)
-		}
+	for i := 0; i < words; i++ {
+		set[i] = 0
 	}
-	return out
-}
-
-// intersectOldest intersects the aged candidate set with the tapes able to
-// serve the oldest pending request, falling back to the latter when the
-// intersection is empty (a young near-deadline request can out-urge the
-// oldest one; the oldest-request policies still serve the oldest).
-func intersectOldest(st *State, aged []int) []int {
-	old := oldestTapes(st)
-	inAged := make(map[int]bool, len(aged))
-	for _, t := range aged {
-		inAged[t] = true
-	}
-	var out []int
-	for _, t := range old {
-		if inAged[t] {
-			out = append(out, t)
-		}
-	}
-	if len(out) == 0 {
-		return old
-	}
-	return out
-}
-
-// selectRoundRobinAmong picks the first candidate tape in jukebox order
-// after the mounted tape, the aged analogue of selectRoundRobin.
-func selectRoundRobinAmong(st *State, candidates []int) (int, bool) {
-	inCand := make(map[int]bool, len(candidates))
-	for _, t := range candidates {
-		inCand[t] = true
-	}
-	n := st.Layout.Tapes()
-	start := 0
-	if st.Mounted >= 0 {
-		start = st.Mounted + 1
-	}
-	for i := 0; i < n; i++ {
-		t := (start + i) % n
-		if inCand[t] && st.Available(t) {
-			return t, true
-		}
-	}
-	return 0, false
-}
-
-func allTapes(st *State) []int {
-	out := make([]int, st.Layout.Tapes())
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-// oldestTapes lists the tapes holding a readable copy of the oldest
-// pending request.
-func oldestTapes(st *State) []int {
-	var out []int
-	for _, c := range st.Layout.Replicas(st.Pending[0].Block) {
-		if st.CopyOK(c) {
-			out = append(out, c.Tape)
-		}
-	}
-	return out
-}
-
-func selectRoundRobin(st *State) (int, bool) {
-	counts := st.CountByTape()
-	n := st.Layout.Tapes()
-	start := 0
-	if st.Mounted >= 0 {
-		start = st.Mounted + 1 // "after the currently mounted tape"
-	}
-	for i := 0; i < n; i++ {
-		t := (start + i) % n
-		if counts[t] > 0 && st.Available(t) {
-			return t, true
-		}
-	}
-	return 0, false
-}
-
-// selectByCount picks the candidate tape with the most satisfiable pending
-// requests; ties go to the first tape in jukebox order starting at the
-// mounted tape.
-func selectByCount(st *State, candidates []int) (int, bool) {
-	counts := st.CountByTape()
-	best, bestCount := -1, 0
-	inCand := make(map[int]bool, len(candidates))
-	for _, t := range candidates {
-		inCand[t] = true
-	}
-	st.JukeboxOrder(func(t int) bool {
-		if inCand[t] && st.Available(t) && counts[t] > bestCount {
-			best, bestCount = t, counts[t]
-		}
-		return true
-	})
-	if best < 0 {
-		return 0, false
-	}
-	return best, true
-}
-
-// selectByBandwidth picks the candidate tape whose full candidate schedule
-// yields the highest effective bandwidth; ties go to jukebox order.
-func selectByBandwidth(st *State, candidates []int) (int, bool) {
-	inCand := make(map[int]bool, len(candidates))
-	for _, t := range candidates {
-		inCand[t] = true
-	}
-	best, bestBW := -1, -1.0
-	st.JukeboxOrder(func(t int) bool {
-		if !inCand[t] || !st.Available(t) {
-			return true
-		}
-		positions := candidatePositions(st, t)
-		if len(positions) == 0 {
-			return true
-		}
-		startHead := st.StartHead(t)
-		order := sweepOrder(positions, startHead)
-		bw := st.Costs.EffectiveBandwidth(st.Mounted, st.Head, t, startHead, order)
-		if bw > bestBW {
-			best, bestBW = t, bw
-		}
-		return true
-	})
-	if best < 0 {
-		return 0, false
-	}
-	return best, true
-}
-
-// candidatePositions lists the readable replica positions on `tape` of the
-// pending requests that tape can satisfy.
-func candidatePositions(st *State, tape int) []int {
-	var out []int
-	for _, r := range st.Pending {
-		// UsableOn flattened so both lookups inline on this hot path.
-		if c, ok := st.Layout.ReplicaOn(r.Block, tape); ok && st.CopyOK(c) {
-			out = append(out, c.Pos)
-		}
-	}
-	return out
-}
-
-// sweepOrder arranges positions into single-sweep execution order from the
-// given head: ascending positions >= head, then descending positions < head.
-func sweepOrder(positions []int, head int) []int {
-	fwd := make([]int, 0, len(positions))
-	var rev []int
 	for _, p := range positions {
-		if p >= head {
-			fwd = append(fwd, p)
-		} else {
-			rev = append(rev, p)
-		}
+		cnt[p] = 0
 	}
-	sort.Ints(fwd)
-	sort.Sort(sort.Reverse(sort.IntSlice(rev)))
-	return append(fwd, rev...)
+	total := costs.SwitchCost(mounted, head, tape) + exec
+	if total <= 0 {
+		return 0
+	}
+	return float64(len(positions)) * costs.BlockMB / total
 }

@@ -252,8 +252,9 @@ type CopyObserver interface {
 // reschedules within one run and can restore their just-constructed
 // observable state while keeping allocated scratch. A session runner may
 // reuse a scheduler across runs only if it implements RunResetter (and
-// calls ResetRun between runs) or is known to be stateless, like FIFO and
-// the static/dynamic policies; anything else must be built fresh.
+// calls ResetRun between runs) or carries nothing from one reschedule to
+// the next, like FIFO and the static/dynamic algorithms (whose Selector
+// scratch is rebuilt on every call); anything else must be built fresh.
 type RunResetter interface {
 	ResetRun()
 }
@@ -301,34 +302,6 @@ func (sh *Shared) RemovePending(taken []*Request) {
 		sh.Pending[i] = nil
 	}
 	sh.Pending = kept
-}
-
-// SatisfiableBy returns the pending requests that have a readable replica
-// on the given tape, in arrival order. UsableOn is flattened into the loop
-// so both lookups inline on this hot path.
-func (sh *Shared) SatisfiableBy(tape int) []*Request {
-	var out []*Request
-	for _, r := range sh.Pending {
-		if c, ok := sh.Layout.ReplicaOn(r.Block, tape); ok && sh.CopyOK(c) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// CountByTape returns, for each tape, the number of pending requests that
-// tape could satisfy. A replicated request is counted on each tape holding
-// a readable copy.
-func (sh *Shared) CountByTape() []int {
-	counts := make([]int, sh.Layout.Tapes())
-	for _, r := range sh.Pending {
-		for _, c := range sh.Layout.Replicas(r.Block) {
-			if sh.CopyOK(c) {
-				counts[c.Tape]++
-			}
-		}
-	}
-	return counts
 }
 
 // JukeboxOrder iterates tape indices in jukebox order starting at the

@@ -7,6 +7,7 @@ package sched
 // a block on the current tape.
 type Static struct {
 	policy Policy
+	sel    Selector
 }
 
 // NewStatic returns the static algorithm with the given tape-selection
@@ -23,27 +24,8 @@ func (s *Static) Policy() Policy { return s.policy }
 // satisfiable by that tape, sorted into a single sweep from the post-switch
 // head position.
 func (s *Static) Reschedule(st *State) (int, *Sweep, bool) {
-	tape, ok := SelectTape(st, s.policy)
-	if !ok {
-		return 0, nil, false
-	}
-	return extractTape(st, tape)
+	return s.sel.Reschedule(st, s.policy, nil)
 }
 
 // OnArrival always defers.
 func (*Static) OnArrival(*State, *Request) bool { return false }
-
-// extractTape removes every pending request with a readable copy on `tape`
-// from the pending list, targets them at that copy, and builds the sweep.
-func extractTape(st *State, tape int) (int, *Sweep, bool) {
-	reqs := st.SatisfiableBy(tape)
-	if len(reqs) == 0 {
-		return 0, nil, false
-	}
-	for _, r := range reqs {
-		c, _ := st.UsableOn(r.Block, tape)
-		r.Target = c
-	}
-	st.RemovePending(reqs)
-	return tape, st.NewSweep(reqs, st.StartHead(tape)), true
-}

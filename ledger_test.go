@@ -36,8 +36,12 @@ func TestLedgerMatchesTrace(t *testing.T) {
 		if res.IdleSeconds != s.IdleSeconds {
 			t.Errorf("%s: IdleSeconds = %v, the trace sums %v", r.name, res.IdleSeconds, s.IdleSeconds)
 		}
-		// Flush switches are charged but emit no event.
-		if r.cfg.Writes.MeanInterarrivalSec == 0 && res.SwitchSeconds != s.SwitchSeconds {
+		// Flush switches are charged but emit no event. The ledger adds a
+		// switch when it is issued and the trace when it completes; with
+		// several drives those orders can differ, and so can the last bit
+		// of the two sums.
+		if r.cfg.Writes.MeanInterarrivalSec == 0 && res.SwitchSeconds != s.SwitchSeconds &&
+			(r.cfg.Drives == 1 || !relClose(res.SwitchSeconds, s.SwitchSeconds, 1e-12)) {
 			t.Errorf("%s: SwitchSeconds = %v, the trace sums %v", r.name, res.SwitchSeconds, s.SwitchSeconds)
 		}
 		if want := float64(s.ScrubReads) * r.cfg.BlockMB; res.ScrubbedMB != want {
