@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sort"
 
 	"tapejuke/internal/layout"
 	"tapejuke/internal/sched"
@@ -17,8 +16,8 @@ import (
 // cached per tape and recomputed only for tapes whose envelope or
 // candidate set changed since the previous iteration. A builder is
 // reusable across reschedules via reset, so steady-state reschedules are
-// allocation-free. envelope_ref.go retains the naive construction; the
-// differential test asserts both produce bit-identical results.
+// allocation-free. envelope_ref_test.go retains the naive construction;
+// the differential test asserts both produce bit-identical results.
 type builder struct {
 	st    *sched.State
 	env   []int            // envelope boundary per tape (block boundary)
@@ -56,24 +55,6 @@ type builder struct {
 type extEntry struct {
 	req int // index into builder.reqs
 	pos int // the copy's position on the list's tape
-}
-
-// computeUpperEnvelope runs the envelope-extension construction over the
-// pending list and returns the per-tape upper envelope. The request
-// assignments made along the way are discarded: the caller re-derives the
-// chosen tape's service set from the envelope (the set of requests
-// satisfiable within it), per the paper's tape-selection step.
-func computeUpperEnvelope(st *sched.State) []int {
-	return buildEnvelope(st).env
-}
-
-// buildEnvelope runs steps 1-6 and returns the full builder state,
-// including the S1 snapshot and the final assignments.
-func buildEnvelope(st *sched.State) *builder {
-	b := &builder{}
-	b.reset(st)
-	b.build()
-	return b
 }
 
 // reset prepares the builder for a fresh construction over st, reusing
@@ -526,36 +507,6 @@ func extensionCost(st *sched.State, env, tape int, positions []int) float64 {
 		total += st.Costs.SwitchTime()
 	}
 	return total
-}
-
-// sweepOrderInts arranges positions into sweep execution order from the
-// given head: ascending positions at or above the head, then descending
-// positions below it.
-func sweepOrderInts(positions []int, head int) []int {
-	return sweepOrderInto(nil, positions, head)
-}
-
-// sweepOrderInto is sweepOrderInts writing into a reusable buffer.
-func sweepOrderInto(dst, positions []int, head int) []int {
-	dst = dst[:0]
-	for _, p := range positions {
-		if p >= head {
-			dst = append(dst, p)
-		}
-	}
-	sort.Ints(dst)
-	k := len(dst)
-	for _, p := range positions {
-		if p < head {
-			dst = append(dst, p)
-		}
-	}
-	tail := dst[k:]
-	sort.Ints(tail)
-	for i, j := 0, len(tail)-1; i < j; i, j = i+1, j-1 {
-		tail[i], tail[j] = tail[j], tail[i]
-	}
-	return dst
 }
 
 // resetInts returns s resized to n and zeroed, reusing capacity.
