@@ -24,6 +24,14 @@
 // factor; see DESIGN.md's bench note). The regression threshold then
 // applies to the normalized ratios, so a cross-machine comparison no
 // longer needs a manual stash A/B to interpret.
+//
+// Every entry records the machine it ran on: NumCPU, GOMAXPROCS,
+// GOOS/GOARCH and the Go version of the benchdiff process, which
+// scripts/bench.sh runs right after the benchmarks in the same
+// environment. -compare refuses (exits non-zero) when both entries carry
+// machine records that differ, unless -calibrate is given; an entry
+// without a record (one made before records existed) compares as before,
+// with a warning.
 package main
 
 import (
@@ -34,6 +42,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -53,7 +62,33 @@ type Result struct {
 type Entry struct {
 	Label      string            `json:"label"`
 	Date       string            `json:"date"`
+	Machine    *Machine          `json:"machine,omitempty"`
 	Benchmarks map[string]Result `json:"benchmarks"`
+}
+
+// Machine records the host an entry ran on, with the field names
+// perfbench uses for its own machine record.
+type Machine struct {
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	GoVersion  string `json:"go_version"`
+}
+
+// thisMachine describes the running process's host.
+func thisMachine() *Machine {
+	return &Machine{
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		GoVersion:  runtime.Version(),
+	}
+}
+
+func (m *Machine) String() string {
+	return fmt.Sprintf("%d CPUs, GOMAXPROCS %d, %s/%s, %s", m.NumCPU, m.GOMAXPROCS, m.GOOS, m.GOARCH, m.GoVersion)
 }
 
 // File is the on-disk trajectory: a sequence of labelled runs.
@@ -64,47 +99,63 @@ type File struct {
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
 
 func main() {
-	in := flag.String("in", "-", "benchmark output to parse (file path or - for stdin)")
-	jsonPath := flag.String("json", "BENCH_sched.json", "JSON trajectory file to update")
-	label := flag.String("label", "", "label for this run (required)")
-	compare := flag.String("compare", "", "baseline label to diff against")
-	threshold := flag.Float64("threshold", 1.20, "ns/op regression factor that fails the run")
-	calibrate := flag.String("calibrate", "", "benchmark whose ns/op ratio normalizes all deltas (cancels uniform machine skew)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run is the command with its arguments and streams passed in; it returns
+// the exit status: 0 on success, 1 on a regression, a refused comparison
+// or an error, 2 on a usage error.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	in := fs.String("in", "-", "benchmark output to parse (file path or - for stdin)")
+	jsonPath := fs.String("json", "BENCH_sched.json", "JSON trajectory file to update")
+	label := fs.String("label", "", "label for this run (required)")
+	compare := fs.String("compare", "", "baseline label to diff against")
+	threshold := fs.Float64("threshold", 1.20, "ns/op regression factor that fails the run")
+	calibrate := fs.String("calibrate", "", "benchmark whose ns/op ratio normalizes all deltas (cancels uniform machine skew)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *label == "" {
-		fmt.Fprintln(os.Stderr, "benchdiff: -label is required")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchdiff: -label is required")
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "benchdiff:", err)
+		return 1
 	}
 
-	var r io.Reader = os.Stdin
+	r := stdin
 	if *in != "-" {
 		f, err := os.Open(*in)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		r = f
 	}
 	benchmarks, err := parse(r)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if len(benchmarks) == 0 {
-		fatal(fmt.Errorf("no benchmark lines found in %s", *in))
+		return fail(fmt.Errorf("no benchmark lines found in %s", *in))
 	}
 
 	file := &File{}
 	if raw, err := os.ReadFile(*jsonPath); err == nil {
 		if err := json.Unmarshal(raw, file); err != nil {
-			fatal(fmt.Errorf("parsing %s: %w", *jsonPath, err))
+			return fail(fmt.Errorf("parsing %s: %w", *jsonPath, err))
 		}
 	} else if !os.IsNotExist(err) {
-		fatal(err)
+		return fail(err)
 	}
 
 	entry := Entry{
 		Label:      *label,
 		Date:       time.Now().UTC().Format(time.RFC3339),
+		Machine:    thisMachine(),
 		Benchmarks: benchmarks,
 	}
 	replaced := false
@@ -120,15 +171,15 @@ func main() {
 	}
 	out, err := json.MarshalIndent(file, "", "  ")
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if err := os.WriteFile(*jsonPath, append(out, '\n'), 0o644); err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("benchdiff: recorded %d benchmarks under %q in %s\n", len(benchmarks), *label, *jsonPath)
+	fmt.Fprintf(stdout, "benchdiff: recorded %d benchmarks under %q in %s\n", len(benchmarks), *label, *jsonPath)
 
 	if *compare == "" {
-		return
+		return 0
 	}
 	var base *Entry
 	for i := range file.Entries {
@@ -138,12 +189,24 @@ func main() {
 		}
 	}
 	if base == nil {
-		fatal(fmt.Errorf("no entry labelled %q in %s", *compare, *jsonPath))
+		return fail(fmt.Errorf("no entry labelled %q in %s", *compare, *jsonPath))
 	}
-	if regressed := diff(base, &entry, *threshold, *calibrate); regressed {
-		fmt.Fprintf(os.Stderr, "benchdiff: ns/op regression beyond %.2fx against %q\n", *threshold, *compare)
-		os.Exit(1)
+	switch {
+	case base.Machine == nil:
+		fmt.Fprintf(stderr, "benchdiff: warning: %q has no machine record; the ratios may mix machines\n", base.Label)
+	case *base.Machine != *entry.Machine && *calibrate == "":
+		return fail(fmt.Errorf("refusing to compare across machines: %q ran on %v, %q on %v (pass -calibrate NAME to normalize)",
+			base.Label, base.Machine, entry.Label, entry.Machine))
 	}
+	regressed, err := diff(stdout, base, &entry, *threshold, *calibrate)
+	if err != nil {
+		return fail(err)
+	}
+	if regressed {
+		fmt.Fprintf(stderr, "benchdiff: ns/op regression beyond %.2fx against %q\n", *threshold, *compare)
+		return 1
+	}
+	return 0
 }
 
 // parse extracts benchmark results from go test -bench output.
@@ -185,22 +248,22 @@ func parse(r io.Reader) (map[string]Result, error) {
 	return out, sc.Err()
 }
 
-// diff prints a delta table and reports whether any common benchmark's
-// ns/op regressed beyond the threshold factor. With a calibration
-// benchmark named, every ratio is divided by that benchmark's own ratio
-// before the threshold applies, so a uniform machine-speed skew between
-// the two runs cancels out; the calibration benchmark itself (normalized
-// 1.00 by construction) is exempt from the regression check.
-func diff(base, cur *Entry, threshold float64, calibrate string) bool {
+// diff writes a delta table to w and reports whether any common
+// benchmark's ns/op regressed beyond the threshold factor. With a
+// calibration benchmark named, every ratio is divided by that benchmark's
+// own ratio before the threshold applies, so a uniform machine-speed skew
+// between the two runs cancels out; the calibration benchmark itself
+// (normalized 1.00 by construction) is exempt from the regression check.
+func diff(w io.Writer, base, cur *Entry, threshold float64, calibrate string) (bool, error) {
 	scale := 1.0
 	if calibrate != "" {
 		b, okB := base.Benchmarks[calibrate]
 		c, okC := cur.Benchmarks[calibrate]
 		if !okB || !okC || b.NsPerOp <= 0 || c.NsPerOp <= 0 {
-			fatal(fmt.Errorf("calibration benchmark %q missing from %q or %q", calibrate, base.Label, cur.Label))
+			return false, fmt.Errorf("calibration benchmark %q missing from %q or %q", calibrate, base.Label, cur.Label)
 		}
 		scale = c.NsPerOp / b.NsPerOp
-		fmt.Printf("calibrated by %s: machine skew %.2fx divided out of every ratio\n", calibrate, scale)
+		fmt.Fprintf(w, "calibrated by %s: machine skew %.2fx divided out of every ratio\n", calibrate, scale)
 	}
 	names := make([]string, 0, len(cur.Benchmarks))
 	for name := range cur.Benchmarks {
@@ -210,7 +273,7 @@ func diff(base, cur *Entry, threshold float64, calibrate string) bool {
 	}
 	sort.Strings(names)
 	regressed := false
-	fmt.Printf("%-50s %14s %14s %8s\n", "benchmark", base.Label, cur.Label, "ratio")
+	fmt.Fprintf(w, "%-50s %14s %14s %8s\n", "benchmark", base.Label, cur.Label, "ratio")
 	for _, name := range names {
 		b, c := base.Benchmarks[name], cur.Benchmarks[name]
 		if b.NsPerOp <= 0 {
@@ -222,12 +285,7 @@ func diff(base, cur *Entry, threshold float64, calibrate string) bool {
 			mark = "  REGRESSION"
 			regressed = true
 		}
-		fmt.Printf("%-50s %12.0fns %12.0fns %7.2fx%s\n", name, b.NsPerOp, c.NsPerOp, ratio, mark)
+		fmt.Fprintf(w, "%-50s %12.0fns %12.0fns %7.2fx%s\n", name, b.NsPerOp, c.NsPerOp, ratio, mark)
 	}
-	return regressed
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchdiff:", err)
-	os.Exit(1)
+	return regressed, nil
 }

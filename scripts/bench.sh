@@ -7,9 +7,10 @@
 #   scripts/bench.sh LABEL [BASELINE_LABEL]
 #
 # LABEL names this run's entry in BENCH_sched.json (re-running with the
-# same label updates it in place). With BASELINE_LABEL the run is also
-# diffed against that recorded entry and the script fails on a >20% ns/op
-# regression.
+# same label updates it in place), together with a record of the machine.
+# With BASELINE_LABEL the run is also diffed against that recorded entry
+# and the script fails on a >20% ns/op regression, or when the baseline
+# was recorded on a different machine.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,6 +26,9 @@ go test -run '^$' \
 go test -run '^$' \
     -bench 'BenchmarkUpperEnvelope|BenchmarkEnvelopeReschedule|BenchmarkEnvelopeOnArrival' \
     -benchmem -benchtime 1s ./internal/core | tee -a "$tmp"
+go test -run '^$' \
+    -bench 'BenchmarkReschedule' \
+    -benchmem -benchtime 1s ./internal/sched | tee -a "$tmp"
 go test -run '^$' \
     -bench 'BenchmarkFaultRepairIdle|BenchmarkScrubIdle' \
     -benchmem -benchtime 1s ./internal/sim | tee -a "$tmp"
