@@ -25,7 +25,7 @@ func fixture(t *testing.T, nr int, kind layout.Kind) *State {
 // choice the static and dynamic algorithms make.
 func selectTape(st *State, p Policy) (int, bool) {
 	var s Selector
-	return s.Select(st, p, nil)
+	return s.pick(st, p, nil)
 }
 
 // addReq appends a pending request for block b arriving at time at.

@@ -47,7 +47,7 @@ func TestSelectorSetsWithReplication(t *testing.T) {
 	cold := coldOn(t, st, 2)
 	addReq(st, 2, cold, 1) // cold, single copy
 	var s Selector
-	if _, ok := s.Select(st, MaxRequests, nil); !ok {
+	if _, ok := s.pick(st, MaxRequests, nil); !ok {
 		t.Fatal("no selection")
 	}
 	total := 0

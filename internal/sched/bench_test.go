@@ -74,7 +74,7 @@ func BenchmarkRescheduleFIFO(b *testing.B) {
 func BenchmarkSweepBuild140(b *testing.B) {
 	st := benchState(b, 140, 0)
 	var s Selector
-	s.Select(st, MaxRequests, nil)
+	s.pick(st, MaxRequests, nil)
 	reqs := s.sets[3]
 	for i, r := range reqs {
 		r.Target = layout.Replica{Tape: 3, Pos: s.pos[3][i]}
@@ -103,7 +103,7 @@ func BenchmarkSweepInsert(b *testing.B) {
 func BenchmarkEffectiveBandwidth(b *testing.B) {
 	st := benchState(b, 140, 0)
 	var s Selector
-	s.Select(st, MaxRequests, nil)
+	s.pick(st, MaxRequests, nil)
 	order := sweepOrderInts(s.pos[3], 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

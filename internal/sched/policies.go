@@ -62,11 +62,11 @@ type Selector struct {
 	bits posSorter    // bandwidthBits scratch
 }
 
-// Reschedule selects a tape like Select and extracts its set: every
+// Reschedule picks a tape (see pick) and extracts its set: every
 // request is targeted at its copy there, removed from the pending list,
 // and ordered into a sweep from the tape's start head.
 func (s *Selector) Reschedule(st *State, p Policy, reach []int) (int, *Sweep, bool) {
-	tape, ok := s.Select(st, p, reach)
+	tape, ok := s.pick(st, p, reach)
 	if !ok {
 		return 0, nil, false
 	}
@@ -78,14 +78,14 @@ func (s *Selector) Reschedule(st *State, p Policy, reach []int) (int, *Sweep, bo
 	return tape, st.NewSweep(reqs, st.StartHead(tape)), true
 }
 
-// Select groups the pending requests into per-tape sets and returns the
+// pick groups the pending requests into per-tape sets and returns the
 // tape policy p picks among the available tapes with a non-empty set. A
 // copy is in reach when its position lies below reach[t]; a nil reach
 // admits every copy. The oldest-request policies keep only tapes serving
 // the oldest pending request. With aging on, the choice narrows to tapes
 // holding a request in the urgency window, unless none of the remaining
 // candidates does (see ageWindow). ok is false when no candidate remains.
-func (s *Selector) Select(st *State, p Policy, reach []int) (tape int, ok bool) {
+func (s *Selector) pick(st *State, p Policy, reach []int) (tape int, ok bool) {
 	if len(st.Pending) == 0 {
 		return 0, false
 	}
@@ -214,7 +214,7 @@ type posSorter struct {
 // order: a counting sort keyed by the occupancy bitmap walks the positions
 // in sweep order and accumulates the serve costs directly. The additions
 // happen in exactly the order ExecTime would perform them, so the score is
-// bit-identical to the two-step computation (the tests pin this). Select
+// bit-identical to the two-step computation (the tests pin this). pick
 // calls it once per candidate tape per reschedule under the max-bandwidth
 // policies.
 func bandwidthBits(costs *CostModel, mounted, head, tape, startHead int, positions []int, ps *posSorter) float64 {
