@@ -10,7 +10,8 @@
 // whenever a replicated block scheduled at the outer edge of one tape's
 // envelope becomes satisfiable inside another tape's newly enclosed portion.
 // The result is the "upper envelope", which satisfies every request; a
-// tape-selection policy then picks which tape to service first.
+// tape-selection policy then picks which tape to service first, through
+// sched.Selector with the envelope bounding each tape's requests.
 //
 // Scheduling retrievals in this setting is NP-hard (Theorem 1); the
 // envelope-extension heuristic is within a harmonic factor of the optimal

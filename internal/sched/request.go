@@ -1,8 +1,10 @@
 // Package sched provides the retrieval-scheduling framework of Section 3:
 // the request and service-list (sweep) abstractions, schedule cost
-// evaluation, and the simple scheduling algorithms (FIFO, five static and
-// five dynamic tape-selection policies). The envelope-extension algorithm of
-// Section 3.2 builds on this package and lives in internal/core.
+// evaluation, the tape-selection path every sweep-building scheduler
+// shares (Selector), and the simple scheduling algorithms (FIFO, five
+// static and five dynamic tape-selection policies). The envelope-extension
+// algorithm of Section 3.2 builds on this package and lives in
+// internal/core.
 package sched
 
 import (

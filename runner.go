@@ -84,12 +84,13 @@ func (r *Runner) prepare(c Config) (*sim.Config, error) {
 }
 
 // schedulerReusable reports whether a scheduler instance may serve another
-// run, and the RunResetter to invoke first (nil for the stateless
-// schedulers, which need no reset).
+// run, and the RunResetter to invoke first (nil for FIFO and the static
+// and dynamic schedulers, which carry nothing between reschedules but
+// selection scratch they rebuild on every call).
 func schedulerReusable(s sched.Scheduler) (bool, sched.RunResetter) {
 	switch sc := s.(type) {
 	case *sched.FIFO, *sched.Static, *sched.Dynamic:
-		return true, nil // stateless across runs
+		return true, nil // nothing carries over from one run to the next
 	case sched.RunResetter:
 		return true, sc
 	}
