@@ -141,14 +141,15 @@ func (s *Selector) pick(st *State, p Policy, reach []int) (tape int, ok bool) {
 func (s *Selector) group(st *State, reach []int, n int) {
 	s.sets, s.pos = grow(s.sets, n), grow(s.pos, n)
 	s.cand, s.urg = grow(s.cand, n), grow(s.urg, n)
-	for t := range s.sets {
-		s.sets[t], s.pos[t] = s.sets[t][:0], s.pos[t][:0]
+	sets, pos := s.sets, s.pos
+	for t := range sets {
+		sets[t], pos[t] = sets[t][:0], pos[t][:0]
 	}
 	for _, r := range st.Pending {
 		for _, c := range st.Layout.Replicas(r.Block) {
 			if (reach == nil || c.Pos < reach[c.Tape]) && st.CopyOK(c) {
-				s.sets[c.Tape] = append(s.sets[c.Tape], r)
-				s.pos[c.Tape] = append(s.pos[c.Tape], c.Pos)
+				sets[c.Tape] = append(sets[c.Tape], r)
+				pos[c.Tape] = append(pos[c.Tape], c.Pos)
 			}
 		}
 	}
