@@ -114,7 +114,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	compare := fs.String("compare", "", "baseline label to diff against")
 	threshold := fs.Float64("threshold", 1.20, "ns/op regression factor that fails the run")
 	calibrate := fs.String("calibrate", "", "benchmark whose ns/op ratio normalizes all deltas (cancels uniform machine skew)")
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
 		return 2
 	}
 	if *label == "" {

@@ -62,9 +62,11 @@ type Selector struct {
 	bits posSorter    // bandwidthBits scratch
 }
 
-// Reschedule picks a tape (see pick) and extracts its set: every
-// request is targeted at its copy there, removed from the pending list,
-// and ordered into a sweep from the tape's start head.
+// Reschedule picks a tape with policy p among the per-tape sets of the
+// pending requests within reach (nil: every copy), and extracts the
+// chosen tape's set: every request is targeted at its copy there, removed
+// from the pending list, and ordered into a sweep from the tape's start
+// head. ok is false when no available tape has a request in reach.
 func (s *Selector) Reschedule(st *State, p Policy, reach []int) (int, *Sweep, bool) {
 	tape, ok := s.pick(st, p, reach)
 	if !ok {
