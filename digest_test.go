@@ -199,6 +199,8 @@ type matrixRun struct {
 	cfg     Config         // zero for farms
 	res     *Result        // nil for farms
 	sum     *trace.Summary // trace summary of the event stream; nil for farms
+	// switchSec sums the stream's switch seconds in issue order; nil for farms.
+	switchSec float64
 }
 
 var (
@@ -259,7 +261,8 @@ func computeMatrix() ([]matrixRun, error) {
 			return nil, fmt.Errorf("%s (Runner): %w", mc.name, err)
 		}
 		r := matrixRun{name: mc.name, events: direct.h.Sum64(), nEvents: direct.n,
-			result: digestValue(res), cfg: mc.cfg, res: res, sum: trace.Summarize(direct.recs)}
+			result: digestValue(res), cfg: mc.cfg, res: res, sum: trace.Summarize(direct.recs),
+			switchSec: issuedSwitchSeconds(direct.recs)}
 		if reused.h.Sum64() != r.events || reused.n != r.nEvents || digestValue(res2) != r.result {
 			return nil, fmt.Errorf("%s: Runner.Run differs from Run", mc.name)
 		}

@@ -2,7 +2,10 @@ package tapejuke
 
 import (
 	"math"
+	"sort"
 	"testing"
+
+	"tapejuke/internal/trace"
 )
 
 // TestLedgerMatchesTrace cross-checks the live Result against the trace
@@ -36,13 +39,10 @@ func TestLedgerMatchesTrace(t *testing.T) {
 		if res.IdleSeconds != s.IdleSeconds {
 			t.Errorf("%s: IdleSeconds = %v, the trace sums %v", r.name, res.IdleSeconds, s.IdleSeconds)
 		}
-		// Flush switches are charged but emit no event. The ledger adds a
-		// switch when it is issued and the trace when it completes; with
-		// several drives those orders can differ, and so can the last bit
-		// of the two sums.
-		if r.cfg.Writes.MeanInterarrivalSec == 0 && res.SwitchSeconds != s.SwitchSeconds &&
-			(r.cfg.Drives == 1 || !relClose(res.SwitchSeconds, s.SwitchSeconds, 1e-12)) {
-			t.Errorf("%s: SwitchSeconds = %v, the trace sums %v", r.name, res.SwitchSeconds, s.SwitchSeconds)
+		// Flush switches are charged but emit no event.
+		if r.cfg.Writes.MeanInterarrivalSec == 0 && res.SwitchSeconds != r.switchSec {
+			t.Errorf("%s: SwitchSeconds = %v, the trace's switches sum to %v in issue order",
+				r.name, res.SwitchSeconds, r.switchSec)
 		}
 		if want := float64(s.ScrubReads) * r.cfg.BlockMB; res.ScrubbedMB != want {
 			t.Errorf("%s: ScrubbedMB = %v, the trace has %d scrub reads (%v MB)", r.name, res.ScrubbedMB, s.ScrubReads, want)
@@ -51,6 +51,27 @@ func TestLedgerMatchesTrace(t *testing.T) {
 			t.Errorf("%s: ReadSeconds+LocateSeconds = %v, the trace sums %v", r.name, got, s.ReadSeconds)
 		}
 	}
+}
+
+// issuedSwitchSeconds sums the switch records' seconds in the order the
+// switches were issued, which is the order the ledger adds them in. The
+// trace emits a switch when it completes, so with several drives a long
+// switch can be issued before a shorter one yet emitted after it, and the
+// float sum can then differ in its last bit. A switch was issued at its
+// completion time less its seconds; equal issue times keep emission order.
+func issuedSwitchSeconds(recs []trace.Record) float64 {
+	var sw []trace.Record
+	for _, r := range recs {
+		if r.Kind == "switch" {
+			sw = append(sw, r)
+		}
+	}
+	sort.SliceStable(sw, func(i, j int) bool { return sw[i].Time-sw[i].Seconds < sw[j].Time-sw[j].Seconds })
+	var sum float64
+	for _, r := range sw {
+		sum += r.Seconds
+	}
+	return sum
 }
 
 // relClose reports whether a and b agree within tol relative to the larger.
