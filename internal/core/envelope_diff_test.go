@@ -10,7 +10,7 @@ import (
 
 // Differential test: the optimized incremental builder (envelope.go) must
 // produce bit-identical envelopes, assignments, and S1 snapshots to the
-// retained naive reference (envelope_ref.go) over randomized layouts,
+// retained naive reference (envelope_ref_test.go) over randomized layouts,
 // replication degrees, and queue lengths. Every case is derived from a
 // logged seed so failures reproduce.
 
