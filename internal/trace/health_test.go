@@ -187,3 +187,43 @@ func TestVerifyRejectsEvacuationResurrection(t *testing.T) {
 		t.Errorf("read after repair-write refill rejected: %v", err)
 	}
 }
+
+// TestVerifyFenceTrace replays a single-drive run whose drive is fenced
+// for maintenance. Fencing returns the mounted cartridge to the library,
+// so the first mount after the maintenance is an initial load; a replay
+// that kept the tape in the deck would price it as a full switch.
+func TestVerifyFenceTrace(t *testing.T) {
+	var buf bytes.Buffer
+	rec := NewRecorder(&buf)
+	res, err := sim.Run(sim.Config{
+		BlockMB: 16, TapeCapMB: 7168, Tapes: 10, HotPercent: 100,
+		ReadHotPercent: 100, DataBlocks: 1000, Replicas: 1,
+		QueueLength: 0, MeanInterarrival: 300,
+		Scheduler: core.NewEnvelope(core.MaxBandwidth),
+		Horizon:   500_000, Seed: 13,
+		Faults: faults.Config{ReadTransientProb: 0.05},
+		Health: sim.HealthConfig{Enable: true, ErrHalfLifeSec: 1e12,
+			DriveFenceScore: 20, MaintenanceSec: 7_200},
+		Observer: rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FencedDrives == 0 {
+		t.Fatal("the run fenced no drive")
+	}
+	rep, err := Verify(recs, tapemodel.EXB8505XL(), 16, 10, 448, 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Errorf("fenced trace failed verification: %+v", rep)
+	}
+}
