@@ -268,7 +268,8 @@ func (e *engine) idleScrubOp(d int) bool {
 		if len(poss) == 0 {
 			continue
 		}
-		return e.issueScrub(d, tape, poss)
+		e.issueScrub(d, tape, poss)
+		return true
 	}
 	return false
 }
@@ -277,42 +278,23 @@ func (e *engine) idleScrubOp(d int) bool {
 // region: a verification read of each live copy, in position order. Scrub
 // reads, like repair reads, are deterministic verification passes -- they
 // draw no injector randomness; a latent error is found by table lookup
-// and a tape already dead is discovered by time comparison -- so the
-// fault stream is unchanged.
-func (e *engine) issueScrub(d, tape int, poss []int) bool {
-	dr := &e.drives[d]
-	st := dr.st
-	h := e.hlt
-	vt := e.now
-	if tape != st.Mounted {
-		var ok bool
-		if vt, ok = e.idleSwitch(d, tape, &e.res.ScrubSeconds); !ok {
-			return true // the failed load occupied the drive
+// and a tape already dead is discovered by time comparison, ending the
+// pass -- so the fault stream is unchanged.
+func (e *engine) issueScrub(d, tape int, poss []int) {
+	vt, ok := e.bgSwitch(d, tape, e.now, &e.res.ScrubSeconds)
+	for i := 0; ok && i < len(poss); i++ {
+		pos := poss[i]
+		var sec float64
+		if vt, sec, ok = e.bgTransfer(d, pos, vt, &e.res.ScrubSeconds); !ok {
+			break
 		}
-	}
-	for _, pos := range poss {
-		if e.flt != nil && e.flt.inj.TapeFailed(tape, vt) {
-			// The medium died under the patrol: the locate runs into the
-			// failure and the tape is masked at settle.
-			loc, _, _ := e.sh.Costs.ServeOneParts(st.Head, pos)
-			vt += loc
-			e.res.ScrubSeconds += loc
-			dr.failTape = tape
-			e.beginOp(d, vt, false)
-			return true
-		}
-		loc, rd, newHead := e.sh.Costs.ServeOneParts(st.Head, pos)
-		vt += loc + rd
-		e.res.ScrubSeconds += loc + rd
-		st.Head = newHead
-		h.scrubbedBlocks++
-		e.push(Event{Kind: EventScrubRead, Time: vt, Tape: tape, Pos: pos, Seconds: loc + rd})
+		e.hlt.scrubbedBlocks++
+		e.push(Event{Kind: EventScrubRead, Time: vt, Tape: tape, Pos: pos, Seconds: sec})
 		if e.flt != nil && e.flt.inj.LatentActive(tape, pos, vt) {
 			e.noteLatentFound(tape, pos, vt, true)
 		}
 	}
 	e.beginOp(d, vt, false)
-	return true
 }
 
 // healthEvacScan drives evacuation at idle repair visits: vetoed copy

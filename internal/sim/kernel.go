@@ -41,12 +41,12 @@ type drive struct {
 	failTape int              // tape to mask at freeAt, -1 none
 	loadFail bool             // failure was a load: unmount and release busy
 
-	// repairJob, when set, is a background repair write whose new copy is
-	// minted at freeAt: other drives must not see it before the write lands.
-	// repairRead is the job whose read step is in flight; both clear the
-	// job's busy claim at settle.
-	repairJob  *repair.Job
-	repairRead *repair.Job
+	// job, when set, is the background repair job whose step is in flight;
+	// settle clears its busy claim. commit marks a write step, whose new
+	// copy is minted at freeAt: other drives must not see it before the
+	// write lands.
+	job    *repair.Job
+	commit bool
 
 	// unfence, when set, marks the in-flight operation as the drive's
 	// maintenance downtime: at freeAt the fence mask clears and the
@@ -218,14 +218,13 @@ func (e *engine) settle(d int) bool {
 		dr.inFlight = nil
 		e.complete(r)
 	}
-	if j := dr.repairRead; j != nil {
-		dr.repairRead = nil
+	if j := dr.job; j != nil {
+		dr.job = nil
 		j.Busy = false
-	}
-	if j := dr.repairJob; j != nil {
-		dr.repairJob = nil
-		j.Busy = false
-		e.commitRepair(j)
+		if dr.commit {
+			dr.commit = false
+			e.commitRepair(j)
+		}
 	}
 	if dr.unfence {
 		// Maintenance is over: the drive rejoins scheduling with a clean
@@ -486,6 +485,61 @@ func (e *engine) startRead(d int) {
 		vt += bo
 		e.res.FaultSeconds += bo
 	}
+}
+
+// bgSwitch mounts tape on drive d for background work -- a delta flush, a
+// repair step, or a scrub pass -- at the virtual time vt; a tape already
+// mounted costs nothing. A background mount is a real switch: it is
+// charged and emits EventSwitch like a scheduled one, so traces replay on
+// the deck. A tape already dead at load is discovered as in startSwitch --
+// the drive ends the operation empty and the tape is masked at settle --
+// but without any injector draw, so the fault stream is unchanged; sink
+// receives that failed load's drive time, so each subsystem is charged for
+// its own mounts. Returns the post-switch virtual time and whether the
+// tape is mounted.
+func (e *engine) bgSwitch(d, tape int, vt float64, sink *float64) (float64, bool) {
+	dr := &e.drives[d]
+	st := dr.st
+	if tape == st.Mounted {
+		return vt, true
+	}
+	sw := e.sh.Costs.SwitchCost(st.Mounted, st.Head, tape)
+	e.mount(st, tape)
+	if e.flt != nil && e.flt.inj.TapeFailed(tape, vt) {
+		*sink += sw
+		dr.failTape, dr.loadFail = tape, true
+		return vt + sw, false
+	}
+	vt += sw
+	e.res.SwitchSeconds += sw
+	if vt > e.warmupEnd {
+		e.res.TapeSwitches++
+	}
+	e.push(Event{Kind: EventSwitch, Time: vt, Tape: tape, Pos: -1, Seconds: sw})
+	return vt, true
+}
+
+// bgTransfer moves drive d's head through pos on the mounted tape for
+// background work -- a delta write, a repair read or write, or a scrub
+// read -- at the virtual time vt: a locate, then one block's transfer,
+// charged to sink as one sum. Like bgSwitch it draws no injector
+// randomness. A tape past its failure time is discovered by the locate,
+// which runs into the failure: nothing is transferred and the tape is
+// masked at settle. Returns the advanced virtual time, the seconds
+// charged, and whether the block was transferred.
+func (e *engine) bgTransfer(d, pos int, vt float64, sink *float64) (float64, float64, bool) {
+	dr := &e.drives[d]
+	st := dr.st
+	loc, xfer, newHead := e.sh.Costs.ServeOneParts(st.Head, pos)
+	if e.flt != nil && e.flt.inj.TapeFailed(st.Mounted, vt) {
+		*sink += loc
+		dr.failTape = st.Mounted
+		return vt + loc, loc, false
+	}
+	sec := loc + xfer
+	*sink += sec
+	st.Head = newHead
+	return vt + sec, sec, true
 }
 
 // verifyBusy checks the busy-vector hygiene invariants: every mounted (or

@@ -113,39 +113,12 @@ func (e *engine) idleRepairOp(d int) bool {
 	return false
 }
 
-// idleSwitch moves drive d to the given tape for a background step (a
-// repair job or a scrub pass; sink receives the drive time on the failed
-// path, so each subsystem is charged for its own mounts). Idle switches
-// are real mounts: they emit EventSwitch so traces replay on the deck. A
-// tape already dead at load is discovered exactly as in startSwitch --
-// the drive ends the operation empty and the tape is masked at settle --
-// but without any injector draw, so the fault stream is unchanged.
-// Returns the post-switch virtual time and whether the mount succeeded.
-func (e *engine) idleSwitch(d, tape int, sink *float64) (float64, bool) {
-	dr := &e.drives[d]
-	st := dr.st
-	sw := e.sh.Costs.SwitchCost(st.Mounted, st.Head, tape)
-	vt := e.now + sw
-	e.mount(st, tape)
-	if e.flt != nil && e.flt.inj.TapeFailed(tape, e.now) {
-		*sink += sw
-		dr.failTape, dr.loadFail = tape, true
-		e.beginOp(d, vt, false)
-		return vt, false
-	}
-	e.res.SwitchSeconds += sw
-	if vt > e.warmupEnd {
-		e.res.TapeSwitches++
-	}
-	e.push(Event{Kind: EventSwitch, Time: vt, Tape: tape, Pos: -1, Seconds: sw})
-	return vt, true
-}
-
 // issueRepairRead runs job j's read step on drive d: mount a surviving
 // copy's tape if needed and read the copy into the drive buffer. The step
 // completes at issue resolution (no injector draws), so the job advances
 // to its write step immediately; interruption before the write resumes
-// here with the read intact.
+// here with the read intact. A failed load, or a source tape that died
+// while mounted, leaves the job at its read step to retry another copy.
 func (e *engine) issueRepairRead(d int, j *repair.Job) bool {
 	dr := &e.drives[d]
 	st := dr.st
@@ -160,48 +133,31 @@ func (e *engine) issueRepairRead(d int, j *repair.Job) bool {
 	case repair.SrcBusy:
 		return false
 	}
-	vt := e.now
-	if src.Tape != st.Mounted {
-		var ok bool
-		if vt, ok = e.idleSwitch(d, src.Tape, &e.res.RepairSeconds); !ok {
-			return true // the failed load occupied the drive
-		}
+	vt, ok := e.bgSwitch(d, src.Tape, e.now, &e.res.RepairSeconds)
+	latent := ok && e.flt != nil && e.flt.inj.LatentActive(src.Tape, src.Pos, vt)
+	var sec float64
+	if ok {
+		vt, sec, ok = e.bgTransfer(d, src.Pos, vt, &e.res.RepairSeconds)
 	}
-	if e.flt != nil && e.flt.inj.TapeFailed(src.Tape, vt) {
-		// The source tape died while mounted: the locate runs into the
-		// failure; the job resumes from the read step with another copy.
-		loc, _, _ := e.sh.Costs.ServeOneParts(st.Head, src.Pos)
-		e.res.RepairSeconds += loc
-		dr.failTape = src.Tape
-		e.beginOp(d, vt+loc, false)
-		return true
-	}
-	if e.flt != nil && e.flt.inj.LatentActive(src.Tape, src.Pos, vt) {
+	switch {
+	case !ok:
+		// The job stays at its read step.
+	case latent:
 		// The verification behind the repair read finds a latent error on
 		// the chosen source: nothing is buffered, the copy escalates to
 		// dead, and the job resumes from the read step with another copy.
-		loc, rd, newHead := e.sh.Costs.ServeOneParts(st.Head, src.Pos)
-		vt += loc + rd
-		e.res.RepairSeconds += loc + rd
-		st.Head = newHead
 		// The failed attempt is a request-less fault record: the job ID
 		// would collide with request IDs in the fault ledger, and the
 		// discovery itself is recorded by the latent-found that follows.
-		e.push(Event{Kind: EventFault, Time: vt, Tape: src.Tape, Pos: src.Pos,
-			Seconds: loc + rd})
+		e.push(Event{Kind: EventFault, Time: vt, Tape: src.Tape, Pos: src.Pos, Seconds: sec})
 		e.noteLatentFound(src.Tape, src.Pos, vt, false)
-		e.beginOp(d, vt, false)
-		return true
+	default:
+		rp.pl.FinishRead(j)
+		e.push(Event{Kind: EventRepairRead, Time: vt, Tape: src.Tape, Pos: src.Pos,
+			Seconds: sec, Request: j.ID})
+		j.Busy = true
+		dr.job, dr.commit = j, false
 	}
-	loc, rd, newHead := e.sh.Costs.ServeOneParts(st.Head, src.Pos)
-	vt += loc + rd
-	e.res.RepairSeconds += loc + rd
-	st.Head = newHead
-	rp.pl.FinishRead(j)
-	e.push(Event{Kind: EventRepairRead, Time: vt, Tape: src.Tape, Pos: src.Pos,
-		Seconds: loc + rd, Request: j.ID})
-	j.Busy = true
-	dr.repairRead = j
 	e.beginOp(d, vt, false)
 	return true
 }
@@ -210,7 +166,8 @@ func (e *engine) issueRepairRead(d int, j *repair.Job) bool {
 // destination (most spare capacity), mount it if needed, and write the
 // new copy. The copy is minted only at settle (commitRepair), so other
 // drives never see it before the write lands; a destination that dies
-// first aborts the commit and the job keeps its completed read.
+// first -- at load, under the locate, or before settle -- aborts the
+// commit and the job keeps its completed read.
 func (e *engine) issueRepairWrite(d int, j *repair.Job) bool {
 	dr := &e.drives[d]
 	st := dr.st
@@ -235,29 +192,19 @@ func (e *engine) issueRepairWrite(d int, j *repair.Job) bool {
 		}
 		return false
 	}
-	vt := e.now
-	if dst.Tape != st.Mounted {
-		if vt, ok = e.idleSwitch(d, dst.Tape, &e.res.RepairSeconds); !ok {
-			rp.pl.Abort(j)
-			return true
-		}
+	vt, ok := e.bgSwitch(d, dst.Tape, e.now, &e.res.RepairSeconds)
+	var sec float64
+	if ok {
+		vt, sec, ok = e.bgTransfer(d, dst.Pos, vt, &e.res.RepairSeconds)
 	}
-	if e.flt != nil && e.flt.inj.TapeFailed(dst.Tape, vt) {
-		loc, _, _ := e.sh.Costs.ServeOneParts(st.Head, dst.Pos)
-		e.res.RepairSeconds += loc
+	if ok {
+		e.push(Event{Kind: EventRepairWrite, Time: vt, Tape: dst.Tape, Pos: dst.Pos,
+			Seconds: sec, Request: j.ID})
+		j.Busy = true
+		dr.job, dr.commit = j, true
+	} else {
 		rp.pl.Abort(j)
-		dr.failTape = dst.Tape
-		e.beginOp(d, vt+loc, false)
-		return true
 	}
-	loc, wr, newHead := e.sh.Costs.ServeOneParts(st.Head, dst.Pos)
-	vt += loc + wr
-	e.res.RepairSeconds += loc + wr
-	st.Head = newHead
-	e.push(Event{Kind: EventRepairWrite, Time: vt, Tape: dst.Tape, Pos: dst.Pos,
-		Seconds: loc + wr, Request: j.ID})
-	j.Busy = true
-	dr.repairJob = j
 	e.beginOp(d, vt, false)
 	return true
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"tapejuke/internal/sched"
 	"tapejuke/internal/stats"
 	"tapejuke/internal/workload"
 )
@@ -104,64 +103,55 @@ func (e *engine) pumpWrites() {
 	}
 }
 
-// resolveFlush drains the mounted tape's buffered deltas into its delta
-// log over the virtual clock vt: locate to the append cursor, then stream
-// the blocks out. Write transfer time is modelled with the read-transfer
+// resolveFlush drains drive d's mounted tape's buffered deltas into its
+// delta log over the virtual clock vt, one background transfer per block
+// from the append cursor on, each emitting its own EventWriteFlush at its
+// log position. Write transfer time is modelled with the read-transfer
 // segments (helical-scan drives read and write at the same streaming
-// rate). Returns the advanced virtual clock.
-func (e *engine) resolveFlush(st *sched.State, vt float64) float64 {
+// rate). The write extension runs without the fault model, so every
+// transfer lands. Returns the advanced virtual clock.
+func (e *engine) resolveFlush(d int, vt float64) float64 {
 	w := e.writes
-	tape := st.Mounted
-	if w == nil || tape < 0 || len(w.buffer[tape]) == 0 {
-		return vt
-	}
+	tape := e.drives[d].st.Mounted
 	batch := w.buffer[tape]
 	w.buffer[tape] = nil
 	w.buffered -= len(batch)
-
 	for _, pw := range batch {
 		pos := w.logStart + w.logCursor[tape]
 		w.logCursor[tape] = (w.logCursor[tape] + 1) % w.logBlocks
-		loc, wr, newHead := e.sh.Costs.ServeOneParts(st.Head, pos)
-		vt += loc + wr
-		e.res.WriteSeconds += loc + wr
-		st.Head = newHead
+		var sec float64
+		vt, sec, _ = e.bgTransfer(d, pos, vt, &e.res.WriteSeconds)
 		e.res.WritesFlushed++
 		if vt > e.warmupEnd {
 			w.delay.Add(vt - pw.arrival)
 		}
+		e.push(Event{Kind: EventWriteFlush, Time: vt, Tape: tape, Pos: pos, Seconds: sec})
 	}
-	e.push(Event{Kind: EventWriteFlush, Time: vt, Tape: tape, Pos: st.Head,
-		Seconds: 0, Request: int64(len(batch))})
 	return vt
 }
 
-// fullestAvailable returns the tape with the largest write buffer among
-// those drive state st may claim, or -1 when every buffered tape is held
-// by another drive.
-func (e *engine) fullestAvailable(st *sched.State) int {
-	w := e.writes
+// flushFullest issues, at the virtual time vt, one operation on drive d
+// that mounts the tape with the largest write buffer among those d may
+// claim and drains it. It serves both the idle flush and the piggyback
+// path's forced drain. Returns false, issuing nothing, when every buffered
+// tape is held by another drive.
+func (e *engine) flushFullest(d int, vt float64) bool {
+	st := e.drives[d].st
 	best, n := -1, 0
-	for t, buf := range w.buffer {
+	for t, buf := range e.writes.buffer {
 		if len(buf) > n && st.Available(t) {
 			best, n = t, len(buf)
 		}
 	}
-	return best
-}
-
-// switchForFlush moves the drive to a flush target over the virtual clock.
-// Flush switches charge switch time and count but emit no EventSwitch:
-// they are housekeeping, not scheduled retrievals.
-func (e *engine) switchForFlush(st *sched.State, tape int, vt float64) float64 {
-	sw := e.sh.Costs.SwitchCost(st.Mounted, st.Head, tape)
-	vt += sw
-	e.res.SwitchSeconds += sw
-	if vt > e.warmupEnd {
-		e.res.TapeSwitches++
+	if best < 0 {
+		return false
 	}
-	e.mount(st, tape)
-	return vt
+	vt, ok := e.bgSwitch(d, best, vt, &e.res.WriteSeconds)
+	if ok {
+		vt = e.resolveFlush(d, vt)
+	}
+	e.beginOp(d, vt, false)
+	return true
 }
 
 // piggybackOp runs the after-sweep write work on drive d: drain the
@@ -183,20 +173,14 @@ func (e *engine) piggybackOp(d int) bool {
 				// overloaded; the force-drain threshold below still applies.
 				e.res.DeferredFlushes++
 			} else {
-				vt = e.resolveFlush(st, vt)
+				vt = e.resolveFlush(d, vt)
 				did = true
 			}
 		}
 	}
-	if e.cfg.WriteFlushThreshold > 0 && w.buffered >= e.cfg.WriteFlushThreshold {
-		// Overflow protection: take the switch hit for the fullest tape.
-		if best := e.fullestAvailable(st); best >= 0 {
-			if best != st.Mounted {
-				vt = e.switchForFlush(st, best, vt)
-			}
-			vt = e.resolveFlush(st, vt)
-			did = true
-		}
+	// Overflow protection: take the switch hit for the fullest tape.
+	if e.cfg.WriteFlushThreshold > 0 && w.buffered >= e.cfg.WriteFlushThreshold && e.flushFullest(d, vt) {
+		return true
 	}
 	if did {
 		e.beginOp(d, vt, false)
@@ -219,16 +203,5 @@ func (e *engine) idleFlushOp(d int) bool {
 		e.res.DeferredFlushes++
 		return false
 	}
-	st := e.drives[d].st
-	best := e.fullestAvailable(st)
-	if best < 0 {
-		return false
-	}
-	vt := e.now
-	if best != st.Mounted {
-		vt = e.switchForFlush(st, best, vt)
-	}
-	vt = e.resolveFlush(st, vt)
-	e.beginOp(d, vt, false)
-	return true
+	return e.flushFullest(d, e.now)
 }
