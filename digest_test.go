@@ -199,8 +199,12 @@ type matrixRun struct {
 	cfg     Config         // zero for farms
 	res     *Result        // nil for farms
 	sum     *trace.Summary // trace summary of the event stream; nil for farms
-	// switchSec sums the stream's switch seconds in issue order; nil for farms.
-	switchSec float64
+	// switchSec and writeSec sum the stream's switch and write-flush
+	// seconds in issue order; zero for farms.
+	switchSec, writeSec float64
+	// replay is trace.Verify's verdict on the stream (see replayTrace);
+	// single-drive runs only.
+	replay error
 }
 
 var (
@@ -262,7 +266,10 @@ func computeMatrix() ([]matrixRun, error) {
 		}
 		r := matrixRun{name: mc.name, events: direct.h.Sum64(), nEvents: direct.n,
 			result: digestValue(res), cfg: mc.cfg, res: res, sum: trace.Summarize(direct.recs),
-			switchSec: issuedSwitchSeconds(direct.recs)}
+			switchSec: issuedSeconds(direct.recs, "switch"), writeSec: issuedSeconds(direct.recs, "write-flush")}
+		if mc.cfg.Drives == 1 {
+			r.replay = replayTrace(mc.cfg, direct.recs)
+		}
 		if reused.h.Sum64() != r.events || reused.n != r.nEvents || digestValue(res2) != r.result {
 			return nil, fmt.Errorf("%s: Runner.Run differs from Run", mc.name)
 		}

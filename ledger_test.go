@@ -1,10 +1,12 @@
 package tapejuke
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
 
+	"tapejuke/internal/tapemodel"
 	"tapejuke/internal/trace"
 )
 
@@ -30,6 +32,7 @@ func TestLedgerMatchesTrace(t *testing.T) {
 			{"EvacuatedCopies", res.EvacuatedCopies, s.Evacuations},
 			{"FencedDrives", res.FencedDrives, s.DriveFences},
 			{"LatentErrorsFound", res.LatentErrorsFound, s.LatentFinds},
+			{"WritesFlushed", res.WritesFlushed, s.Flushes},
 		}
 		for _, c := range counts {
 			if c.got != c.event {
@@ -39,10 +42,13 @@ func TestLedgerMatchesTrace(t *testing.T) {
 		if res.IdleSeconds != s.IdleSeconds {
 			t.Errorf("%s: IdleSeconds = %v, the trace sums %v", r.name, res.IdleSeconds, s.IdleSeconds)
 		}
-		// Flush switches are charged but emit no event.
-		if r.cfg.Writes.MeanInterarrivalSec == 0 && res.SwitchSeconds != r.switchSec {
+		if res.SwitchSeconds != r.switchSec {
 			t.Errorf("%s: SwitchSeconds = %v, the trace's switches sum to %v in issue order",
 				r.name, res.SwitchSeconds, r.switchSec)
+		}
+		if res.WriteSeconds != r.writeSec {
+			t.Errorf("%s: WriteSeconds = %v, the trace's write flushes sum to %v in issue order",
+				r.name, res.WriteSeconds, r.writeSec)
 		}
 		if want := float64(s.ScrubReads) * r.cfg.BlockMB; res.ScrubbedMB != want {
 			t.Errorf("%s: ScrubbedMB = %v, the trace has %d scrub reads (%v MB)", r.name, res.ScrubbedMB, s.ScrubReads, want)
@@ -53,25 +59,65 @@ func TestLedgerMatchesTrace(t *testing.T) {
 	}
 }
 
-// issuedSwitchSeconds sums the switch records' seconds in the order the
-// switches were issued, which is the order the ledger adds them in. The
-// trace emits a switch when it completes, so with several drives a long
-// switch can be issued before a shorter one yet emitted after it, and the
-// float sum can then differ in its last bit. A switch was issued at its
-// completion time less its seconds; equal issue times keep emission order.
-func issuedSwitchSeconds(recs []trace.Record) float64 {
-	var sw []trace.Record
+// issuedSeconds sums the seconds of one kind of record in the order the
+// operations were issued, which is the order the ledger charges them in.
+// The trace emits an operation when it completes, so with several drives a
+// long switch can be issued before a shorter one yet emitted after it, and
+// the float sum can then differ in its last bit. An operation was issued
+// at its completion time less its seconds; equal issue times keep emission
+// order.
+func issuedSeconds(recs []trace.Record, kind string) float64 {
+	var ops []trace.Record
 	for _, r := range recs {
-		if r.Kind == "switch" {
-			sw = append(sw, r)
+		if r.Kind == kind {
+			ops = append(ops, r)
 		}
 	}
-	sort.SliceStable(sw, func(i, j int) bool { return sw[i].Time-sw[i].Seconds < sw[j].Time-sw[j].Seconds })
+	sort.SliceStable(ops, func(i, j int) bool { return ops[i].Time-ops[i].Seconds < ops[j].Time-ops[j].Seconds })
 	var sum float64
-	for _, r := range sw {
+	for _, r := range ops {
 		sum += r.Seconds
 	}
 	return sum
+}
+
+// replayTrace runs trace.Verify over a run's records on the run's own
+// geometry and returns an error unless every operation replays within a
+// microsecond.
+func replayTrace(c Config, recs []trace.Record) error {
+	prof := tapemodel.PositionerByName(c.DriveProfile)
+	if prof == nil {
+		return fmt.Errorf("unknown drive profile %q", c.DriveProfile)
+	}
+	rep, err := trace.Verify(recs, prof, c.BlockMB, c.Tapes, int(c.TapeCapMB/c.BlockMB), 1e-6)
+	if err != nil {
+		return err
+	}
+	if !rep.OK() {
+		return fmt.Errorf("%d of %d operations disagree: %s", rep.Mismatches, rep.Operations, rep.First)
+	}
+	return nil
+}
+
+// TestMatrixReplays replays every single-drive run of the digest matrix
+// through trace.Verify: every switch and every head access -- user reads
+// and failed reads, repair reads and writes, scrub reads, delta writes --
+// must recompute to its recorded seconds on the independent jukebox deck.
+// Multi-drive runs are left out until events carry a drive index.
+func TestMatrixReplays(t *testing.T) {
+	n := 0
+	for _, r := range runMatrix(t) {
+		if r.res == nil || r.cfg.Drives != 1 {
+			continue
+		}
+		n++
+		if r.replay != nil {
+			t.Errorf("%s: %v", r.name, r.replay)
+		}
+	}
+	if n == 0 {
+		t.Fatal("the matrix has no single-drive run")
+	}
 }
 
 // relClose reports whether a and b agree within tol relative to the larger.
