@@ -12,8 +12,10 @@ const (
 	EventComplete
 	// EventIdle: the drive sat idle waiting for an arrival.
 	EventIdle
-	// EventWriteFlush: buffered delta writes were flushed to tape (the
-	// write-model extension).
+	// EventWriteFlush: one buffered delta block was written to tape (the
+	// write-model extension). Pos is its delta-log position on Tape, and
+	// Seconds its locate and transfer; a flush of several blocks emits one
+	// event per block.
 	EventWriteFlush
 	// EventFault: a read or switch attempt failed (Seconds is the drive
 	// time the failed attempt consumed). Every attempt is reported, at the

@@ -94,7 +94,7 @@ type Summary struct {
 	Reads      int64
 	Switches   int64
 	Completes  int64
-	Flushes    int64
+	Flushes    int64 // delta blocks written (one write-flush record each)
 	IdleSpells int64
 	Expires    int64 // deadline expiries (overload extension)
 	Sheds      int64 // requests shed by admission overflow

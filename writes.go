@@ -7,7 +7,7 @@ import (
 )
 
 // Event is one simulator occurrence (tape switch, block read, request
-// completion, idle period, or delta-write flush), reported in
+// completion, idle period, or delta-block write), reported in
 // simulated-time order.
 type Event = sim.Event
 
@@ -16,10 +16,12 @@ type EventKind = sim.EventKind
 
 // Event kinds.
 const (
-	EventSwitch     = sim.EventSwitch
-	EventRead       = sim.EventRead
-	EventComplete   = sim.EventComplete
-	EventIdle       = sim.EventIdle
+	EventSwitch   = sim.EventSwitch
+	EventRead     = sim.EventRead
+	EventComplete = sim.EventComplete
+	EventIdle     = sim.EventIdle
+	// EventWriteFlush is one delta block written to tape: Pos is its
+	// delta-log position and Seconds its locate and transfer.
 	EventWriteFlush = sim.EventWriteFlush
 )
 
