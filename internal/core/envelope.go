@@ -26,10 +26,6 @@ type builder struct {
 	reqs  []*sched.Request // st.Pending snapshot
 	onT   [][]int          // request indices scheduled on each tape (unordered)
 
-	// Snapshot of the schedule S1 at the end of step 2, kept so tests can
-	// check the Theorem 2 bound on the extension cost C(S2) - C(S1).
-	s1Where []layout.Replica
-
 	unsched int // maintained count of unscheduled requests (where[i].Tape < 0)
 
 	// Incremental step-3 state. ext[t] holds tape t's candidate extension
@@ -89,7 +85,6 @@ func (b *builder) reset(st *sched.State) {
 	for t := range b.dirty {
 		b.dirty[t] = true
 	}
-	b.s1Where = b.s1Where[:0]
 	b.prefix = b.prefix[:0]
 }
 
@@ -97,7 +92,12 @@ func (b *builder) reset(st *sched.State) {
 func (b *builder) build() {
 	b.initialEnvelope() // step 1
 	b.absorb()          // step 2
-	b.s1Where = append(b.s1Where[:0], b.where...)
+	b.extendAll()       // steps 3-6
+}
+
+// extendAll extends the envelopes of the schedule S1 left by steps 1-2
+// until every request is scheduled (steps 3-6).
+func (b *builder) extendAll() {
 	b.initExtensions()
 	for b.unsched > 0 {
 		tape, prefix := b.bestExtension() // steps 3-4: choose prefix

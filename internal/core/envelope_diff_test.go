@@ -20,8 +20,7 @@ import (
 func diffCompare(t *testing.T, seed int64, st *sched.State, reused *builder) {
 	t.Helper()
 	ref := refBuildEnvelope(st)
-	reused.reset(st)
-	reused.build()
+	s1 := buildWithS1(reused, st)
 	opt := reused
 
 	for tape := range ref.env {
@@ -37,9 +36,9 @@ func diffCompare(t *testing.T, seed int64, st *sched.State, reused *builder) {
 		}
 	}
 	for i := range ref.s1Where {
-		if opt.s1Where[i] != ref.s1Where[i] {
-			t.Fatalf("seed %d: s1Where[%d] = %v, reference %v",
-				seed, i, opt.s1Where[i], ref.s1Where[i])
+		if s1[i] != ref.s1Where[i] {
+			t.Fatalf("seed %d: S1 where[%d] = %v, reference %v",
+				seed, i, s1[i], ref.s1Where[i])
 		}
 	}
 	for tape := range ref.count {

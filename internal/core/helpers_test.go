@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"tapejuke/internal/layout"
 	"tapejuke/internal/sched"
 )
 
@@ -14,12 +15,24 @@ func computeUpperEnvelope(st *sched.State) []int {
 }
 
 // buildEnvelope runs steps 1-6 on a fresh builder and returns its full
-// state, including the S1 snapshot and the final assignments.
+// state, including the final assignments.
 func buildEnvelope(st *sched.State) *builder {
 	b := &builder{}
 	b.reset(st)
 	b.build()
 	return b
+}
+
+// buildWithS1 runs steps 1-6 on b over st like build, and returns a copy of
+// the schedule S1 as it stood at the end of step 2: the baseline of the
+// Theorem 2 bound on the extension cost C(S2) - C(S1).
+func buildWithS1(b *builder, st *sched.State) []layout.Replica {
+	b.reset(st)
+	b.initialEnvelope() // step 1
+	b.absorb()          // step 2
+	s1 := append([]layout.Replica(nil), b.where...)
+	b.extendAll() // steps 3-6
+	return s1
 }
 
 // sweepOrderInts arranges positions into sweep execution order from the

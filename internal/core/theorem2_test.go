@@ -39,14 +39,14 @@ func scheduleCost(st *sched.State, where []layout.Replica) float64 {
 // bruteForceOpt finds the cheapest extension of S1: every request left
 // unscheduled at the end of step 2 is assigned to one of its copies so that
 // the total schedule cost is minimal.
-func bruteForceOpt(st *sched.State, b *builder) float64 {
+func bruteForceOpt(st *sched.State, s1 []layout.Replica) float64 {
 	var free []int
-	for i, c := range b.s1Where {
+	for i, c := range s1 {
 		if c.Tape < 0 {
 			free = append(free, i)
 		}
 	}
-	where := append([]layout.Replica(nil), b.s1Where...)
+	where := append([]layout.Replica(nil), s1...)
 	best := -1.0
 	var rec func(k int)
 	rec = func(k int) {
@@ -57,7 +57,7 @@ func bruteForceOpt(st *sched.State, b *builder) float64 {
 			return
 		}
 		i := free[k]
-		for _, c := range st.Layout.Replicas(b.reqs[i].Block) {
+		for _, c := range st.Layout.Replicas(st.Pending[i].Block) {
 			where[i] = c
 			rec(k + 1)
 		}
@@ -106,9 +106,10 @@ func TestTheorem2BoundEmpirical(t *testing.T) {
 			})
 		}
 
-		b := buildEnvelope(st)
+		b := &builder{}
+		s1 := buildWithS1(b, st)
 		n := 0
-		for _, c := range b.s1Where {
+		for _, c := range s1 {
 			if c.Tape < 0 {
 				n++
 			}
@@ -116,9 +117,9 @@ func TestTheorem2BoundEmpirical(t *testing.T) {
 		if n == 0 {
 			continue // everything absorbed; nothing for steps 3-6 to do
 		}
-		c1 := scheduleCost(st, b.s1Where)
+		c1 := scheduleCost(st, s1)
 		c2 := scheduleCost(st, b.where)
-		opt := bruteForceOpt(st, b)
+		opt := bruteForceOpt(st, s1)
 		if opt < c1-1e-9 {
 			t.Fatalf("seed %d: optimal extension %v below C(S1) %v", seed, opt, c1)
 		}
