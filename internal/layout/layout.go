@@ -12,6 +12,7 @@ package layout
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // BlockID identifies a logical data block.
@@ -89,6 +90,9 @@ type Layout struct {
 	// order: the per-tape candidate table consumed by schedulers that need
 	// position-sorted traversal without re-sorting per call.
 	tapeSlots [][]Slot
+	// free[t] is tape t's free-position bitmap: bit p%64 of word p/64 is
+	// set exactly when blockAt[t][p] is -1. FirstFree walks it.
+	free [][]uint64
 }
 
 // Slot is one occupied position on a tape.
@@ -101,9 +105,10 @@ type Slot struct {
 // entries); pathological configurations beyond it use the scan fallback.
 const maxDenseIndex = 64 << 20
 
-// finalize builds the derived lookup structures (the dense replica index
-// and the per-tape sorted candidate tables) once the copies and blockAt
-// mappings are complete. Both Build and NewManual call it last.
+// finalize builds the derived lookup structures (the dense replica index,
+// the per-tape sorted candidate tables and the free-position bitmaps) once
+// the copies and blockAt mappings are complete. Both Build and NewManual
+// call it last.
 func (l *Layout) finalize() {
 	n := len(l.copies)
 	t := l.cfg.Tapes
@@ -116,14 +121,21 @@ func (l *Layout) finalize() {
 		}
 	}
 	l.tapeSlots = make([][]Slot, t)
+	l.free = make([][]uint64, t)
+	words := (l.cfg.TapeCapBlocks + 63) / 64
+	bitmaps := make([]uint64, t*words)
 	for tape, row := range l.blockAt {
 		slots := make([]Slot, 0, len(row))
+		free := bitmaps[tape*words : (tape+1)*words : (tape+1)*words]
 		for pos, b := range row { // ascending pos: sorted by construction
 			if b >= 0 {
 				slots = append(slots, Slot{Pos: pos, Block: b})
+			} else {
+				free[pos/64] |= 1 << (pos % 64)
 			}
 		}
 		l.tapeSlots[tape] = slots
+		l.free[tape] = free
 	}
 }
 
@@ -464,15 +476,27 @@ func (l *Layout) Validate() error {
 			}
 		}
 	}
-	// Every occupied position must be claimed by some copy.
+	// Every occupied position must be claimed by some copy, and the free
+	// bitmap must mark exactly the unoccupied ones.
 	for t := range l.blockAt {
+		nFree := 0
+		for _, w := range l.free[t] {
+			nFree += bits.OnesCount64(w)
+		}
 		for p, b := range l.blockAt[t] {
+			if l.free[t][p/64]&(1<<(p%64)) != 0 != (b == -1) {
+				return fmt.Errorf("free bitmap disagrees with position (%d,%d), which holds %d", t, p, b)
+			}
 			if b == -1 {
+				nFree--
 				continue
 			}
 			if _, ok := seen[Replica{Tape: t, Pos: p}]; !ok {
 				return fmt.Errorf("position (%d,%d) holds block %d but no copy claims it", t, p, b)
 			}
+		}
+		if nFree != 0 {
+			return fmt.Errorf("free bitmap of tape %d marks positions past its capacity", t)
 		}
 	}
 	return nil

@@ -110,6 +110,30 @@ func TestValidateDetectsCorruption(t *testing.T) {
 		t.Error("out-of-bounds copy not detected")
 	}
 
+	l = build()
+	l.free[1][0] |= 1 << 7 // occupied position (1,7) marked free
+	if err := l.Validate(); err == nil {
+		t.Error("occupied position in the free bitmap not detected")
+	}
+
+	l = build()
+	l.free[0][0] &^= 1 << 9 // free position (0,9) missing from the bitmap
+	if err := l.Validate(); err == nil {
+		t.Error("free position missing from the bitmap not detected")
+	}
+
+	l = build()
+	l.free[0][0] ^= 1<<3 | 1<<4 // occupied (0,3) and free (0,4) swapped
+	if err := l.Validate(); err == nil {
+		t.Error("free bitmap with the right count but wrong positions not detected")
+	}
+
+	l = build()
+	l.free[0][0] |= 1 << 10 // a bit past the tape's 10 positions
+	if err := l.Validate(); err == nil {
+		t.Error("free bit past capacity not detected")
+	}
+
 	// Non-manual layouts additionally pin replica counts.
 	built, err := Build(Config{Tapes: 4, TapeCapBlocks: 20, HotPercent: 20, Replicas: 2, StartPos: 1})
 	if err != nil {

@@ -2,6 +2,7 @@ package layout
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -9,11 +10,12 @@ import (
 // NewManual is normally immutable; the repair subsystem (internal/repair)
 // rebuilds lost replicas and reclaims cold excess ones at run time, which
 // requires adding and removing copies in place while keeping every derived
-// index -- the copies lists, the blockAt grid, the dense posOn index, and
-// the sorted per-tape slot tables -- consistent. Both mutators flip the
-// `mutated` flag, which relaxes Validate's exact copy-count check (a
-// repaired layout legitimately differs from its build-time replica counts)
-// while every structural invariant still holds.
+// index -- the copies lists, the blockAt grid, the dense posOn index, the
+// sorted per-tape slot tables, and the free-position bitmaps --
+// consistent. Both mutators flip the `mutated` flag, which relaxes
+// Validate's exact copy-count check (a repaired layout legitimately
+// differs from its build-time replica counts) while every structural
+// invariant still holds.
 
 // Mutated reports whether the layout has been modified since construction.
 func (l *Layout) Mutated() bool { return l.mutated }
@@ -25,10 +27,15 @@ func (l *Layout) FreeBlocks(t int) int {
 
 // FirstFree returns the lowest unoccupied position on tape t for which ok
 // (when non-nil) holds, or -1 when the tape has no acceptable free position.
+// It walks the tape's free-position bitmap and calls ok on the free
+// positions only, in ascending order, so a failing search costs one word
+// per 64 positions plus one call per free position.
 func (l *Layout) FirstFree(t int, ok func(pos int) bool) int {
-	for p, b := range l.blockAt[t] {
-		if b == -1 && (ok == nil || ok(p)) {
-			return p
+	for w, word := range l.free[t] {
+		for ; word != 0; word &= word - 1 {
+			if p := w*64 + bits.TrailingZeros64(word); ok == nil || ok(p) {
+				return p
+			}
 		}
 	}
 	return -1
@@ -52,6 +59,7 @@ func (l *Layout) AddCopy(b BlockID, tape, pos int) error {
 	}
 	l.copies[b] = append(l.copies[b], Replica{Tape: tape, Pos: pos})
 	l.blockAt[tape][pos] = b
+	l.free[tape][pos/64] &^= 1 << (pos % 64)
 	if l.posOn != nil {
 		l.posOn[int(b)*l.cfg.Tapes+tape] = int32(pos) + 1
 	}
@@ -82,6 +90,7 @@ func (l *Layout) RemoveCopy(b BlockID, tape int) error {
 		}
 	}
 	l.blockAt[tape][c.Pos] = -1
+	l.free[tape][c.Pos/64] |= 1 << (c.Pos % 64)
 	if l.posOn != nil {
 		l.posOn[int(b)*l.cfg.Tapes+tape] = 0
 	}
