@@ -116,16 +116,19 @@ type Planner struct {
 	// onto a tape queued for evacuation would be wasted motion).
 	destOK func(tape int) bool
 
-	jobs      []*Job  // active jobs in ID order
-	byBlock   []*Job  // the job covering each block, nil when none
-	base      []int32 // copies per block at construction time
-	reserved  []bool  // tape*TapeCap+pos held by an in-flight write
+	jobs      []*Job           // active jobs in ID order
+	blocks    []layout.BlockID // jobs[i].Block, so Rank reads no job
+	byBlock   []*Job           // the job covering each block, nil when none
+	base      []int32          // copies per block at construction time
+	reserved  []bool           // tape*TapeCap+pos held by an in-flight write
 	nReserved int
 	resByTape []int32
 	nextID    int64
 	cursor    int // rotating scan position
 	created   int64
-	rank      []rankKey  // heap of the snapshot taken by Rank
+	rank      []rankKey  // keys of the snapshot taken by Rank
+	top       int        // index in rank of its hottest key, -1 once Next returned it
+	heaped    bool       // rank is a heap (built by the second Next)
 	cands     []destCand // scratch for ChooseDest
 }
 
@@ -249,13 +252,23 @@ func (p *Planner) enqueue(b layout.BlockID, now float64, want int) *Job {
 	if !p.hasDest(b) {
 		return nil
 	}
-	j := &Job{ID: p.nextID, Block: b, At: now, Want: want}
+	return p.add(&Job{Block: b, At: now, Want: want})
+}
+
+// add gives j the next ID and enters it in the job table.
+func (p *Planner) add(j *Job) *Job {
+	j.ID = p.nextID
 	p.nextID++
 	p.created++
 	p.jobs = append(p.jobs, j)
-	p.byBlock[b] = j
+	p.blocks = append(p.blocks, j.Block)
+	p.byBlock[j.Block] = j
 	return j
 }
+
+// Covered reports whether a job already covers block b, so no other job
+// for it can be enqueued.
+func (p *Planner) Covered(b layout.BlockID) bool { return p.byBlock[b] != nil }
 
 // EnqueueEvacuation creates a job that moves block b's copy at `from` off
 // its tape: mint one extra copy elsewhere (Want = live+1), then the caller
@@ -271,12 +284,7 @@ func (p *Planner) EnqueueEvacuation(b layout.BlockID, from layout.Replica, now f
 	if live == 0 || !p.hasDest(b) {
 		return nil
 	}
-	j := &Job{ID: p.nextID, Kind: KindEvacuate, Block: b, At: now, Want: live + 1, From: from}
-	p.nextID++
-	p.created++
-	p.jobs = append(p.jobs, j)
-	p.byBlock[b] = j
-	return j
+	return p.add(&Job{Kind: KindEvacuate, Block: b, At: now, Want: live + 1, From: from})
 }
 
 // EvacMoot reports that an evacuation job's purpose has evaporated: the
@@ -304,38 +312,59 @@ func (p *Planner) NoteCopyDead(tape, pos int, now float64) {
 
 // Rank snapshots the active jobs for Next to hand out hottest-first (ties
 // break toward the older job), so idle drive time goes to the blocks most
-// likely to be requested. Each job's heat is decayed to now exactly once,
-// and the snapshot is a heap, so a caller that stops at the first job it
-// can issue never pays for a full sort. Jobs enqueued or cancelled after
-// Rank do not change the snapshot. A lone job is not compared with
-// anything, so its heat is left undecayed.
+// likely to be requested. One pass over the table decays each job's heat
+// to now exactly once and notes the hottest job; nothing is ordered yet,
+// so a caller that stops at the first job it can issue pays for neither a
+// sort nor a heap. The decays are never skipped or reordered, even when
+// the caller stops early: At rescales the stored count, so a different
+// decay sequence would change later heat bits. A lone job is not compared
+// with anything, so its heat is left undecayed. Jobs enqueued or
+// cancelled after Rank do not change the snapshot.
 func (p *Planner) Rank(now float64) {
 	h := p.rank[:0]
-	for _, j := range p.jobs {
+	top := 0
+	decay := len(p.jobs) > 1
+	for i, j := range p.jobs {
 		k := rankKey{job: j}
-		if len(p.jobs) > 1 {
-			k.heat = p.heat.At(int(j.Block), now)
+		if decay {
+			k.heat = p.heat.At(int(p.blocks[i]), now)
 		}
 		h = append(h, k)
+		// Strictly hotter only: jobs are in ID order, so the lower index
+		// keeps a tie.
+		if k.heat > h[top].heat {
+			top = i
+		}
 	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
-	p.rank = h
+	p.rank, p.top, p.heaped = h, top, false
 }
 
 // Next pops the hottest remaining job of the last Rank snapshot, or nil
-// once the snapshot is exhausted.
+// once the snapshot is exhausted. The first call returns the job Rank
+// noted; the second heapifies the remaining keys, in O(n), and every
+// later call pops that heap.
 func (p *Planner) Next() *Job {
 	h := p.rank
 	if len(h) == 0 {
 		return nil
 	}
-	j := h[0].job
+	i := p.top
+	if i < 0 {
+		if !p.heaped {
+			for k := len(h)/2 - 1; k >= 0; k-- {
+				siftDown(h, k)
+			}
+			p.heaped = true
+		}
+		i = 0
+	}
+	j := h[i].job
 	last := len(h) - 1
-	h[0], h[last] = h[last], rankKey{}
-	p.rank = h[:last]
-	siftDown(p.rank, 0)
+	h[i], h[last] = h[last], rankKey{}
+	p.rank, p.top = h[:last], -1
+	if p.heaped {
+		siftDown(p.rank, 0)
+	}
 	return j
 }
 
@@ -477,6 +506,7 @@ func (p *Planner) drop(j *Job) {
 	for i, q := range p.jobs {
 		if q == j {
 			p.jobs = append(p.jobs[:i], p.jobs[i+1:]...)
+			p.blocks = append(p.blocks[:i], p.blocks[i+1:]...)
 			break
 		}
 	}

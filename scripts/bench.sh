@@ -32,6 +32,9 @@ go test -run '^$' \
 go test -run '^$' \
     -bench 'BenchmarkFaultRepairIdle|BenchmarkScrubIdle' \
     -benchmem -benchtime 1s ./internal/sim | tee -a "$tmp"
+go test -run '^$' \
+    -bench 'BenchmarkRankNext' \
+    -benchmem -benchtime 1s ./internal/repair | tee -a "$tmp"
 
 # Tracked pair for the experiment engine: BenchmarkFullRun above measures
 # one warm-context run; this measures the real `figures -full` wall time
