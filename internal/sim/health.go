@@ -329,6 +329,12 @@ func (e *engine) healthEvacScan() {
 		}
 		live := 0
 		for _, s := range e.sh.Layout.TapeContents(t) {
+			if live > 0 && budget > 0 && pl.Covered(s.Block) {
+				// Covered copies cannot enqueue, and once a live copy was
+				// seen and with budget left their liveness changes neither
+				// the budget return nor the drain test: skip the check.
+				continue
+			}
 			from := layout.Replica{Tape: t, Pos: s.Pos}
 			if !e.sh.CopyOK(from) {
 				continue // dead copy: plain repair owns the block already

@@ -300,6 +300,67 @@ func TestHealthEvacuationDrainsSuspectTape(t *testing.T) {
 	}
 }
 
+// TestEvacScanBudgetAndDrain pins two outcomes of the evacuation scan
+// that passing over covered copies must keep. A suspect tape whose live
+// copies are all covered by jobs is not drained. A scan that has spent
+// its 64-job budget stops at the next live copy, covered or not, so a
+// drained suspect tape after it is marked only at the next visit.
+func TestEvacScanBudgetAndDrain(t *testing.T) {
+	cfg := openHealthCfg(2)
+	cfg.Health = HealthConfig{Enable: true, SuspectScore: 3, Evacuate: true}
+	e, err := newEngine(cfg, NewSession())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const covered, full, drained = 1, 2, 3
+	h, pl, lay := e.hlt, e.rep.pl, e.sh.Layout
+	e.sh.DeadCopy = func(tape, pos int) bool { return tape == drained }
+	for _, tp := range []int{covered, full, drained} {
+		h.suspect[tp] = true
+		e.res.SuspectTapes++
+	}
+	// Cover every block on tape `covered`, and every block on tape `full`
+	// after its first 64 uncovered copies.
+	cover := func(tp, keep int) {
+		for _, s := range lay.TapeContents(tp) {
+			if pl.Covered(s.Block) {
+				continue
+			}
+			if keep > 0 {
+				keep--
+				continue
+			}
+			if pl.EnqueueEvacuation(s.Block, layout.Replica{Tape: tp, Pos: s.Pos}, 0) == nil {
+				t.Fatalf("could not cover block %d on tape %d", s.Block, tp)
+			}
+		}
+		if keep > 0 {
+			t.Fatalf("tape %d has too few uncovered copies", tp)
+		}
+	}
+	cover(covered, 0)
+	cover(full, 64)
+
+	e.healthEvacScan()
+	if e.res.EvacuationJobs != 64 {
+		t.Fatalf("first scan enqueued %d evacuation jobs, want its budget of 64", e.res.EvacuationJobs)
+	}
+	if h.evacuated[covered] {
+		t.Error("a tape whose live copies are all covered was marked drained")
+	}
+	if h.evacuated[drained] {
+		t.Error("the scan went past its spent budget to a later tape")
+	}
+	e.healthEvacScan()
+	if e.res.EvacuationJobs != 64 || h.evacuated[covered] || h.evacuated[full] {
+		t.Errorf("second scan: %d jobs, drained covered=%v full=%v; want 64 and neither",
+			e.res.EvacuationJobs, h.evacuated[covered], h.evacuated[full])
+	}
+	if !h.evacuated[drained] {
+		t.Error("the tape holding only dead copies was not drained at the next scan")
+	}
+}
+
 // TestHealthDriveFence: a transient-error-heavy workload with a low fence
 // threshold takes the drive down for maintenance and brings it back -- the
 // run keeps completing requests on the other drive and afterwards.
