@@ -139,3 +139,38 @@ func BenchmarkAblationTwoDrives(b *testing.B) {
 func BenchmarkSimulationDefault(b *testing.B) {
 	benchRun(b, nil)
 }
+
+// BenchmarkOverloadWrites runs perfbench's open-writes-overload-2drive
+// configuration (seed 1, a 1M-second horizon): bursty open reads on two
+// drives beside delta writes, deadlines and shed-oldest admission. It is
+// the one benchmark on the write and deadline paths, and it fails if the
+// run expires, sheds or flushes nothing.
+func BenchmarkOverloadWrites(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := tapejuke.Run(tapejuke.Config{
+			Algorithm:           tapejuke.EnvelopeMaxBandwidth,
+			Drives:              2,
+			Replicas:            1,
+			HotPercent:          10,
+			ReadHotPercent:      60,
+			MeanInterarrivalSec: 40,
+			Burst:               tapejuke.BurstConfig{Factor: 3, OnFrac: 0.1, Period: 20_000},
+			Writes: tapejuke.WriteConfig{
+				MeanInterarrivalSec: 120,
+				Policy:              tapejuke.WritePiggybackAndIdle,
+			},
+			Deadlines:  tapejuke.DeadlineConfig{HotTTL: 100_000, ColdTTL: 200_000},
+			Admission:  tapejuke.AdmissionConfig{MaxQueue: 400, Policy: tapejuke.AdmitShed},
+			HorizonSec: 1_000_000,
+			Seed:       1,
+		}.WithDefaults())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Expired == 0 || res.Shed == 0 || res.WritesFlushed == 0 {
+			b.Fatalf("benchmark run expired %d, shed %d and flushed %d; each must be nonzero",
+				res.Expired, res.Shed, res.WritesFlushed)
+		}
+	}
+}

@@ -37,18 +37,14 @@ type Request struct {
 	// pending list and any sweep at expiry time).
 	Expired bool
 
-	// Done marks a request that has left the system (completed, expired, or
-	// unserviceable). The engine's deadline calendar uses it for lazy
-	// deletion.
-	Done bool
-
 	// Ephemeral marks a closed-model flash-crowd extra: unlike the fixed
 	// process population, its completion or expiry does not respawn a
 	// replacement request.
 	Ephemeral bool
 
-	// OnCalendar marks a request currently held by the engine's deadline
-	// calendar. The engine's request free list may only recycle a request
-	// once it is both Done and off the calendar.
-	OnCalendar bool
+	// DeadlineSlot is one more than the request's index in the engine's
+	// deadline calendar, or 0 when the calendar does not hold it; the
+	// calendar keeps it current so a request leaving the system is removed
+	// in O(log n). An int32 beside the bools keeps the struct at 64 bytes.
+	DeadlineSlot int32
 }

@@ -43,9 +43,8 @@ type engine struct {
 	outstanding int64
 	nextID      int64
 
-	// reqFree recycles Request structs whose previous occupant has fully
-	// left the system (Done and off the deadline calendar), making
-	// steady-state request turnover allocation-free.
+	// reqFree recycles Request structs whose previous occupant has left
+	// the system, making steady-state request turnover allocation-free.
 	reqFree []*sched.Request
 
 	// intn is e.gen.Rand().Int63n, bound once; passing the bound method
@@ -227,12 +226,13 @@ func (e *engine) newRequest(at float64) *sched.Request {
 	return r
 }
 
-// freeRequest returns a request that has left the system to the free list.
-// Requests still referenced by the deadline calendar are left alone; the
-// calendar's lazy pruning frees them when they pop.
+// freeRequest returns a request that has left the system to the free list,
+// first taking it off the deadline calendar if the calendar still holds it
+// (a request completed, shed or abandoned before its deadline), so the
+// calendar only ever holds requests still in the system.
 func (e *engine) freeRequest(r *sched.Request) {
-	if r.OnCalendar {
-		return
+	if r.DeadlineSlot != 0 {
+		e.ovl.dl.remove(r)
 	}
 	e.reqFree = append(e.reqFree, r)
 }
@@ -302,18 +302,15 @@ func (e *engine) complete(r *sched.Request) {
 			e.flt.recovery.Add(e.now - r.FaultedAt)
 		}
 	}
-	if o := e.ovl; o != nil {
-		r.Done = true
-		if r.Deadline > 0 {
-			if e.now > r.Deadline {
-				e.res.LateCompletions++
-				if e.now > e.warmupEnd {
-					e.res.DeadlineMisses++
-				}
-			}
+	if o := e.ovl; o != nil && r.Deadline > 0 {
+		if e.now > r.Deadline {
+			e.res.LateCompletions++
 			if e.now > e.warmupEnd {
-				o.deadlinedPost++
+				e.res.DeadlineMisses++
 			}
+		}
+		if e.now > e.warmupEnd {
+			o.deadlinedPost++
 		}
 	}
 	e.push(Event{Kind: EventComplete, Time: e.now, Tape: r.Target.Tape,

@@ -103,7 +103,6 @@ func (e *engine) noteLatentFound(tape, pos int, at float64, byScrub bool) {
 // unserviceable abandons a request whose every copy is lost: it leaves the
 // system uncompleted.
 func (e *engine) unserviceable(r *sched.Request) {
-	r.Done = true
 	e.outstanding--
 	e.res.Unserviceable++
 	if e.now > e.warmupEnd {

@@ -5,6 +5,7 @@ import (
 
 	"tapejuke/internal/core"
 	"tapejuke/internal/faults"
+	"tapejuke/internal/sched"
 )
 
 // TestUpTapeCounter pins the O(1) up-tape counter against the down mask it
@@ -41,13 +42,10 @@ func TestUpTapeCounter(t *testing.T) {
 	}
 }
 
-// faultOverloadCase runs one combined faults+overload configuration and
-// checks the joint conservation identity. Every minted arrival must be
-// accounted for by exactly one of: completion, deadline expiry, admission
-// shedding, fault-driven abandonment, or still-outstanding at the horizon.
-func faultOverloadCase(t *testing.T, seed int64, transient, switchP, badBlocks byte, tapeFail bool, nr byte,
-	hotTTL, coldTTL float64, policy AdmitPolicy, maxQueue int) {
-	t.Helper()
+// faultOverloadCfg is one combined faults+overload configuration: an
+// overloaded open-model envelope run on ten tapes.
+func faultOverloadCfg(seed int64, transient, switchP, badBlocks byte, tapeFail bool, nr byte,
+	hotTTL, coldTTL float64, policy AdmitPolicy, maxQueue int) Config {
 	fc := faults.Config{
 		ReadTransientProb: float64(transient%50) / 100,
 		SwitchFailProb:    float64(switchP%50) / 100,
@@ -56,7 +54,7 @@ func faultOverloadCase(t *testing.T, seed int64, transient, switchP, badBlocks b
 	if tapeFail {
 		fc.TapeMTBFSec = 2_000_000
 	}
-	cfg := Config{
+	return Config{
 		BlockMB: 16, TapeCapMB: 7168, Tapes: 10, HotPercent: 100,
 		ReadHotPercent: 100, DataBlocks: 1000, Replicas: int(nr % 3),
 		QueueLength: 0, MeanInterarrival: 150,
@@ -66,6 +64,17 @@ func faultOverloadCase(t *testing.T, seed int64, transient, switchP, badBlocks b
 		Deadlines: DeadlineConfig{HotTTL: hotTTL, ColdTTL: coldTTL},
 		Admission: AdmissionConfig{MaxQueue: maxQueue, Policy: policy},
 	}
+}
+
+// faultOverloadCase runs one combined faults+overload configuration and
+// checks the joint conservation identity. Every minted arrival must be
+// accounted for by exactly one of: completion, deadline expiry, admission
+// shedding, fault-driven abandonment, or still-outstanding at the horizon.
+func faultOverloadCase(t *testing.T, seed int64, transient, switchP, badBlocks byte, tapeFail bool, nr byte,
+	hotTTL, coldTTL float64, policy AdmitPolicy, maxQueue int) {
+	t.Helper()
+	cfg := faultOverloadCfg(seed, transient, switchP, badBlocks, tapeFail, nr, hotTTL, coldTTL, policy, maxQueue)
+	fc := cfg.Faults
 	if err := cfg.Validate(); err != nil {
 		t.Skip(err)
 	}
@@ -102,26 +111,99 @@ func faultOverloadCase(t *testing.T, seed int64, transient, switchP, badBlocks b
 	}
 }
 
-// TestFaultOverloadConservation runs a deterministic spread of combined
-// fault x overload configurations; the fuzz target below explores further.
+// faultOverloadCases is a deterministic spread of combined fault x
+// overload configurations, run at seed 11 with two replicas.
+var faultOverloadCases = []struct {
+	name              string
+	transient, badBlk byte
+	tapeFail          bool
+	hotTTL            float64
+	policy            AdmitPolicy
+	maxQueue          int
+}{
+	{"deadlines+tapefail", 10, 0, true, 1200, AdmitNone, 0},
+	{"shed+badblocks", 0, 7, false, 0, AdmitShed, 30},
+	{"reject+transient+deadlines", 25, 0, false, 900, AdmitReject, 25},
+	{"everything", 15, 5, true, 1500, AdmitShed, 40},
+}
+
+// TestFaultOverloadConservation runs faultOverloadCases; the fuzz target
+// below explores further.
 func TestFaultOverloadConservation(t *testing.T) {
-	cases := []struct {
-		name              string
-		transient, badBlk byte
-		tapeFail          bool
-		hotTTL            float64
-		policy            AdmitPolicy
-		maxQueue          int
-	}{
-		{"deadlines+tapefail", 10, 0, true, 1200, AdmitNone, 0},
-		{"shed+badblocks", 0, 7, false, 0, AdmitShed, 30},
-		{"reject+transient+deadlines", 25, 0, false, 900, AdmitReject, 25},
-		{"everything", 15, 5, true, 1500, AdmitShed, 40},
-	}
-	for _, tc := range cases {
+	for _, tc := range faultOverloadCases {
 		t.Run(tc.name, func(t *testing.T) {
 			faultOverloadCase(t, 11, tc.transient, 0, tc.badBlk, tc.tapeFail, 2,
 				tc.hotTTL, tc.hotTTL/2, tc.policy, tc.maxQueue)
+		})
+	}
+}
+
+// TestDeadlineCalendarHoldsOnlyLiveRequests runs the engine over
+// faultOverloadCases and a two-drive deadlines + shed + writes
+// configuration, then checks that the deadline calendar holds no request
+// that has left the system: it has at most as many entries as requests
+// outstanding, and each entry sits in the pending list, a drive's sweep or
+// in-flight read, or a drive's fault limbo. A calendar that kept finished
+// requests until their deadlines came due would hold hundreds of them here.
+func TestDeadlineCalendarHoldsOnlyLiveRequests(t *testing.T) {
+	type namedCfg struct {
+		name string
+		cfg  Config
+	}
+	var cfgs []namedCfg
+	for _, tc := range faultOverloadCases {
+		cfgs = append(cfgs, namedCfg{tc.name, faultOverloadCfg(11, tc.transient, 0, tc.badBlk, tc.tapeFail, 2,
+			tc.hotTTL, tc.hotTTL/2, tc.policy, tc.maxQueue)})
+	}
+	two := quickCfg(core.NewEnvelope(core.MaxBandwidth))
+	two.Drives = 2
+	two.SchedulerFactory = func() sched.Scheduler { return core.NewEnvelope(core.MaxBandwidth) }
+	two.QueueLength, two.MeanInterarrival, two.Horizon = 0, 40, 400_000
+	two.Burst = BurstConfig{Factor: 3, OnFrac: 0.1, Period: 20_000}
+	two.WriteMeanInterarrival, two.WritePolicy = 120, WritePiggybackAndIdle
+	two.Deadlines = DeadlineConfig{HotTTL: 20_000, ColdTTL: 40_000}
+	two.Admission = AdmissionConfig{MaxQueue: 100, Policy: AdmitShed}
+	cfgs = append(cfgs, namedCfg{"2-drive/deadlines+shed+writes", two})
+	for _, c := range cfgs {
+		t.Run(c.name, func(t *testing.T) {
+			e, err := newEngine(c.cfg, NewSession())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.cfg.Drives == 2 && (res.Expired == 0 || res.Shed == 0 || res.WritesFlushed == 0) {
+				t.Fatalf("run expired %d, shed %d and flushed %d; every path should fire",
+					res.Expired, res.Shed, res.WritesFlushed)
+			}
+			live := map[*sched.Request]bool{}
+			for _, r := range e.sh.Pending {
+				live[r] = true
+			}
+			for i := range e.drives {
+				dr := &e.drives[i]
+				if dr.st.Active != nil {
+					for _, r := range dr.st.Active.Requests() {
+						live[r] = true
+					}
+				}
+				for _, r := range append([]*sched.Request{dr.inFlight, dr.faulted}, dr.abort...) {
+					if r != nil {
+						live[r] = true
+					}
+				}
+			}
+			dl := e.ovl.dl
+			if int64(len(dl)) > e.outstanding {
+				t.Errorf("calendar holds %d requests, only %d outstanding", len(dl), e.outstanding)
+			}
+			for i, r := range dl {
+				if !live[r] {
+					t.Fatalf("calendar entry %d (request %d, deadline %v) has left the system", i, r.ID, r.Deadline)
+				}
+			}
 		})
 	}
 }

@@ -17,72 +17,91 @@ import (
 // charged straight into the engine's Result.
 type overloadState struct {
 	ttl           *workload.TTLSampler // deadline assignment, nil when deadlines off
-	dl            deadlineHeap         // outstanding deadlined requests, lazily pruned
+	dl            deadlineHeap         // deadlined requests still in the system
 	deadlinedPost int64                // post-warmup deadlined outcomes (completions + expiries)
 }
 
-// deadlineHeap is a monomorphic 4-ary min-heap of deadlined requests on
-// (Deadline, ID) -- a total order, so pop order matches the binary
-// interface heap it replaces. Requests that leave the system another way
-// (completion, shedding, unserviceable) stay in the heap with Done set and
-// are skipped lazily. OnCalendar mirrors heap membership so the request
-// free list knows when a request is fully unreferenced.
+// deadlineHeap is the deadline calendar: a monomorphic 4-ary min-heap of
+// deadlined requests on (Deadline, ID), a total order, so the sequence of
+// expiries does not depend on the heap's shape. It holds only requests
+// still in the system: each entry's DeadlineSlot tracks its index, and a
+// request leaving another way (completion, shedding, unserviceable) is
+// removed at once by freeRequest, so the top is the earliest live deadline.
 type deadlineHeap []*sched.Request
 
-func (h deadlineHeap) less(i, j int) bool {
-	if h[i].Deadline != h[j].Deadline {
-		return h[i].Deadline < h[j].Deadline
+// earlier orders requests on (Deadline, ID).
+func earlier(a, b *sched.Request) bool {
+	if a.Deadline != b.Deadline {
+		return a.Deadline < b.Deadline
 	}
-	return h[i].ID < h[j].ID
+	return a.ID < b.ID
 }
 
-func (h *deadlineHeap) push(r *sched.Request) {
-	r.OnCalendar = true
-	q := append(*h, r)
-	i := len(q) - 1
+// place stores r at index i and records the index in its slot.
+func (h deadlineHeap) place(i int, r *sched.Request) {
+	h[i] = r
+	r.DeadlineSlot = int32(i + 1)
+}
+
+// up moves r, destined for index i, towards the root past every later
+// parent.
+func (h deadlineHeap) up(i int, r *sched.Request) {
 	for i > 0 {
 		p := (i - 1) / 4
-		if !q.less(i, p) {
+		if !earlier(r, h[p]) {
 			break
 		}
-		q[i], q[p] = q[p], q[i]
+		h.place(i, h[p])
 		i = p
 	}
-	*h = q
+	h.place(i, r)
 }
 
-func (h *deadlineHeap) pop() *sched.Request {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = nil
-	q = q[:n]
-	*h = q
-	i := 0
+// down moves r, destined for index i, towards the leaves past every
+// earlier child.
+func (h deadlineHeap) down(i int, r *sched.Request) {
+	n := len(h)
 	for {
 		c := 4*i + 1
 		if c >= n {
 			break
 		}
-		best := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
+		best, end := c, min(c+4, n)
 		for j := c + 1; j < end; j++ {
-			if q.less(j, best) {
+			if earlier(h[j], h[best]) {
 				best = j
 			}
 		}
-		if !q.less(best, i) {
+		if !earlier(h[best], r) {
 			break
 		}
-		q[i], q[best] = q[best], q[i]
+		h.place(i, h[best])
 		i = best
 	}
-	top.OnCalendar = false
-	return top
+	h.place(i, r)
+}
+
+func (h *deadlineHeap) push(r *sched.Request) {
+	*h = append(*h, r)
+	h.up(len(*h)-1, r)
+}
+
+// remove takes r, which the heap holds, out of it in O(log n) and clears
+// its slot: the last entry fills r's index and sifts whichever way it must.
+func (h *deadlineHeap) remove(r *sched.Request) {
+	q := *h
+	i, n := int(r.DeadlineSlot)-1, len(q)-1
+	last := q[n]
+	q[n], r.DeadlineSlot = nil, 0
+	q = q[:n]
+	*h = q
+	switch {
+	case i == n:
+	case i > 0 && earlier(last, q[(i-1)/4]):
+		q.up(i, last)
+	default:
+		q.down(i, last)
+	}
 }
 
 // evictor is implemented by schedulers that want to hear about requests the
@@ -154,18 +173,13 @@ func (e *engine) assignDeadline(r *sched.Request) {
 	}
 }
 
-// nextDeadline returns the earliest live deadline on the calendar, pruning
-// (and recycling) requests that already left the system, or +Inf when none
-// remain.
+// nextDeadline returns the earliest deadline on the calendar, or +Inf when
+// none remain.
 func (e *engine) nextDeadline() float64 {
-	o := e.ovl
-	for len(o.dl) > 0 && o.dl[0].Done {
-		e.freeRequest(o.dl.pop())
+	if dl := e.ovl.dl; len(dl) > 0 {
+		return dl[0].Deadline
 	}
-	if len(o.dl) == 0 {
-		return math.Inf(1)
-	}
-	return o.dl[0].Deadline
+	return math.Inf(1)
 }
 
 // expireDue cancels every deadlined request whose deadline has passed.
@@ -178,16 +192,9 @@ func (e *engine) expireDue() {
 	if o == nil {
 		return
 	}
-	for len(o.dl) > 0 {
+	for len(o.dl) > 0 && o.dl[0].Deadline <= e.now {
 		r := o.dl[0]
-		if r.Done {
-			e.freeRequest(o.dl.pop())
-			continue
-		}
-		if r.Deadline > e.now {
-			return
-		}
-		o.dl.pop()
+		o.dl.remove(r)
 		if e.inFlightReq(r) {
 			continue // completes late; counted at completion and recycled there
 		}
@@ -244,7 +251,7 @@ func (e *engine) expireOne(r *sched.Request) {
 			}
 		}
 	}
-	r.Expired, r.Done = true, true
+	r.Expired = true
 	e.outstanding--
 	e.res.Expired++
 	if e.now > e.warmupEnd {
@@ -291,7 +298,6 @@ func (e *engine) admitArrival() bool {
 	if a.Policy == AdmitShed && len(e.sh.Pending) > 0 {
 		victim := e.sh.Pending[0]
 		e.sh.Pending = e.sh.Pending[1:]
-		victim.Done = true
 		e.outstanding--
 		e.res.Shed++
 		if e.now > e.warmupEnd {

@@ -2,7 +2,10 @@ package sim
 
 import (
 	"errors"
+	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"tapejuke/internal/core"
@@ -26,6 +29,74 @@ func checkOverloadConservation(t *testing.T, res *Result, maxOutstanding int64) 
 	}
 	if res.DeadlineMissRate < 0 || res.DeadlineMissRate > 1 {
 		t.Errorf("deadline miss rate %v out of [0,1]", res.DeadlineMissRate)
+	}
+}
+
+// TestDeadlineHeapMatchesSortedOrder drives the deadline calendar with
+// random pushes (deadlines drawn from a few values, so ties fall to the
+// IDs, which arrive out of order), removals of a random held request, and
+// pops of the minimum, against a slice kept sorted on (Deadline, ID). After
+// every operation the heap's top is the reference's first request, the heap
+// property holds, each entry's slot is its index + 1, the heap holds as many
+// requests as the reference, and every removed request's slot is 0.
+func TestDeadlineHeapMatchesSortedOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ids := rng.Perm(4000)
+	var h deadlineHeap
+	var ref, gone []*sched.Request
+	for step := 0; step < len(ids); step++ {
+		// Grow the heap over the first half, shrink it over the second.
+		grow := 6
+		if step >= len(ids)/2 {
+			grow = 3
+		}
+		switch op := rng.Intn(10); {
+		case op < grow || len(ref) == 0:
+			r := &sched.Request{ID: int64(ids[step]), Deadline: float64(1 + rng.Intn(8))}
+			h.push(r)
+			i := sort.Search(len(ref), func(i int) bool { return earlier(r, ref[i]) })
+			ref = slices.Insert(ref, i, r)
+		case op < 8:
+			i := rng.Intn(len(ref))
+			h.remove(ref[i])
+			gone = append(gone, ref[i])
+			ref = slices.Delete(ref, i, i+1)
+		default:
+			top := h[0]
+			if top != ref[0] {
+				t.Fatalf("step %d: minimum is request %d, want %d", step, top.ID, ref[0].ID)
+			}
+			h.remove(top)
+			gone = append(gone, top)
+			ref = ref[1:]
+		}
+		if len(h) != len(ref) {
+			t.Fatalf("step %d: heap holds %d requests, reference %d", step, len(h), len(ref))
+		}
+		if len(h) > 0 && h[0] != ref[0] {
+			t.Fatalf("step %d: top is request %d, want %d", step, h[0].ID, ref[0].ID)
+		}
+		for i, r := range h {
+			if int(r.DeadlineSlot) != i+1 {
+				t.Fatalf("step %d: entry %d has slot %d", step, i, r.DeadlineSlot)
+			}
+			if i > 0 && earlier(r, h[(i-1)/4]) {
+				t.Fatalf("step %d: entry %d is earlier than its parent", step, i)
+			}
+		}
+		for _, r := range gone {
+			if r.DeadlineSlot != 0 {
+				t.Fatalf("step %d: removed request %d keeps slot %d", step, r.ID, r.DeadlineSlot)
+			}
+		}
+	}
+	// Drain what is left in order.
+	for len(h) > 0 {
+		if h[0] != ref[0] {
+			t.Fatalf("drain: top is request %d, want %d", h[0].ID, ref[0].ID)
+		}
+		h.remove(h[0])
+		ref = ref[1:]
 	}
 }
 

@@ -115,14 +115,14 @@ func reseed(slot **rand.Rand, seed int64) *rand.Rand {
 }
 
 // reclaim harvests the finished engine's recyclable storage back into the
-// session. Live requests are returned to the free list only when neither
-// the fault nor the overload extension is armed: those keep extra request
-// references (fault deferrals, the deadline calendar) whose overlap with
-// the pending list would risk double-freeing; their runs just let the
-// stragglers go to the garbage collector.
+// session. Live requests are returned to the free list only when the fault
+// extension is off: its deferrals keep extra request references whose
+// overlap with the pending list would risk double-freeing; its runs just let
+// the stragglers go to the garbage collector. The deadline calendar holds
+// only live requests and goes with the engine (newRequest clears the slot).
 func (s *Session) reclaim(e *engine) {
 	free := e.reqFree
-	if e.flt == nil && e.ovl == nil {
+	if e.flt == nil {
 		for i, r := range e.sh.Pending {
 			if r != nil {
 				free = append(free, r)

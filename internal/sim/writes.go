@@ -43,18 +43,12 @@ func (p WritePolicy) String() string {
 	return "unknown"
 }
 
-// pendingWrite is one delta block waiting in the disk buffer.
-type pendingWrite struct {
-	arrival float64
-	tape    int
-}
-
 // writeState tracks the write extension inside the engine; its metrics
 // are charged straight into the engine's Result.
 type writeState struct {
 	arr       *workload.PoissonArrivals
 	next      float64
-	buffer    [][]pendingWrite // per tape
+	buffer    [][]float64 // per tape: arrival times of the buffered delta blocks
 	buffered  int
 	logStart  int   // first block position of each tape's delta region
 	logBlocks int   // delta region length in blocks
@@ -74,7 +68,7 @@ func (e *engine) initWrites(dataCapBlocks int) error {
 	}
 	w := &writeState{
 		arr:       arr,
-		buffer:    make([][]pendingWrite, cfg.Tapes),
+		buffer:    make([][]float64, cfg.Tapes),
 		logStart:  dataCapBlocks,
 		logBlocks: int(cfg.WriteReserveMB / cfg.BlockMB),
 		logCursor: make([]int, cfg.Tapes),
@@ -94,7 +88,7 @@ func (e *engine) pumpWrites() {
 	for w.next <= e.now {
 		blk := e.gen.Next()
 		tape := e.sh.Layout.Replicas(blk)[0].Tape
-		w.buffer[tape] = append(w.buffer[tape], pendingWrite{arrival: w.next, tape: tape})
+		w.buffer[tape] = append(w.buffer[tape], w.next)
 		w.buffered++
 		if w.buffered > e.res.MaxBufferedWrites {
 			e.res.MaxBufferedWrites = w.buffered
@@ -109,21 +103,22 @@ func (e *engine) pumpWrites() {
 // log position. Write transfer time is modelled with the read-transfer
 // segments (helical-scan drives read and write at the same streaming
 // rate). The write extension runs without the fault model, so every
-// transfer lands. Returns the advanced virtual clock.
+// transfer lands. The drained buffer keeps its storage for the tape's next
+// deltas. Returns the advanced virtual clock.
 func (e *engine) resolveFlush(d int, vt float64) float64 {
 	w := e.writes
 	tape := e.drives[d].st.Mounted
 	batch := w.buffer[tape]
-	w.buffer[tape] = nil
+	w.buffer[tape] = batch[:0]
 	w.buffered -= len(batch)
-	for _, pw := range batch {
+	for _, arrival := range batch {
 		pos := w.logStart + w.logCursor[tape]
 		w.logCursor[tape] = (w.logCursor[tape] + 1) % w.logBlocks
 		var sec float64
 		vt, sec, _ = e.bgTransfer(d, pos, vt, &e.res.WriteSeconds)
 		e.res.WritesFlushed++
 		if vt > e.warmupEnd {
-			w.delay.Add(vt - pw.arrival)
+			w.delay.Add(vt - arrival)
 		}
 		e.push(Event{Kind: EventWriteFlush, Time: vt, Tape: tape, Pos: pos, Seconds: sec})
 	}

@@ -21,7 +21,7 @@ tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 
 go test -run '^$' \
-    -bench 'BenchmarkFullRun|BenchmarkAblationEnvelopeMaxBandwidthRepl|BenchmarkAblationDynamicMaxBandwidthRepl|BenchmarkAblationTwoDrives|BenchmarkSimulationDefault|BenchmarkFarmRun' \
+    -bench 'BenchmarkFullRun|BenchmarkAblationEnvelopeMaxBandwidthRepl|BenchmarkAblationDynamicMaxBandwidthRepl|BenchmarkAblationTwoDrives|BenchmarkSimulationDefault|BenchmarkFarmRun|BenchmarkOverloadWrites' \
     -benchmem -benchtime 1s . | tee "$tmp"
 go test -run '^$' \
     -bench 'BenchmarkUpperEnvelope|BenchmarkEnvelopeReschedule|BenchmarkEnvelopeOnArrival' \
