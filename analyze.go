@@ -31,23 +31,9 @@ func Analyze(c Config) (*Estimate, error) {
 	if c.QueueLength <= 0 {
 		return nil, errors.New("tapejuke: Analyze requires a closed-queuing configuration")
 	}
-	prof, ok := tapemodel.PositionerByName(driveName(c.DriveProfile)).(*tapemodel.Profile)
-	if !ok || prof == nil {
-		return nil, fmt.Errorf("tapejuke: Analyze needs a helical-scan profile, not %q", c.DriveProfile)
-	}
-	kind := layout.Horizontal
-	if c.Placement == Vertical {
-		kind = layout.Vertical
-	}
-	lay, err := layout.Build(layout.Config{
-		Tapes:         c.Tapes,
-		TapeCapBlocks: int(c.TapeCapMB / c.BlockMB),
-		HotPercent:    c.HotPercent,
-		Kind:          kind,
-		StartPos:      c.StartPos,
-	})
+	prof, lay, err := c.analyticModel("Analyze")
 	if err != nil {
-		return nil, fmt.Errorf("tapejuke: %w", err)
+		return nil, err
 	}
 	return analytic.ClosedThroughput(prof, c.BlockMB, lay, c.ReadHotPercent, c.QueueLength)
 }
@@ -65,13 +51,24 @@ func AssessOpenLoad(c Config) (*OpenAssessment, error) {
 	if c.Replicas != 0 {
 		return nil, errors.New("tapejuke: AssessOpenLoad does not model replication")
 	}
+	prof, lay, err := c.analyticModel("AssessOpenLoad")
+	if err != nil {
+		return nil, err
+	}
+	return analytic.AssessOpen(prof, c.BlockMB, lay, c.ReadHotPercent, c.MeanInterarrivalSec)
+}
+
+// analyticModel resolves the helical-scan profile and builds the
+// unreplicated layout the closed forms evaluate; fn names the caller in the
+// profile error.
+func (c Config) analyticModel(fn string) (*tapemodel.Profile, *layout.Layout, error) {
 	prof, ok := tapemodel.PositionerByName(driveName(c.DriveProfile)).(*tapemodel.Profile)
 	if !ok || prof == nil {
-		return nil, fmt.Errorf("tapejuke: AssessOpenLoad needs a helical-scan profile, not %q", c.DriveProfile)
+		return nil, nil, fmt.Errorf("tapejuke: %s needs a helical-scan profile, not %q", fn, c.DriveProfile)
 	}
-	kind := layout.Horizontal
-	if c.Placement == Vertical {
-		kind = layout.Vertical
+	kind, err := c.Placement.kind()
+	if err != nil {
+		return nil, nil, err
 	}
 	lay, err := layout.Build(layout.Config{
 		Tapes:         c.Tapes,
@@ -81,7 +78,7 @@ func AssessOpenLoad(c Config) (*OpenAssessment, error) {
 		StartPos:      c.StartPos,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("tapejuke: %w", err)
+		return nil, nil, fmt.Errorf("tapejuke: %w", err)
 	}
-	return analytic.AssessOpen(prof, c.BlockMB, lay, c.ReadHotPercent, c.MeanInterarrivalSec)
+	return prof, lay, nil
 }

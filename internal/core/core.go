@@ -190,6 +190,12 @@ func (e *Envelope) OnEvict(st *sched.State, r *sched.Request) {
 	if e.env == nil || st.Mounted < 0 || r.Target.Tape != st.Mounted {
 		return
 	}
+	e.tighten(st)
+}
+
+// tighten lowers the mounted tape's envelope boundary to the remaining
+// sweep's reach: the head plus whatever is still scheduled ahead of it.
+func (e *Envelope) tighten(st *sched.State) {
 	edge := st.Head
 	if st.Active != nil {
 		if m := st.Active.MaxPos(); m+1 > edge {
@@ -227,15 +233,7 @@ func (e *Envelope) OnCopyRemoved(st *sched.State, b layout.BlockID, c layout.Rep
 	if e.env == nil || st.Mounted < 0 || c.Tape != st.Mounted || c.Pos+1 != e.env[c.Tape] {
 		return
 	}
-	edge := st.Head
-	if st.Active != nil {
-		if m := st.Active.MaxPos(); m+1 > edge {
-			edge = m + 1
-		}
-	}
-	if edge < e.env[st.Mounted] {
-		e.env[st.Mounted] = edge
-	}
+	e.tighten(st)
 }
 
 // Theorem2Bound returns the paper's Theorem 2 upper bound on the extension

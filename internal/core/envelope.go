@@ -74,9 +74,9 @@ func (b *builder) reset(st *sched.State) {
 		b.where[i] = layout.Replica{Tape: -1}
 	}
 
-	b.onT = resetRowsInt(b.onT, tapes)
-	b.ext = resetRowsExt(b.ext, tapes)
-	b.bw = resetRowsFloat(b.bw, tapes)
+	b.onT = resetRows(b.onT, tapes)
+	b.ext = resetRows(b.ext, tapes)
+	b.bw = resetRows(b.bw, tapes)
 	if cap(b.dirty) < tapes {
 		b.dirty = make([]bool, tapes)
 	} else {
@@ -521,39 +521,11 @@ func resetInts(s []int, n int) []int {
 	return s
 }
 
-// resetRowsInt resizes a slice of rows to n rows, truncating each reused
-// row to length zero.
-func resetRowsInt(rows [][]int, n int) [][]int {
+// resetRows resizes a slice of rows to n rows, truncating each reused row
+// to length zero.
+func resetRows[T any](rows [][]T, n int) [][]T {
 	if cap(rows) < n {
-		grown := make([][]int, n)
-		copy(grown, rows)
-		rows = grown
-	} else {
-		rows = rows[:n]
-	}
-	for i := range rows {
-		rows[i] = rows[i][:0]
-	}
-	return rows
-}
-
-func resetRowsExt(rows [][]extEntry, n int) [][]extEntry {
-	if cap(rows) < n {
-		grown := make([][]extEntry, n)
-		copy(grown, rows)
-		rows = grown
-	} else {
-		rows = rows[:n]
-	}
-	for i := range rows {
-		rows[i] = rows[i][:0]
-	}
-	return rows
-}
-
-func resetRowsFloat(rows [][]float64, n int) [][]float64 {
-	if cap(rows) < n {
-		grown := make([][]float64, n)
+		grown := make([][]T, n)
 		copy(grown, rows)
 		rows = grown
 	} else {

@@ -67,10 +67,10 @@ func TestSelectorSetsWithReplication(t *testing.T) {
 	reach := make([]int, 4)
 	reach[2] = pos + 1
 	tape, sweep, ok := s.Reschedule(st, MaxRequests, reach)
-	if !ok || tape != 2 || sweep.Len() != 1 || sweep.Peek().ID != 2 {
+	if !ok || tape != 2 || sweep.Len() != 1 || sweep.Requests()[0].ID != 2 {
 		t.Fatalf("reach-bounded reschedule = tape %d ok %v, want tape 2 serving request 2", tape, ok)
 	}
-	if got := sweep.Peek().Target; got.Tape != 2 || got.Pos != pos {
+	if got := sweep.Requests()[0].Target; got.Tape != 2 || got.Pos != pos {
 		t.Errorf("target = %+v, want tape 2 position %d", got, pos)
 	}
 	if len(st.Pending) != 1 || st.Pending[0].ID != 1 {

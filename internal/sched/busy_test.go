@@ -56,7 +56,7 @@ func TestAgingFallsBackWhenUrgentTapeBusy(t *testing.T) {
 				t.Errorf("%s, %s: chose tape %d (ok=%v), want the free tape %d", c.name, s.Name(), tape, ok, c.want)
 				continue
 			}
-			if sweep.Len() != 1 || sweep.Peek().ID != 1 {
+			if sweep.Len() != 1 || sweep.Requests()[0].ID != 1 {
 				t.Errorf("%s, %s: sweep %v, want request 1 alone", c.name, s.Name(), sweep.Requests())
 			}
 		}

@@ -9,7 +9,8 @@ import (
 // FuzzSweepInsert drives the sweep with adversarial build/insert/pop
 // interleavings and checks the single-pass invariants: forward ascending,
 // reverse descending, nothing lost or duplicated, accepted insertions only
-// ahead of the head.
+// ahead of the head. Each input runs twice through one Shared, so the
+// second round rebuilds the released sweep from the pool.
 func FuzzSweepInsert(f *testing.F) {
 	f.Add([]byte{10, 20, 30}, []byte{5, 25, 35}, uint8(15))
 	f.Add([]byte{}, []byte{1}, uint8(0))
@@ -21,54 +22,59 @@ func FuzzSweepInsert(f *testing.F) {
 		if len(insert) > 64 {
 			insert = insert[:64]
 		}
-		head := int(headRaw)
 		var reqs []*Request
 		for i, p := range build {
 			reqs = append(reqs, &Request{ID: int64(i), Target: layout.Replica{Pos: int(p)}})
 		}
-		s := NewSweep(reqs, head)
-		total := len(build)
+		sh := &Shared{}
+		for round := 0; round < 2; round++ {
+			head := int(headRaw)
+			s := sh.NewSweep(reqs, head)
+			total := len(build)
 
-		// Interleave pops and inserts.
-		for i, p := range insert {
-			if i%2 == 0 {
-				if r := s.Pop(); r != nil {
-					total--
-					head = r.Target.Pos + 1
+			// Interleave pops and inserts.
+			for i, p := range insert {
+				if i%2 == 0 {
+					if r := s.Pop(); r != nil {
+						total--
+						head = r.Target.Pos + 1
+					}
+				}
+				r := &Request{ID: int64(1000 + i), Target: layout.Replica{Pos: int(p)}}
+				if s.Insert(r, head) {
+					total++
 				}
 			}
-			r := &Request{ID: int64(1000 + i), Target: layout.Replica{Pos: int(p)}}
-			if s.Insert(r, head) {
-				total++
+			if s.Len() != total {
+				t.Fatalf("round %d: sweep length %d, bookkept %d", round, s.Len(), total)
 			}
-		}
-		if s.Len() != total {
-			t.Fatalf("sweep length %d, bookkept %d", s.Len(), total)
-		}
-		for i := 1; i < len(s.Forward); i++ {
-			if s.Forward[i].Target.Pos < s.Forward[i-1].Target.Pos {
-				t.Fatal("forward phase out of order")
+			fwd, rev := phases(s)
+			for i := 1; i < len(fwd); i++ {
+				if fwd[i].Target.Pos < fwd[i-1].Target.Pos {
+					t.Fatalf("round %d: forward phase out of order", round)
+				}
 			}
-		}
-		for i := 1; i < len(s.Reverse); i++ {
-			if s.Reverse[i].Target.Pos > s.Reverse[i-1].Target.Pos {
-				t.Fatal("reverse phase out of order")
+			for i := 1; i < len(rev); i++ {
+				if rev[i].Target.Pos > rev[i-1].Target.Pos {
+					t.Fatalf("round %d: reverse phase out of order", round)
+				}
 			}
-		}
-		// Draining pops everything exactly once.
-		seen := make(map[int64]bool)
-		for {
-			r := s.Pop()
-			if r == nil {
-				break
+			// Draining pops everything exactly once.
+			seen := make(map[int64]bool)
+			for {
+				r := s.Pop()
+				if r == nil {
+					break
+				}
+				if seen[r.ID] {
+					t.Fatalf("round %d: request %d popped twice", round, r.ID)
+				}
+				seen[r.ID] = true
 			}
-			if seen[r.ID] {
-				t.Fatalf("request %d popped twice", r.ID)
+			if len(seen) != total {
+				t.Fatalf("round %d: drained %d, expected %d", round, len(seen), total)
 			}
-			seen[r.ID] = true
-		}
-		if len(seen) != total {
-			t.Fatalf("drained %d, expected %d", len(seen), total)
+			sh.ReleaseSweep(s)
 		}
 	})
 }

@@ -6,11 +6,11 @@ import (
 	"tapejuke/internal/tapemodel"
 )
 
-// ReorderRAO replaces the sweep's two-phase elevator order with a greedy
-// nearest-first schedule in the spirit of the LTO "Recommended Access
-// Order" drive feature: starting from the head position the sweep executes
-// from, it repeatedly serves the request whose copy has the lowest locate
-// time from the current head.
+// ReorderRAO reorders the sweep in place, replacing its two-phase elevator
+// order with a greedy nearest-first schedule in the spirit of the LTO
+// "Recommended Access Order" drive feature: starting from the head position
+// the sweep executes from, it repeatedly serves the request whose copy has
+// the lowest locate time from the current head.
 //
 // The paper's sweeps assume helical-scan geometry, where physical distance
 // is monotone in logical distance and a single elevator pass is optimal
@@ -26,31 +26,22 @@ import (
 // returns false) and mid-sweep arrivals wait in the pending list for the
 // next reschedule.
 func (s *Sweep) ReorderRAO(p tapemodel.Positioner, blockMB float64, head int) {
-	n := s.Len()
-	if n == 0 {
-		return
-	}
-	pool := append(s.tmp[:0], s.Forward...)
-	pool = append(pool, s.Reverse...)
-	s.tmp = pool
-	ord := s.ord0[:0]
+	// Each step rotates the chosen request to the front of the unserved
+	// tail, which keeps the rest in elevator order for the tie-break.
+	rest := s.buf[s.next:]
 	cur := float64(head) * blockMB
-	for len(pool) > 0 {
-		best, bestSec := 0, math.Inf(1)
-		for i, r := range pool {
-			sec, _ := p.Locate(cur, float64(r.Target.Pos)*blockMB)
+	for i := range rest {
+		best, bestSec := i, math.Inf(1)
+		for j := i; j < len(rest); j++ {
+			sec, _ := p.Locate(cur, float64(rest[j].Target.Pos)*blockMB)
 			if sec < bestSec {
-				best, bestSec = i, sec
+				best, bestSec = j, sec
 			}
 		}
-		r := pool[best]
-		copy(pool[best:], pool[best+1:])
-		pool[len(pool)-1] = nil
-		pool = pool[:len(pool)-1]
-		ord = append(ord, r)
+		r := rest[best]
+		copy(rest[i+1:best+1], rest[i:best])
+		rest[i] = r
 		cur = float64(r.Target.Pos+1) * blockMB // head rests after the read block
 	}
-	s.tmp = s.tmp[:0]
-	s.ord0, s.ord = ord, ord
-	s.Forward, s.Reverse = nil, nil
+	s.nfwd, s.frozen = 0, true
 }

@@ -52,13 +52,13 @@ type Shared struct {
 	AgeWeight float64
 
 	// sweepFree pools drained Sweep structs (returned by ReleaseSweep) so
-	// steady-state reschedules reuse sweep headers and phase arrays instead
-	// of allocating fresh ones per sweep.
+	// steady-state reschedules reuse sweep headers and request arrays
+	// instead of allocating fresh ones per sweep.
 	sweepFree []*Sweep
 }
 
 // NewSweep builds a sweep like the package function, drawing the Sweep
-// struct and its phase arrays from the shared pool when one is free.
+// struct and its request array from the shared pool when one is free.
 func (sh *Shared) NewSweep(reqs []*Request, head int) *Sweep {
 	n := len(sh.sweepFree)
 	if n == 0 {
@@ -78,23 +78,8 @@ func (sh *Shared) ReleaseSweep(s *Sweep) {
 	if s == nil {
 		return
 	}
-	s.Forward, s.Reverse, s.ord = nil, nil, nil
-	ord := s.ord0[:cap(s.ord0)]
-	for i := range ord {
-		ord[i] = nil
-	}
-	fwd := s.fwd0[:cap(s.fwd0)]
-	for i := range fwd {
-		fwd[i] = nil
-	}
-	rev := s.rev0[:cap(s.rev0)]
-	for i := range rev {
-		rev[i] = nil
-	}
-	tmp := s.tmp[:cap(s.tmp)]
-	for i := range tmp {
-		tmp[i] = nil
-	}
+	clear(s.buf[:cap(s.buf)])
+	s.buf, s.next, s.nfwd, s.frozen = s.buf[:0], 0, 0, false
 	sh.sweepFree = append(sh.sweepFree, s)
 }
 

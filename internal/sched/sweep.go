@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 )
@@ -15,22 +16,17 @@ import (
 // ReorderRAO) that overrides the two-phase elevator order; see that method
 // for the semantics.
 type Sweep struct {
-	Forward []*Request // ascending Target.Pos
-	Reverse []*Request // descending Target.Pos
+	// buf[next:] holds the remaining requests in execution order. Unless
+	// the sweep is frozen, its first nfwd entries are the forward phase and
+	// the rest the reverse phase. Pop advances next instead of re-slicing,
+	// so the one backing array -- including whatever Insert grew it to --
+	// survives a trip through the Shared pool.
+	buf    []*Request
+	next   int
+	nfwd   int
+	frozen bool // explicit (RAO) order: no phases, Insert declines
 
-	// fwd0/rev0 remember the phase slices' backing arrays from their start
-	// (Pop advances Forward/Reverse by re-slicing), so a drained sweep
-	// returned to the Shared pool can rebuild in place without reallocating.
-	fwd0, rev0 []*Request
-
-	// ord, when it has remaining entries, is an explicit execution order
-	// replacing the two phases (which are then empty). ord0 remembers its
-	// backing array for pooling, like fwd0/rev0.
-	ord, ord0 []*Request
-
-	// sortByPos scratch.
-	keys []uint64
-	tmp  []*Request
+	keys []uint64 // init's sort scratch
 }
 
 // NewSweep builds a sweep over the given requests (whose Targets must
@@ -45,105 +41,72 @@ func NewSweep(reqs []*Request, head int) *Sweep {
 }
 
 // init (re)builds the sweep contents, reusing any backing arrays the sweep
-// already owns.
+// already owns; reqs must not alias them. Sixteen or more requests sort
+// (phaseKey, original index) packed into uint64s -- the index in the low
+// bits reproduces stability exactly -- trading two extra passes for an
+// ordered sort with single-instruction comparisons instead of a
+// comparator-function stable sort.
 func (s *Sweep) init(reqs []*Request, head int) {
-	s.ord = nil
-	fwd, rev := s.fwd0[:0], s.rev0[:0]
+	s.next, s.nfwd, s.frozen = 0, 0, false
 	for _, r := range reqs {
 		if r.Target.Pos >= head {
-			fwd = append(fwd, r)
-		} else {
-			rev = append(rev, r)
+			s.nfwd++
 		}
 	}
-	s.sortByPos(fwd, false)
-	s.sortByPos(rev, true)
-	s.fwd0, s.rev0 = fwd, rev
-	s.Forward, s.Reverse = fwd, rev
+	buf := slices.Grow(s.buf[:0], len(reqs))
+	if len(reqs) < 16 {
+		buf = append(buf, reqs...)
+		slices.SortStableFunc(buf, func(a, b *Request) int {
+			return cmp.Compare(phaseKey(a.Target.Pos, head), phaseKey(b.Target.Pos, head))
+		})
+	} else {
+		keys := slices.Grow(s.keys[:0], len(reqs))
+		for i, r := range reqs {
+			keys = append(keys, uint64(phaseKey(r.Target.Pos, head))<<32|uint64(uint32(i)))
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			buf = append(buf, reqs[uint32(k)])
+		}
+		s.keys = keys
+	}
+	s.buf = buf
 }
 
-// sortByPos stable-sorts one phase by Target.Pos, descending when desc.
-// Longer phases sort (pos, original index) packed into uint64 keys -- the
-// index in the low bits reproduces stability exactly -- trading two extra
-// passes for an ordered sort with single-instruction comparisons instead
-// of a comparator-function stable sort.
-func (s *Sweep) sortByPos(phase []*Request, desc bool) {
-	if len(phase) < 16 {
-		if desc {
-			slices.SortStableFunc(phase, func(a, b *Request) int {
-				return b.Target.Pos - a.Target.Pos
-			})
-		} else {
-			slices.SortStableFunc(phase, func(a, b *Request) int {
-				return a.Target.Pos - b.Target.Pos
-			})
-		}
-		return
+// phaseKey orders the forward phase (positions at or above the head)
+// ascending, then the reverse phase descending: a reverse position takes
+// its 32-bit complement, which sorts above every forward position as long
+// as positions stay below 2^31.
+func phaseKey(pos, head int) uint32 {
+	if pos < head {
+		return ^uint32(pos)
 	}
-	keys := s.keys[:0]
-	for i, r := range phase {
-		p := uint32(r.Target.Pos)
-		if desc {
-			p = ^p
-		}
-		keys = append(keys, uint64(p)<<32|uint64(uint32(i)))
-	}
-	s.keys = keys
-	slices.Sort(keys)
-	tmp := append(s.tmp[:0], phase...)
-	s.tmp = tmp
-	for i, k := range keys {
-		phase[i] = tmp[uint32(k)]
-	}
+	return uint32(pos)
 }
 
 // Len returns the number of requests remaining in the sweep.
-func (s *Sweep) Len() int { return len(s.ord) + len(s.Forward) + len(s.Reverse) }
+func (s *Sweep) Len() int { return len(s.buf) - s.next }
 
 // Empty reports whether the sweep has been fully executed.
 func (s *Sweep) Empty() bool { return s.Len() == 0 }
 
-// Peek returns the next request to execute without removing it, or nil.
-func (s *Sweep) Peek() *Request {
-	if len(s.ord) > 0 {
-		return s.ord[0]
-	}
-	if len(s.Forward) > 0 {
-		return s.Forward[0]
-	}
-	if len(s.Reverse) > 0 {
-		return s.Reverse[0]
-	}
-	return nil
-}
-
 // Pop removes and returns the next request to execute, or nil.
 func (s *Sweep) Pop() *Request {
-	if len(s.ord) > 0 {
-		r := s.ord[0]
-		s.ord = s.ord[1:]
-		return r
+	if s.Empty() {
+		return nil
 	}
-	if len(s.Forward) > 0 {
-		r := s.Forward[0]
-		s.Forward = s.Forward[1:]
-		return r
+	r := s.buf[s.next]
+	s.next++
+	if s.nfwd > 0 {
+		s.nfwd--
 	}
-	if len(s.Reverse) > 0 {
-		r := s.Reverse[0]
-		s.Reverse = s.Reverse[1:]
-		return r
-	}
-	return nil
+	return r
 }
 
-// Requests returns the remaining requests in execution order.
+// Requests returns the remaining requests in execution order, in a new
+// slice that stays valid after the sweep is released or rebuilt.
 func (s *Sweep) Requests() []*Request {
-	out := make([]*Request, 0, s.Len())
-	out = append(out, s.ord...)
-	out = append(out, s.Forward...)
-	out = append(out, s.Reverse...)
-	return out
+	return append([]*Request(nil), s.buf[s.next:]...)
 }
 
 // Insert adds r (whose Target must be on the mounted tape) to the in-flight
@@ -157,47 +120,28 @@ func (s *Sweep) Requests() []*Request {
 //     the not-yet-started reverse phase.
 //   - Once the reverse phase has begun (head moving down), only positions at
 //     or below the head can still be served in this sweep.
+//
+// Either way r goes after the entries at its own position.
 func (s *Sweep) Insert(r *Request, head int) bool {
-	if s.Empty() {
+	if s.Empty() || s.frozen {
+		// A frozen sweep carries a committed explicit (RAO) order: the drive
+		// has already handed the schedule down, so arrivals wait in pending.
 		return false
 	}
-	if len(s.ord) > 0 {
-		// The sweep carries a committed explicit (RAO) order: the drive has
-		// already handed the schedule down, so arrivals wait in pending.
+	pos, rest := r.Target.Pos, s.buf[s.next:]
+	var i int
+	switch {
+	case s.nfwd > 0 && pos >= head:
+		i = sort.Search(s.nfwd, func(i int) bool { return rest[i].Target.Pos > pos })
+		s.nfwd++
+	case s.nfwd > 0 || pos <= head:
+		rev := rest[s.nfwd:]
+		i = s.nfwd + sort.Search(len(rev), func(i int) bool { return rev[i].Target.Pos < pos })
+	default:
 		return false
 	}
-	if len(s.Forward) > 0 {
-		if r.Target.Pos >= head {
-			s.insertForward(r)
-		} else {
-			s.insertReverse(r)
-		}
-		return true
-	}
-	// Reverse phase in progress.
-	if r.Target.Pos <= head {
-		s.insertReverse(r)
-		return true
-	}
-	return false
-}
-
-func (s *Sweep) insertForward(r *Request) {
-	i := sort.Search(len(s.Forward), func(i int) bool {
-		return s.Forward[i].Target.Pos > r.Target.Pos
-	})
-	s.Forward = append(s.Forward, nil)
-	copy(s.Forward[i+1:], s.Forward[i:])
-	s.Forward[i] = r
-}
-
-func (s *Sweep) insertReverse(r *Request) {
-	i := sort.Search(len(s.Reverse), func(i int) bool {
-		return s.Reverse[i].Target.Pos < r.Target.Pos
-	})
-	s.Reverse = append(s.Reverse, nil)
-	copy(s.Reverse[i+1:], s.Reverse[i:])
-	s.Reverse[i] = r
+	s.buf = slices.Insert(s.buf, s.next+i, r)
+	return true
 }
 
 // Remove deletes r (matched by pointer identity) from the sweep, preserving
@@ -205,42 +149,35 @@ func (s *Sweep) insertReverse(r *Request) {
 // The engine uses it to cancel deadline-expired requests out of in-flight
 // sweeps without rebuilding the schedule.
 func (s *Sweep) Remove(r *Request) bool {
-	for i, q := range s.ord {
-		if q == r {
-			s.ord = append(s.ord[:i], s.ord[i+1:]...)
-			return true
-		}
+	i := slices.Index(s.buf[s.next:], r)
+	if i < 0 {
+		return false
 	}
-	for i, q := range s.Forward {
-		if q == r {
-			s.Forward = append(s.Forward[:i], s.Forward[i+1:]...)
-			return true
-		}
+	if i < s.nfwd {
+		s.nfwd--
 	}
-	for i, q := range s.Reverse {
-		if q == r {
-			s.Reverse = append(s.Reverse[:i], s.Reverse[i+1:]...)
-			return true
-		}
-	}
-	return false
+	s.buf = slices.Delete(s.buf, s.next+i, s.next+i+1)
+	return true
 }
 
 // MaxPos returns the highest position remaining in the sweep, or -1 when the
 // sweep is empty. The envelope incremental scheduler uses it to detect
 // whether an insertion extends the traversed prefix.
 func (s *Sweep) MaxPos() int {
-	max := -1
-	for _, r := range s.ord {
-		if r.Target.Pos > max {
-			max = r.Target.Pos
+	rest, max := s.buf[s.next:], -1
+	if s.frozen {
+		for _, r := range rest {
+			if r.Target.Pos > max {
+				max = r.Target.Pos
+			}
 		}
+		return max
 	}
-	if n := len(s.Forward); n > 0 && s.Forward[n-1].Target.Pos > max {
-		max = s.Forward[n-1].Target.Pos
+	if s.nfwd > 0 {
+		max = rest[s.nfwd-1].Target.Pos
 	}
-	if len(s.Reverse) > 0 && s.Reverse[0].Target.Pos > max {
-		max = s.Reverse[0].Target.Pos
+	if s.nfwd < len(rest) && rest[s.nfwd].Target.Pos > max {
+		max = rest[s.nfwd].Target.Pos
 	}
 	return max
 }

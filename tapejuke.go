@@ -46,6 +46,18 @@ const (
 	Vertical Placement = "vertical"
 )
 
+// kind maps the placement to its layout kind; the empty string is the
+// default horizontal placement.
+func (p Placement) kind() (layout.Kind, error) {
+	switch p {
+	case Horizontal, "":
+		return layout.Horizontal, nil
+	case Vertical:
+		return layout.Vertical, nil
+	}
+	return 0, fmt.Errorf("tapejuke: unknown placement %q", p)
+}
+
 // Result holds the metrics of one simulation run; see the field
 // documentation in the internal sim package mirror of this type.
 type Result = sim.Result
@@ -224,14 +236,9 @@ func (c Config) toSim() (*sim.Config, error) {
 	if prof == nil {
 		return nil, fmt.Errorf("tapejuke: unknown drive profile %q", c.DriveProfile)
 	}
-	var kind layout.Kind
-	switch c.Placement {
-	case Horizontal, "":
-		kind = layout.Horizontal
-	case Vertical:
-		kind = layout.Vertical
-	default:
-		return nil, fmt.Errorf("tapejuke: unknown placement %q", c.Placement)
+	kind, err := c.Placement.kind()
+	if err != nil {
+		return nil, err
 	}
 	schd, err := NewScheduler(c.Algorithm)
 	if err != nil {

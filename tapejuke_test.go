@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -302,6 +303,11 @@ func TestAnalyze(t *testing.T) {
 	if _, err := Analyze(bad); err == nil {
 		t.Error("serpentine profile accepted")
 	}
+	bad = shortCfg()
+	bad.Placement = "diagonal"
+	if _, err := Analyze(bad); err == nil || !strings.Contains(err.Error(), "unknown placement") {
+		t.Errorf("unknown placement: err = %v, want the placement rejected as Run rejects it", err)
+	}
 }
 
 func TestAssessOpenLoad(t *testing.T) {
@@ -326,6 +332,11 @@ func TestAssessOpenLoad(t *testing.T) {
 	bad := shortCfg() // closed config
 	if _, err := AssessOpenLoad(bad); err == nil {
 		t.Error("closed config accepted")
+	}
+	bad = cfg // open config
+	bad.Placement = "diagonal"
+	if _, err := AssessOpenLoad(bad); err == nil || !strings.Contains(err.Error(), "unknown placement") {
+		t.Errorf("unknown placement: err = %v, want the placement rejected as Run rejects it", err)
 	}
 }
 
