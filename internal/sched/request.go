@@ -32,19 +32,28 @@ type Request struct {
 	// cancelled by the engine (deadline expiry). Zero means no deadline.
 	Deadline float64
 
-	// Expired marks a request cancelled by deadline expiry. The engine sets
-	// it; schedulers never see expired requests (they are removed from the
-	// pending list and any sweep at expiry time).
-	Expired bool
+	// Place records where the engine holds the request. The engine sets it
+	// at every transition; schedulers never read it.
+	Place Place
 
 	// Ephemeral marks a closed-model flash-crowd extra: unlike the fixed
-	// process population, its completion or expiry does not respawn a
-	// replacement request.
+	// process population, it leaves without respawning a replacement
+	// request, whichever way it leaves.
 	Ephemeral bool
 
 	// DeadlineSlot is one more than the request's index in the engine's
 	// deadline calendar, or 0 when the calendar does not hold it; the
 	// calendar keeps it current so a request leaving the system is removed
-	// in O(log n). An int32 beside the bools keeps the struct at 64 bytes.
+	// in O(log n). An int32 beside the bytes keeps the struct at 64 bytes.
 	DeadlineSlot int32
 }
+
+// Place is where a live request is held.
+type Place uint8
+
+const (
+	Queued   Place = iota // on Shared.Pending or in a drive's sweep (the zero value)
+	InFlight              // a drive is reading it
+	Limbo                 // a drive holds it until its fault settles
+	Gone                  // it left while in limbo; the drive's settle recycles it
+)

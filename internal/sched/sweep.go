@@ -103,11 +103,10 @@ func (s *Sweep) Pop() *Request {
 	return r
 }
 
-// Requests returns the remaining requests in execution order, in a new
-// slice that stays valid after the sweep is released or rebuilt.
-func (s *Sweep) Requests() []*Request {
-	return append([]*Request(nil), s.buf[s.next:]...)
-}
+// Requests returns the remaining requests in execution order. The slice is
+// the sweep's own storage, not a copy: it is valid until the sweep next
+// changes.
+func (s *Sweep) Requests() []*Request { return s.buf[s.next:] }
 
 // Insert adds r (whose Target must be on the mounted tape) to the in-flight
 // sweep if its position is still ahead of the head in the existing schedule,

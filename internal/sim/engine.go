@@ -276,50 +276,81 @@ func (e *engine) deliver(r *sched.Request) {
 			e.sh.Pending = append(e.sh.Pending, r)
 			return
 		}
-		e.unserviceable(r)
-		if !e.arr.Closed() || !e.flt.anyTapeUp() || tries >= 100 {
+		if !e.leave(r, EventUnserviceable) || tries >= 100 {
 			return
 		}
 		r = e.newRequest(e.now)
 	}
 }
 
-// complete records the completion of request r at the current time and, in
-// the closed model, spawns its replacement.
-func (e *engine) complete(r *sched.Request) {
-	e.res.TotalCompleted++
+// leave is the system's one exit. The caller has already taken r off the
+// pending list, out of its sweep or off its drive; kind names the way out
+// (EventComplete, EventExpire, EventShed or EventUnserviceable). leave
+// charges that exit's counters, emits its event and recycles r -- unless a
+// drive still holds r in fault limbo: the drive's settle dereferences it,
+// and a recycled struct would alias a live request there, so r is marked
+// Gone and requeueFaulted recycles it. It reports whether a closed-model
+// process issues its next request now, which the caller delivers. Flash
+// extras are ephemeral, and once every tape has failed no process has
+// anything left to ask for.
+func (e *engine) leave(r *sched.Request, kind EventKind) bool {
 	e.outstanding--
-	if e.rep != nil {
-		e.rep.heat.Touch(int(r.Block), e.now)
-	}
-	if e.now > e.warmupEnd {
-		e.res.Completed++
-		rt := e.now - r.Arrival
-		e.resp.Add(rt)
-		e.respSample.Add(rt, e.intn)
-		if r.FaultedAt > 0 {
-			e.res.Rerouted++
-			e.flt.recovery.Add(e.now - r.FaultedAt)
+	post := e.now > e.warmupEnd
+	ev := Event{Kind: kind, Time: e.now, Tape: -1, Pos: -1, Request: r.ID}
+	switch kind {
+	case EventComplete:
+		ev.Tape, ev.Pos = r.Target.Tape, r.Target.Pos
+		e.res.TotalCompleted++
+		if e.rep != nil {
+			e.rep.heat.Touch(int(r.Block), e.now)
 		}
-	}
-	if o := e.ovl; o != nil && r.Deadline > 0 {
-		if e.now > r.Deadline {
-			e.res.LateCompletions++
-			if e.now > e.warmupEnd {
-				e.res.DeadlineMisses++
+		if post {
+			e.res.Completed++
+			rt := e.now - r.Arrival
+			e.resp.Add(rt)
+			e.respSample.Add(rt, e.intn)
+			if r.FaultedAt > 0 {
+				e.res.Rerouted++
+				e.flt.recovery.Add(e.now - r.FaultedAt)
 			}
 		}
-		if e.now > e.warmupEnd {
-			o.deadlinedPost++
+		if r.Deadline > 0 { // only the overload extension draws deadlines
+			if e.now > r.Deadline {
+				e.res.LateCompletions++
+				if post {
+					e.res.DeadlineMisses++
+				}
+			}
+			if post {
+				e.ovl.deadlinedPost++
+			}
+		}
+	case EventExpire:
+		e.res.Expired++
+		if post {
+			e.res.DeadlineMisses++
+			e.ovl.deadlinedPost++
+			e.noteQueueAge(e.now - r.Arrival)
+		}
+	case EventShed:
+		e.res.Shed++
+		if post {
+			e.noteQueueAge(e.now - r.Arrival)
+		}
+	case EventUnserviceable:
+		e.res.Unserviceable++
+		if post {
+			e.flt.unservPost++
 		}
 	}
-	e.push(Event{Kind: EventComplete, Time: e.now, Tape: r.Target.Tape,
-		Pos: r.Target.Pos, Request: r.ID})
-	respawn := e.arr.Closed() && !r.Ephemeral
-	e.freeRequest(r)
-	if respawn {
-		e.deliver(e.newRequest(e.now))
+	e.push(ev)
+	respawn := e.arr.Closed() && !r.Ephemeral && (e.flt == nil || e.flt.anyTapeUp())
+	if r.Place == sched.Limbo {
+		r.Place = sched.Gone
+	} else {
+		e.freeRequest(r)
 	}
+	return respawn
 }
 
 // result completes the ledger with the figures derived from it: the

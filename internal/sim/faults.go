@@ -100,45 +100,31 @@ func (e *engine) noteLatentFound(tape, pos int, at float64, byScrub bool) {
 	}
 }
 
-// unserviceable abandons a request whose every copy is lost: it leaves the
-// system uncompleted.
-func (e *engine) unserviceable(r *sched.Request) {
-	e.outstanding--
-	e.res.Unserviceable++
-	if e.now > e.warmupEnd {
-		e.flt.unservPost++
-	}
-	e.push(Event{Kind: EventUnserviceable, Time: e.now, Tape: -1, Pos: -1, Request: r.ID})
-	e.freeRequest(r)
-}
-
 // dropUnserviceable scans the pending list after the copy-availability mask
 // changed and abandons every request with no readable copy left, so
 // schedulers never see a request they cannot place. Closed-model processes
-// whose request was abandoned issue a fresh one, availability permitting.
+// whose request was abandoned issue a fresh one after the pass,
+// availability permitting.
 func (e *engine) dropUnserviceable() {
 	if !e.flt.maskDirty {
 		return
 	}
 	e.flt.maskDirty = false
-	dropped := 0
+	respawns := 0
 	kept := e.sh.Pending[:0]
 	for _, r := range e.sh.Pending {
 		if e.sh.Serviceable(r.Block) {
 			kept = append(kept, r)
-			continue
+		} else if e.leave(r, EventUnserviceable) {
+			respawns++
 		}
-		e.unserviceable(r)
-		dropped++
 	}
 	for i := len(kept); i < len(e.sh.Pending); i++ {
 		e.sh.Pending[i] = nil
 	}
 	e.sh.Pending = kept
-	if e.arr.Closed() {
-		for ; dropped > 0 && e.flt.anyTapeUp(); dropped-- {
-			e.deliver(e.newRequest(e.now))
-		}
+	for ; respawns > 0; respawns-- {
+		e.deliver(e.newRequest(e.now))
 	}
 }
 
@@ -162,13 +148,13 @@ func (e *engine) markTapeDown(tape int) {
 // arrival-ordered list. If every copy is gone, the next dropUnserviceable
 // scan abandons the request; it is never retried forever.
 func (e *engine) requeueFaulted(r *sched.Request) {
-	if r.Expired {
-		// The request expired while its fault was in limbo between issue and
-		// settle; it was counted at expiry time, and expireOne deferred the
-		// recycling to us because the drive still referenced it until now.
+	if r.Place == sched.Gone {
+		// r left the system while its fault was in limbo; leave counted it
+		// then and left the recycling to this settle.
 		e.freeRequest(r)
 		return
 	}
+	r.Place = sched.Queued
 	if r.FaultedAt == 0 {
 		r.FaultedAt = e.now
 	}
@@ -176,21 +162,28 @@ func (e *engine) requeueFaulted(r *sched.Request) {
 	e.insertPending(r)
 }
 
+// toLimbo parks r on drive d's limbo list: the drive lost r's read to a
+// fault, and r returns to the pending list only when the drive settles at
+// the discovery time.
+func (e *engine) toLimbo(d int, r *sched.Request) {
+	r.Place = sched.Limbo
+	e.drives[d].limbo = append(e.drives[d].limbo, r)
+}
+
 // abortSweep moves drive d's remaining sweep (and the failing request r,
-// first) into its deferred requeue list: the scheduler state forgets the
-// sweep immediately, but the pending list sees the requests only when the
-// drive settles at the discovery time.
+// first) into its limbo: the scheduler state forgets the sweep immediately,
+// but the pending list sees the requests only when the drive settles at the
+// discovery time.
 func (e *engine) abortSweep(d int, r *sched.Request) {
-	dr := &e.drives[d]
 	if r != nil {
-		dr.abort = append(dr.abort, r)
+		e.toLimbo(d, r)
 	}
-	if dr.st.Active != nil {
-		for !dr.st.Active.Empty() {
-			dr.abort = append(dr.abort, dr.st.Active.Pop())
+	if st := e.drives[d].st; st.Active != nil {
+		for !st.Active.Empty() {
+			e.toLimbo(d, st.Active.Pop())
 		}
-		e.sh.ReleaseSweep(dr.st.Active)
-		dr.st.Active = nil
+		e.sh.ReleaseSweep(st.Active)
+		st.Active = nil
 	}
 }
 

@@ -112,7 +112,9 @@ func faultOverloadCase(t *testing.T, seed int64, transient, switchP, badBlocks b
 }
 
 // faultOverloadCases is a deterministic spread of combined fault x
-// overload configurations, run at seed 11 with two replicas.
+// overload configurations, run at seed 11 with two replicas. In "limbo",
+// frequent permanent faults and short deadlines often expire a request
+// while a drive holds it in fault limbo.
 var faultOverloadCases = []struct {
 	name              string
 	transient, badBlk byte
@@ -125,6 +127,7 @@ var faultOverloadCases = []struct {
 	{"shed+badblocks", 0, 7, false, 0, AdmitShed, 30},
 	{"reject+transient+deadlines", 25, 0, false, 900, AdmitReject, 25},
 	{"everything", 15, 5, true, 1500, AdmitShed, 40},
+	{"limbo", 45, 7, true, 400, AdmitNone, 0},
 }
 
 // TestFaultOverloadConservation runs faultOverloadCases; the fuzz target
@@ -138,18 +141,13 @@ func TestFaultOverloadConservation(t *testing.T) {
 	}
 }
 
-// TestDeadlineCalendarHoldsOnlyLiveRequests runs the engine over
-// faultOverloadCases and a two-drive deadlines + shed + writes
-// configuration, then checks that the deadline calendar holds no request
-// that has left the system: it has at most as many entries as requests
-// outstanding, and each entry sits in the pending list, a drive's sweep or
-// in-flight read, or a drive's fault limbo. A calendar that kept finished
-// requests until their deadlines came due would hold hundreds of them here.
+// TestDeadlineCalendarHoldsOnlyLiveRequests runs the step audit
+// (audit_test.go) over faultOverloadCases and a two-drive deadlines + shed
+// + writes configuration. Among its checks, the deadline calendar must hold
+// no request that has left the system, at any step or at the end: a
+// calendar that kept finished requests until their deadlines came due
+// would hold hundreds of them here.
 func TestDeadlineCalendarHoldsOnlyLiveRequests(t *testing.T) {
-	type namedCfg struct {
-		name string
-		cfg  Config
-	}
 	var cfgs []namedCfg
 	for _, tc := range faultOverloadCases {
 		cfgs = append(cfgs, namedCfg{tc.name, faultOverloadCfg(11, tc.transient, 0, tc.badBlk, tc.tapeFail, 2,
@@ -164,48 +162,12 @@ func TestDeadlineCalendarHoldsOnlyLiveRequests(t *testing.T) {
 	two.Deadlines = DeadlineConfig{HotTTL: 20_000, ColdTTL: 40_000}
 	two.Admission = AdmissionConfig{MaxQueue: 100, Policy: AdmitShed}
 	cfgs = append(cfgs, namedCfg{"2-drive/deadlines+shed+writes", two})
-	for _, c := range cfgs {
-		t.Run(c.name, func(t *testing.T) {
-			e, err := newEngine(c.cfg, NewSession())
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := e.run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c.cfg.Drives == 2 && (res.Expired == 0 || res.Shed == 0 || res.WritesFlushed == 0) {
-				t.Fatalf("run expired %d, shed %d and flushed %d; every path should fire",
-					res.Expired, res.Shed, res.WritesFlushed)
-			}
-			live := map[*sched.Request]bool{}
-			for _, r := range e.sh.Pending {
-				live[r] = true
-			}
-			for i := range e.drives {
-				dr := &e.drives[i]
-				if dr.st.Active != nil {
-					for _, r := range dr.st.Active.Requests() {
-						live[r] = true
-					}
-				}
-				for _, r := range append([]*sched.Request{dr.inFlight, dr.faulted}, dr.abort...) {
-					if r != nil {
-						live[r] = true
-					}
-				}
-			}
-			dl := e.ovl.dl
-			if int64(len(dl)) > e.outstanding {
-				t.Errorf("calendar holds %d requests, only %d outstanding", len(dl), e.outstanding)
-			}
-			for i, r := range dl {
-				if !live[r] {
-					t.Fatalf("calendar entry %d (request %d, deadline %v) has left the system", i, r.ID, r.Deadline)
-				}
-			}
-		})
-	}
+	runAudited(t, cfgs, func(t *testing.T, cfg Config, res *Result) {
+		if cfg.Drives == 2 && (res.Expired == 0 || res.Shed == 0 || res.WritesFlushed == 0) {
+			t.Fatalf("run expired %d, shed %d and flushed %d; every path should fire",
+				res.Expired, res.Shed, res.WritesFlushed)
+		}
+	})
 }
 
 // FuzzFaultOverloadConservation fuzzes the combined conservation identity

@@ -36,8 +36,7 @@ type drive struct {
 
 	// Fault-model deferrals: the outcome was resolved at issue time but its
 	// effects apply when the drive gives up at freeAt, the discovery time.
-	faulted  *sched.Request   // read failing permanently at freeAt
-	abort    []*sched.Request // requests to requeue at freeAt
+	limbo    []*sched.Request // requests to requeue at freeAt (toLimbo)
 	failTape int              // tape to mask at freeAt, -1 none
 	loadFail bool             // failure was a load: unmount and release busy
 
@@ -54,17 +53,17 @@ type drive struct {
 	unfence bool
 }
 
-// multiAudit, set by tests, verifies busy-vector/mount consistency at every
-// kernel step of a multi-drive run.
-var multiAudit = false
+// stepAudit, set by tests, checks the engine's invariants at every kernel
+// step; nil in production.
+var stepAudit func(*engine) error
 
 // run is the kernel loop. Per wake: deliver work and issue operations on
 // free drives, then either settle the earliest completion or, with every
 // drive empty-handed, sleep until the next arrival.
 func (e *engine) run() (*Result, error) {
 	for {
-		if multiAudit && e.sh.Busy != nil {
-			if err := e.verifyBusy(); err != nil {
+		if stepAudit != nil {
+			if err := stepAudit(e); err != nil {
 				return nil, err
 			}
 		}
@@ -205,18 +204,16 @@ func (e *engine) settle(d int) bool {
 		}
 		dr.failTape = -1
 	}
-	if dr.faulted != nil {
-		e.requeueFaulted(dr.faulted)
-		dr.faulted = nil
-	}
-	for i, r := range dr.abort {
+	for i, r := range dr.limbo {
 		e.requeueFaulted(r)
-		dr.abort[i] = nil
+		dr.limbo[i] = nil
 	}
-	dr.abort = dr.abort[:0]
+	dr.limbo = dr.limbo[:0]
 	if r := dr.inFlight; r != nil {
 		dr.inFlight = nil
-		e.complete(r)
+		if e.leave(r, EventComplete) {
+			e.deliver(e.newRequest(e.now))
+		}
 	}
 	if j := dr.job; j != nil {
 		dr.job = nil
@@ -440,7 +437,7 @@ func (e *engine) startRead(d int) {
 				if !dead {
 					e.noteLatentFound(tape, pos, vt, false)
 				}
-				dr.faulted = r
+				e.toLimbo(d, r)
 				e.beginOp(d, vt, true)
 				return
 			}
@@ -456,7 +453,7 @@ func (e *engine) startRead(d int) {
 			}
 			e.push(Event{Kind: EventRead, Time: vt, Tape: tape, Pos: pos,
 				Seconds: loc + rd, Request: r.ID})
-			dr.inFlight = r
+			dr.inFlight, r.Place = r, sched.InFlight
 			e.beginOp(d, vt, true)
 			return
 		}
@@ -476,7 +473,7 @@ func (e *engine) startRead(d int) {
 			if e.rep != nil {
 				e.rep.pl.NoteCopyDead(tape, pos, e.now)
 			}
-			dr.faulted = r
+			e.toLimbo(d, r)
 			e.beginOp(d, vt, true)
 			return
 		}
@@ -540,36 +537,6 @@ func (e *engine) bgTransfer(d, pos int, vt float64, sink *float64) (float64, flo
 	*sink += sec
 	st.Head = newHead
 	return vt + sec, sec, true
-}
-
-// verifyBusy checks the busy-vector hygiene invariants: every mounted (or
-// loading) tape is busy, no tape is mounted twice, and every busy tape is
-// accounted for by exactly one drive (a release happens exactly once).
-func (e *engine) verifyBusy() error {
-	owners := make(map[int]int)
-	for d := range e.drives {
-		t := e.drives[d].st.Mounted
-		if t < 0 {
-			continue
-		}
-		if prev, dup := owners[t]; dup {
-			return fmt.Errorf("sim: tape %d mounted in drives %d and %d", t, prev, d)
-		}
-		owners[t] = d
-		if !e.sh.Busy[t] {
-			return fmt.Errorf("sim: tape %d mounted in drive %d but not busy", t, d)
-		}
-	}
-	busyCount := 0
-	for t := range e.sh.Busy {
-		if e.sh.Busy[t] {
-			busyCount++
-		}
-	}
-	if busyCount != len(owners) {
-		return fmt.Errorf("sim: %d busy tapes but %d mounted drives", busyCount, len(owners))
-	}
-	return nil
 }
 
 // queuedEvent pairs an event with its push sequence so simultaneous events

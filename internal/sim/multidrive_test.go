@@ -171,13 +171,12 @@ func multiFaultCfg(drives, nr int, fc faults.Config) Config {
 	return cfg
 }
 
-// TestMultiDriveBusyHygiene turns on the whitebox busy-vector audit and
-// runs fault-heavy multi-drive workloads: a tape must stay masked busy for
-// exactly the duration of its in-flight switch, even when the load fails
-// or the tape dies mid-operation.
+// TestMultiDriveBusyHygiene turns on the whitebox step audit (busy vector
+// and request places) and runs fault-heavy multi-drive workloads: a tape
+// must stay masked busy for exactly the duration of its in-flight switch,
+// even when the load fails or the tape dies mid-operation.
 func TestMultiDriveBusyHygiene(t *testing.T) {
-	multiAudit = true
-	defer func() { multiAudit = false }()
+	setStepAudit(t)
 	configs := map[string]faults.Config{
 		"fault-free":    {},
 		"switch-faults": {SwitchFailProb: 0.3},

@@ -195,52 +195,18 @@ func (e *engine) expireDue() {
 	for len(o.dl) > 0 && o.dl[0].Deadline <= e.now {
 		r := o.dl[0]
 		o.dl.remove(r)
-		if e.inFlightReq(r) {
-			continue // completes late; counted at completion and recycled there
-		}
-		e.expireOne(r)
-	}
-}
-
-// inFlightReq reports whether some drive is currently reading r.
-func (e *engine) inFlightReq(r *sched.Request) bool {
-	for i := range e.drives {
-		if e.drives[i].inFlight == r {
-			return true
+		if r.Place != sched.InFlight {
+			e.expireOne(r)
 		}
 	}
-	return false
-}
-
-// faultLimboReq reports whether some drive still references r in a fault
-// limbo -- parked as the drive's permanently faulted read or on its
-// aborted-sweep list -- between the issue that discovered the fault and the
-// settle that will requeue it.
-func (e *engine) faultLimboReq(r *sched.Request) bool {
-	if e.flt == nil {
-		return false
-	}
-	for i := range e.drives {
-		dr := &e.drives[i]
-		if dr.faulted == r {
-			return true
-		}
-		for _, q := range dr.abort {
-			if q == r {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // expireOne cancels one request at its deadline: removes it from the
-// pending list or its sweep (telling an evictor scheduler), counts the
-// expiry, and -- in the closed model -- respawns the process's next request
-// so the population stays constant (flash extras are ephemeral and do not
-// respawn).
+// pending list or its sweep (telling an evictor scheduler) -- a request in
+// fault limbo is in neither -- and sends it out through leave, delivering a
+// closed-model process's next request so the population stays constant.
 func (e *engine) expireOne(r *sched.Request) {
-	if !e.removePendingOne(r) {
+	if r.Place != sched.Limbo && !e.removePendingOne(r) {
 		for i := range e.drives {
 			dr := &e.drives[i]
 			if dr.st.Active != nil && dr.st.Active.Remove(r) {
@@ -251,25 +217,7 @@ func (e *engine) expireOne(r *sched.Request) {
 			}
 		}
 	}
-	r.Expired = true
-	e.outstanding--
-	e.res.Expired++
-	if e.now > e.warmupEnd {
-		e.res.DeadlineMisses++
-		e.ovl.deadlinedPost++
-		e.noteQueueAge(e.now - r.Arrival)
-	}
-	e.push(Event{Kind: EventExpire, Time: e.now, Tape: -1, Pos: -1, Request: r.ID})
-	respawn := e.arr.Closed() && !r.Ephemeral
-	// A request expiring while a drive holds it in fault limbo must not be
-	// recycled yet: the drive's settle still dereferences it, and a reused
-	// struct would alias a live request (requeueFaulted would then push the
-	// new occupant into the pending list a second time). requeueFaulted
-	// sees Expired at settle and frees it there instead.
-	if !e.faultLimboReq(r) {
-		e.freeRequest(r)
-	}
-	if respawn {
+	if e.leave(r, EventExpire) {
 		e.deliver(e.newRequest(e.now))
 	}
 }
@@ -288,8 +236,10 @@ func (e *engine) removePendingOne(r *sched.Request) bool {
 
 // admitArrival enforces the admission bound for one external arrival at
 // e.now. It reports whether the arrival may enter; under AdmitShed it makes
-// room by dropping the oldest pending request first. Arrivals rejected with
-// no pending victim to shed are counted as rejected under either policy.
+// room by dropping the oldest pending request first, which leaves exactly
+// like an expiry (a closed-model process issues its next request).
+// Arrivals rejected with no pending victim to shed are counted as rejected
+// under either policy.
 func (e *engine) admitArrival() bool {
 	a := e.cfg.Admission
 	if !a.Enabled() || e.outstanding < int64(a.MaxQueue) {
@@ -298,13 +248,9 @@ func (e *engine) admitArrival() bool {
 	if a.Policy == AdmitShed && len(e.sh.Pending) > 0 {
 		victim := e.sh.Pending[0]
 		e.sh.Pending = e.sh.Pending[1:]
-		e.outstanding--
-		e.res.Shed++
-		if e.now > e.warmupEnd {
-			e.noteQueueAge(e.now - victim.Arrival)
+		if e.leave(victim, EventShed) {
+			e.deliver(e.newRequest(e.now))
 		}
-		e.push(Event{Kind: EventShed, Time: e.now, Tape: -1, Pos: -1, Request: victim.ID})
-		e.freeRequest(victim)
 		return true
 	}
 	e.res.Rejected++
@@ -344,6 +290,8 @@ func (e *engine) truncateSweep(st *sched.State, tape int, sweep *sched.Sweep) *s
 	if sweep.Len() <= max {
 		return sweep
 	}
+	// reqs is the sweep's own storage: sorting it scrambles the sweep, which
+	// is released only after the truncated sweep has copied its share.
 	reqs := sweep.Requests()
 	sort.SliceStable(reqs, func(i, j int) bool {
 		di, dj := reqs[i].Deadline, reqs[j].Deadline
@@ -366,8 +314,9 @@ func (e *engine) truncateSweep(st *sched.State, tape int, sweep *sched.Sweep) *s
 		e.insertPending(r)
 	}
 	e.res.TruncatedSweeps++
+	cut := e.sh.NewSweep(reqs[:max], st.StartHead(tape))
 	e.sh.ReleaseSweep(sweep)
-	return e.sh.NewSweep(reqs[:max], st.StartHead(tape))
+	return cut
 }
 
 // insertPending returns a request to the pending list preserving

@@ -521,7 +521,7 @@ func TestOverloadConfigValidation(t *testing.T) {
 // FuzzOverloadConservation drives short runs across the overload-parameter
 // space and asserts the conservation identity always balances: admitted
 // arrivals = completed + expired + shed + unserviceable + outstanding,
-// with outstanding within the model's population bound.
+// with outstanding within the model's population bounds.
 func FuzzOverloadConservation(f *testing.F) {
 	f.Add(int64(1), byte(0), byte(0), byte(0), byte(0), byte(0), false)
 	f.Add(int64(2), byte(30), byte(100), byte(20), byte(1), byte(6), false)
@@ -569,6 +569,12 @@ func FuzzOverloadConservation(f *testing.F) {
 		maxOut := res.TotalArrivals // open model without admission: no bound
 		if closed {
 			maxOut = int64(20 + flash)
+			// Every exit respawns a process request, so the population
+			// never falls below the queue length.
+			if out := overloadOutstanding(res); out < int64(cfg.QueueLength) {
+				t.Errorf("closed model ends with %d outstanding, below its population of %d",
+					out, cfg.QueueLength)
+			}
 		} else if pol != AdmitNone {
 			maxOut = int64(maxQueue)
 		}

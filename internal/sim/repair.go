@@ -255,17 +255,14 @@ func (e *engine) reclaimCopy(b layout.BlockID, c layout.Replica) bool {
 }
 
 // blockInUse reports whether any drive holds a request for block b in an
-// active sweep, in flight, or in a fault deferral.
+// active sweep, in flight, or in its fault limbo.
 func (e *engine) blockInUse(b layout.BlockID) bool {
 	for i := range e.drives {
 		dr := &e.drives[i]
 		if dr.inFlight != nil && dr.inFlight.Block == b {
 			return true
 		}
-		if dr.faulted != nil && dr.faulted.Block == b {
-			return true
-		}
-		for _, r := range dr.abort {
+		for _, r := range dr.limbo {
 			if r.Block == b {
 				return true
 			}

@@ -115,34 +115,25 @@ func reseed(slot **rand.Rand, seed int64) *rand.Rand {
 }
 
 // reclaim harvests the finished engine's recyclable storage back into the
-// session. Live requests are returned to the free list only when the fault
-// extension is off: its deferrals keep extra request references whose
-// overlap with the pending list would risk double-freeing; its runs just let
-// the stragglers go to the garbage collector. The deadline calendar holds
-// only live requests and goes with the engine (newRequest clears the slot).
+// session, the run's live requests included. Each is held in exactly one
+// place -- the pending list, a sweep, a drive's read or a drive's limbo,
+// where a Gone request still waits for its recycling -- so each returns to
+// the free list once. The next newEngine resets the pending list and
+// overwrites the drive records, so only the sweeps need releasing here.
+// The deadline calendar holds only live requests and goes with the engine
+// (newRequest clears the slot).
 func (s *Session) reclaim(e *engine) {
-	free := e.reqFree
-	if e.flt == nil {
-		for i, r := range e.sh.Pending {
-			if r != nil {
-				free = append(free, r)
-			}
-			e.sh.Pending[i] = nil
+	free := append(e.reqFree, e.sh.Pending...)
+	for i := range e.drives {
+		dr := &e.drives[i]
+		if dr.inFlight != nil {
+			free = append(free, dr.inFlight)
 		}
-		e.sh.Pending = e.sh.Pending[:0]
-		for i := range e.drives {
-			dr := &e.drives[i]
-			if dr.inFlight != nil {
-				free = append(free, dr.inFlight)
-				dr.inFlight = nil
-			}
-			if st := dr.st; st != nil && st.Active != nil {
-				for r := st.Active.Pop(); r != nil; r = st.Active.Pop() {
-					free = append(free, r)
-				}
-				e.sh.ReleaseSweep(st.Active)
-				st.Active = nil
-			}
+		free = append(free, dr.limbo...)
+		if st := dr.st; st.Active != nil {
+			free = append(free, st.Active.Requests()...)
+			e.sh.ReleaseSweep(st.Active)
+			st.Active = nil
 		}
 	}
 	s.reqFree = free

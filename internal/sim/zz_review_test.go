@@ -9,8 +9,7 @@ import (
 )
 
 func TestReviewMultiDriveRepairAudit(t *testing.T) {
-	multiAudit = true
-	defer func() { multiAudit = false }()
+	setStepAudit(t)
 	for seed := int64(1); seed <= 20; seed++ {
 		cfg := Config{
 			BlockMB: 16, TapeCapMB: 7168, Tapes: 10, HotPercent: 100,

@@ -11,8 +11,8 @@ import (
 // the Runner holds: repeated identical configs (cache hits), layout changes
 // (replicas, placement, partial fill), cost-table changes (block size,
 // profile), workload model changes, serpentine profiles with and without
-// RAO, multi-drive, and the fault and overload extensions whose runs skip
-// request harvesting.
+// RAO, multi-drive, and the fault and overload extensions, alone and
+// together, whose live requests every run harvests into the next.
 func runnerConfigs(horizon float64) []tapejuke.Config {
 	base := tapejuke.Config{HorizonSec: horizon, Seed: 7}.WithDefaults()
 	repl := base
@@ -36,9 +36,11 @@ func runnerConfigs(horizon float64) []tapejuke.Config {
 	faulty.Faults.MaxRetries = 2
 	deadline := base
 	deadline.Deadlines = tapejuke.DeadlineConfig{HotTTL: 4000, ColdTTL: 8000}
+	faultyDeadline := faulty
+	faultyDeadline.Deadlines = deadline.Deadlines
 	return []tapejuke.Config{
 		base, base, repl, base, blocks, serp, rao, serp, open,
-		multi, faulty, deadline, base,
+		multi, faulty, deadline, faultyDeadline, base,
 	}
 }
 
