@@ -6,12 +6,11 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"tapejuke/internal/farm"
 	"tapejuke/internal/faults"
 	"tapejuke/internal/layout"
+	"tapejuke/internal/pool"
 	"tapejuke/internal/workload"
 )
 
@@ -147,11 +146,11 @@ func RunFarm(fc FarmConfig) (*FarmResult, error) {
 		// plain single-library one.
 		cfgs[0] = base
 	} else {
-		shardCfg, lh, lc, fh, fcold, err := planPlacement(base, n, pol)
+		shardCfg, lay, capBlocks, fh, fcold, err := planPlacement(base, n, pol)
 		if err != nil {
 			return nil, err
 		}
-		dead, err := projectDeaths(shardCfg, base.Seed, n, pol)
+		dead, err := projectDeaths(shardCfg, lay, capBlocks, base.Seed, n, pol)
 		if err != nil {
 			return nil, err
 		}
@@ -165,8 +164,8 @@ func RunFarm(fc FarmConfig) (*FarmResult, error) {
 			Copies:    base.Replicas,
 			FarmHot:   fh,
 			FarmCold:  fcold,
-			LocalHot:  lh,
-			LocalCold: lc,
+			LocalHot:  lay.NumHot(),
+			LocalCold: lay.NumCold(),
 			HotDeadAt: dead,
 			Horizon:   base.HorizonSec,
 			Tenants:   tenants,
@@ -251,8 +250,9 @@ func validateFarm(fc FarmConfig, base Config) (farm.Policy, error) {
 }
 
 // planPlacement derives the per-shard library configuration for the
-// placement policy plus the local and farm-wide hot/cold universe sizes.
-// All shards share one geometry; only seeds differ.
+// placement policy, the layout every shard builds from it with its per-tape
+// capacity in blocks, and the farm-wide hot/cold universe sizes. All
+// shards share one geometry; only seeds differ.
 //
 // Storage accounting keeps the expansion factor E equal between FarmLocal
 // and FarmSpread: under FarmLocal one library stores Hl hot blocks with
@@ -261,25 +261,25 @@ func validateFarm(fc FarmConfig, base Config) (farm.Policy, error) {
 // copies living on other libraries) plus Cl cold blocks — the same block
 // count, so the same E. FarmMirror stores the whole farm hot set (N*Hl)
 // everywhere and is the expensive end of the trade.
-func planPlacement(base Config, n int, pol farm.Policy) (shardCfg Config, localHot, localCold, farmHot, farmCold int, err error) {
+func planPlacement(base Config, n int, pol farm.Policy) (shardCfg Config, lay *layout.Layout, capBlocks, farmHot, farmCold int, err error) {
 	sc, err := base.toSim()
 	if err != nil {
-		return Config{}, 0, 0, 0, 0, err
+		return Config{}, nil, 0, 0, 0, err
 	}
-	layCfg, _, err := sc.LayoutConfig()
+	layCfg, capBlocks, err := sc.LayoutConfig()
 	if err != nil {
-		return Config{}, 0, 0, 0, 0, err
+		return Config{}, nil, 0, 0, 0, err
 	}
 	lt, err := layout.Build(layCfg)
 	if err != nil {
-		return Config{}, 0, 0, 0, 0, fmt.Errorf("tapejuke: %w", err)
+		return Config{}, nil, 0, 0, 0, fmt.Errorf("tapejuke: %w", err)
 	}
 	hl, cl := lt.NumHot(), lt.NumCold()
 	farmHot, farmCold = n*hl, n*cl
 	shardCfg = base
 	switch pol {
 	case farm.PlaceLocal:
-		return shardCfg, hl, cl, farmHot, farmCold, nil
+		return shardCfg, lt, capBlocks, farmHot, farmCold, nil
 	case farm.PlaceSpread:
 		stored := hl*(1+base.Replicas) + cl
 		shardCfg.Replicas = 0
@@ -295,49 +295,38 @@ func planPlacement(base Config, n int, pol farm.Policy) (shardCfg Config, localH
 	// in the hot count must match the engine exactly, not the intent.
 	ssc, err := shardCfg.toSim()
 	if err != nil {
-		return Config{}, 0, 0, 0, 0, err
+		return Config{}, nil, 0, 0, 0, err
 	}
-	sLayCfg, _, err := ssc.LayoutConfig()
+	sLayCfg, capBlocks, err := ssc.LayoutConfig()
 	if err != nil {
-		return Config{}, 0, 0, 0, 0, err
+		return Config{}, nil, 0, 0, 0, err
 	}
 	sl, err := layout.Build(sLayCfg)
 	if err != nil {
 		if pol == farm.PlaceMirror {
-			return Config{}, 0, 0, 0, 0, fmt.Errorf("tapejuke: mirrored hot set (%d blocks per library) does not fit: %w", n*hl, err)
+			return Config{}, nil, 0, 0, 0, fmt.Errorf("tapejuke: mirrored hot set (%d blocks per library) does not fit: %w", n*hl, err)
 		}
-		return Config{}, 0, 0, 0, 0, fmt.Errorf("tapejuke: %w", err)
+		return Config{}, nil, 0, 0, 0, fmt.Errorf("tapejuke: %w", err)
 	}
-	return shardCfg, sl.NumHot(), sl.NumCold(), farmHot, farmCold, nil
+	return shardCfg, sl, capBlocks, farmHot, farmCold, nil
 }
 
-// projectDeaths pre-computes, per shard, when each local hot block loses
-// its last in-library copy, by replaying the deterministic fault streams
-// each shard's engine will draw (tape failure times and permanent
-// bad-block ranges are fixed at injector construction). The router uses
-// the projection for failover under spread/mirror placement. Latent
-// errors surface only when read, so they stay invisible to the router —
-// the shard handles them like a single library would. Returns nil when no
-// copy-killing fault class is enabled or the policy has no failover.
-func projectDeaths(shardCfg Config, baseSeed int64, n int, pol farm.Policy) ([][]float64, error) {
+// projectDeaths pre-computes, per shard, when each local hot block of the
+// shard layout lay (capBlocks blocks per tape) loses its last in-library
+// copy, by replaying the deterministic fault streams each shard's engine
+// will draw (tape failure times and permanent bad-block ranges are fixed
+// at injector construction). The router uses the projection for failover
+// under spread/mirror placement. Latent errors surface only when read, so
+// they stay invisible to the router — the shard handles them like a
+// single library would. Returns nil when no copy-killing fault class is
+// enabled or the policy has no failover.
+func projectDeaths(shardCfg Config, lay *layout.Layout, capBlocks int, baseSeed int64, n int, pol farm.Policy) ([][]float64, error) {
 	if pol == farm.PlaceLocal {
 		return nil, nil
 	}
 	fcf := shardCfg.Faults.toFaults()
 	if fcf.TapeMTBFSec <= 0 && fcf.BadBlocksPerTape <= 0 {
 		return nil, nil
-	}
-	sc, err := shardCfg.toSim()
-	if err != nil {
-		return nil, err
-	}
-	layCfg, capBlocks, err := sc.LayoutConfig()
-	if err != nil {
-		return nil, err
-	}
-	lay, err := layout.Build(layCfg)
-	if err != nil {
-		return nil, fmt.Errorf("tapejuke: %w", err)
 	}
 	drives := shardCfg.Drives
 	if drives < 1 {
@@ -412,45 +401,19 @@ func farmTenants(fc FarmConfig, base Config) ([]farm.Tenant, error) {
 	return ts, nil
 }
 
-// runShards simulates every shard configuration, fanning out over up to
-// workers goroutines. Each worker owns one Runner (cached layouts, cost
-// tables, scratch) and claims shard indices from an atomic counter;
-// results land in per-shard slots, so the outcome is independent of the
-// claim order — the same discipline as the figures grid.
+// runShards simulates every shard configuration on the worker pool, with
+// up to workers goroutines (GOMAXPROCS when workers <= 0). Each worker
+// owns one Runner (cached layouts, cost tables, scratch); results land in
+// per-shard slots, so the outcome is independent of the claim order.
 func runShards(cfgs []Config, traces []farm.Trace, baseSeed int64, workers int) ([]*Result, error) {
-	n := len(cfgs)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	results := make([]*Result, n)
-	errs := make([]error, n)
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rn := NewRunner()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= n || failed.Load() {
-					return
-				}
-				res, err := rn.runShard(cfgs[i], traces, i, baseSeed)
-				if err != nil {
-					errs[i] = err
-					failed.Store(true)
-					return
-				}
-				results[i] = res
-			}
-		}()
-	}
-	wg.Wait()
+	results := make([]*Result, len(cfgs))
+	errs := pool.Each(len(cfgs), workers, NewRunner, func(rn *Runner, i int) (err error) {
+		results[i], err = rn.runShard(cfgs[i], traces, i, baseSeed)
+		return err
+	})
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("tapejuke: shard %d: %w", i, err)

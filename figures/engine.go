@@ -5,10 +5,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"tapejuke"
+	"tapejuke/internal/pool"
 	"tapejuke/internal/stats"
 )
 
@@ -47,8 +46,8 @@ func runPlan(o Options, pf func(Options) (plan, error)) (*Figure, error) {
 	return p.finish(rows)
 }
 
-// runGrid executes every (job, replication) task on a pool of persistent
-// workers and reduces the results to one mean row per job.
+// runGrid executes every (job, replication) task on the worker pool and
+// reduces the results to one mean row per job.
 //
 // Determinism: each task writes into its own slot of the per-metric arrays
 // (disjoint writes, no shared accumulators, no locks), and the reduction
@@ -65,62 +64,37 @@ func runPlan(o Options, pf func(Options) (plan, error)) (*Figure, error) {
 // tasks finish, and every recorded error is returned joined, in task
 // order, each carrying its series/param/replication context.
 func runGrid(jobs []job, workers, reps int) ([]Row, error) {
-	if workers < 1 {
-		workers = 1
-	}
 	if reps < 1 {
 		reps = 1
 	}
 	tasks := len(jobs) * reps
-	if workers > tasks {
-		workers = tasks
-	}
 	tps := make([]float64, tasks)
 	rpms := make([]float64, tasks)
 	resps := make([]float64, tasks)
 	vals := make([]float64, tasks)
-	errs := make([]error, tasks)
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r := tapejuke.NewRunner()
-			for {
-				t := int(next.Add(1)) - 1
-				if t >= tasks || failed.Load() {
-					return
-				}
-				i, rep := t/reps, t%reps
-				cfg := jobs[i].cfg
-				// Replication seeds are spaced 7919 (the 1000th prime)
-				// apart: far enough that the streams a run derives from
-				// its seed (workload at Seed, arrivals at Seed+1, writes
-				// at Seed+2, bursts at Seed+5) never collide across
-				// replications, and fixed so recorded figures stay
-				// reproducible. See DESIGN.md section 13.
-				cfg.Seed += int64(rep) * 7919
-				res, err := r.Run(cfg)
-				if err != nil {
-					errs[t] = fmt.Errorf("%s param %v rep %d: %w",
-						jobs[i].series, jobs[i].param, rep, err)
-					failed.Store(true)
-					return
-				}
-				tps[t] = res.ThroughputKBps
-				rpms[t] = res.RequestsPerMinute
-				resps[t] = res.MeanResponseSec
-				if jobs[i].value != nil {
-					vals[t] = jobs[i].value(res)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if failed.Load() {
-		return nil, errors.Join(errs...)
+	errs := pool.Each(tasks, workers, tapejuke.NewRunner, func(r *tapejuke.Runner, t int) error {
+		i, rep := t/reps, t%reps
+		cfg := jobs[i].cfg
+		// Replication seeds are spaced 7919 (the 1000th prime) apart: far
+		// enough that the streams a run derives from its seed (workload at
+		// Seed, arrivals at Seed+1, writes at Seed+2, bursts at Seed+5)
+		// never collide across replications, and fixed so recorded figures
+		// stay reproducible. See DESIGN.md section 13.
+		cfg.Seed += int64(rep) * 7919
+		res, err := r.Run(cfg)
+		if err != nil {
+			return fmt.Errorf("%s param %v rep %d: %w", jobs[i].series, jobs[i].param, rep, err)
+		}
+		tps[t] = res.ThroughputKBps
+		rpms[t] = res.RequestsPerMinute
+		resps[t] = res.MeanResponseSec
+		if jobs[i].value != nil {
+			vals[t] = jobs[i].value(res)
+		}
+		return nil
+	})
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 	rows := make([]Row, len(jobs))
 	for i := range jobs {

@@ -85,17 +85,6 @@ func ExpectedMaxPosition(cdf []float64, k int) float64 {
 	return e
 }
 
-// MeanPosition returns the mean of the distribution described by cdf.
-func MeanPosition(cdf []float64) float64 {
-	e := 0.0
-	prev := 0.0
-	for p, c := range cdf {
-		e += float64(p) * (c - prev)
-		prev = c
-	}
-	return e
-}
-
 // Estimate is a first-order prediction for a closed-queuing jukebox.
 type Estimate struct {
 	RequestsPerSweep float64 // batch size per tape visit

@@ -102,15 +102,6 @@ func (e *Envelope) ResetRun() {
 	e.env = nil
 }
 
-// Variant returns the tape-selection variant.
-func (e *Envelope) Variant() Variant { return e.variant }
-
-// UpperEnvelope returns the per-tape envelope boundaries computed by the
-// most recent major reschedule (block-boundary positions: env[t] = p means
-// the schedule traverses tape t up to, but not past, position p). It returns
-// nil before the first reschedule. Exposed for tests and instrumentation.
-func (e *Envelope) UpperEnvelope() []int { return e.env }
-
 // Reschedule computes the upper envelope over the whole pending list,
 // selects a tape with the configured variant, and extracts every pending
 // request satisfiable by that tape within the envelope.

@@ -62,7 +62,7 @@ func refBuildEnvelope(st *sched.State) *refBuilder {
 
 func (b *refBuilder) initialEnvelope() {
 	for i, r := range b.reqs {
-		if b.st.Layout.Replicated(r.Block) {
+		if len(b.st.Layout.Replicas(r.Block)) > 1 {
 			continue
 		}
 		c := b.st.Layout.Replicas(r.Block)[0]

@@ -35,8 +35,8 @@ func TestOnEvictTightensEnvelope(t *testing.T) {
 	if !ok || tape != 0 || sweep.Len() != 3 {
 		t.Fatalf("reschedule: tape=%d len=%d ok=%v", tape, sweep.Len(), ok)
 	}
-	if e.UpperEnvelope()[0] != 10 {
-		t.Fatalf("env[0] = %d, want 10 (through position 9)", e.UpperEnvelope()[0])
+	if e.env[0] != 10 {
+		t.Fatalf("env[0] = %d, want 10 (through position 9)", e.env[0])
 	}
 	st.Active = sweep
 
@@ -51,7 +51,7 @@ func TestOnEvictTightensEnvelope(t *testing.T) {
 		t.Fatal("could not remove the position-9 request from the sweep")
 	}
 	e.OnEvict(st, victim)
-	if got := e.UpperEnvelope()[0]; got != 6 {
+	if got := e.env[0]; got != 6 {
 		t.Errorf("env[0] after eviction = %d, want 6 (sweep reach)", got)
 	}
 	// (An incremental arrival beyond the tightened boundary now pays the
@@ -72,11 +72,11 @@ func TestOnEvictIgnoresOtherTapes(t *testing.T) {
 		t.Fatal("no schedule")
 	}
 	st.Active = sweep
-	before := append([]int(nil), e.UpperEnvelope()...)
+	before := append([]int(nil), e.env...)
 	e.OnEvict(st, &sched.Request{ID: 9, Block: 3, Target: layout.Replica{Tape: 1, Pos: 4}})
-	for i, v := range e.UpperEnvelope() {
+	for i, v := range e.env {
 		if v != before[i] {
-			t.Fatalf("envelope changed from %v to %v on a foreign eviction", before, e.UpperEnvelope())
+			t.Fatalf("envelope changed from %v to %v on a foreign eviction", before, e.env)
 		}
 	}
 }

@@ -50,22 +50,3 @@ func CostPerformanceRatio(throughputA, throughputB float64) (float64, error) {
 	}
 	return throughputA / throughputB, nil
 }
-
-// Jukeboxes returns the number of jukeboxes a farm needs to hold `dataMB`
-// megabytes of base data with the given per-jukebox capacity and expansion
-// factor, rounding up (capacity grows one jukebox at a time, as the paper
-// notes).
-func Jukeboxes(dataMB, capacityMB, e float64) (int, error) {
-	if dataMB < 0 || capacityMB <= 0 || e < 1 {
-		return 0, errors.New("farm: invalid sizing inputs")
-	}
-	need := dataMB * e
-	n := int(need / capacityMB)
-	if float64(n)*capacityMB < need {
-		n++
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n, nil
-}

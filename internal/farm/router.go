@@ -31,9 +31,6 @@ func NewRouter(n int) (*Router, error) {
 	return &Router{shards: n, scores: make([]uint64, n)}, nil
 }
 
-// Shards reports the number of shards routed over.
-func (r *Router) Shards() int { return r.shards }
-
 // mix64 is the splitmix64 finalizer: a cheap invertible mixer whose output
 // bits are well distributed even for sequential inputs. All routing,
 // placement, and load-rotation decisions funnel through it so the farm is

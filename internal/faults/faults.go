@@ -170,31 +170,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Outcome classifies one faulted operation attempt.
-type Outcome int
-
-const (
-	// OK: the attempt succeeded.
-	OK Outcome = iota
-	// Transient: the attempt failed but a retry may succeed.
-	Transient
-	// Permanent: the attempt failed and no retry on this copy can succeed.
-	Permanent
-)
-
-// String names the outcome.
-func (o Outcome) String() string {
-	switch o {
-	case OK:
-		return "ok"
-	case Transient:
-		return "transient"
-	case Permanent:
-		return "permanent"
-	}
-	return "unknown"
-}
-
 // Injector generates the fault streams for one simulation run. It is not
 // safe for concurrent use; the single-threaded discrete-event simulator
 // consults it in event order, which is what makes runs reproducible.
@@ -328,9 +303,6 @@ func poisson(rng *rand.Rand, mean float64) int {
 
 func packCopy(tape, pos int) int64 { return int64(tape)<<32 | int64(uint32(pos)) }
 
-// Config returns the (defaulted) configuration the injector runs.
-func (i *Injector) Config() Config { return i.cfg }
-
 // Retry returns the (defaulted) retry policy.
 func (i *Injector) Retry() RetryPolicy { return i.retry }
 
@@ -344,17 +316,6 @@ func (i *Injector) TapeFailTime(tape int) float64 { return i.tapeFailAt[tape] }
 // TapeFailed reports whether the tape has permanently failed by `now`.
 func (i *Injector) TapeFailed(tape int, now float64) bool {
 	return now >= i.tapeFailAt[tape]
-}
-
-// FailedTapes counts tapes permanently failed by `now`.
-func (i *Injector) FailedTapes(now float64) int {
-	n := 0
-	for _, at := range i.tapeFailAt {
-		if now >= at {
-			n++
-		}
-	}
-	return n
 }
 
 // CopyDead reports whether the physical copy at (tape, pos) is permanently

@@ -287,7 +287,6 @@ func TestLatentLookupsDrawNothing(t *testing.T) {
 			}
 			noisy.TapeFailed(tp, float64(i*1000))
 		}
-		noisy.FailedTapes(float64(i))
 		if a, b := clean.ReadAttemptFails(), noisy.ReadAttemptFails(); a != b {
 			t.Fatalf("draw %d: read streams diverged after lookups", i)
 		}

@@ -82,9 +82,6 @@ func (s *Scorer) NoteDriveError(drive int, now float64) {
 // NoteMount records one mount of the tape (the wear signal).
 func (s *Scorer) NoteMount(tape int) { s.mounts[tape]++ }
 
-// Mounts returns the tape's recorded mount count.
-func (s *Scorer) Mounts(tape int) int64 { return s.mounts[tape] }
-
 // TapeScore returns the tape's current health score: decayed errors plus
 // the wear hazard. Higher is worse.
 func (s *Scorer) TapeScore(tape int, now float64) float64 {

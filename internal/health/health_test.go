@@ -23,8 +23,8 @@ func TestScorerDecayAndWear(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s.NoteMount(2)
 	}
-	if s.Mounts(2) != 4 {
-		t.Errorf("Mounts = %d, want 4", s.Mounts(2))
+	if s.mounts[2] != 4 {
+		t.Errorf("mounts = %d, want 4", s.mounts[2])
 	}
 	if got := s.TapeScore(2, 1e9); got != 2 {
 		t.Errorf("wear-only score = %v, want 2", got)

@@ -49,9 +49,6 @@ func NewDeck(prof tapemodel.Positioner, blockMB float64, tapes, capBlocks int) (
 // Mounted returns the mounted tape index, or -1 for an empty drive.
 func (d *Deck) Mounted() int { return d.mounted }
 
-// Head returns the head position (block boundary) on the mounted tape.
-func (d *Deck) Head() int { return d.head }
-
 func (d *Deck) posMB(pos int) float64 { return float64(pos) * d.blockMB }
 
 // Mount makes `tape` the mounted tape, rewinding and ejecting the current

@@ -37,7 +37,7 @@ func TestDeckConstruction(t *testing.T) {
 		}
 	}
 	d := newDeck(t)
-	if d.Mounted() != -1 || d.Head() != 0 {
+	if d.Mounted() != -1 || d.head != 0 {
 		t.Error("fresh deck not in the empty state")
 	}
 }
@@ -70,7 +70,7 @@ func TestDeckMountSemantics(t *testing.T) {
 	if !almost(sec, want) {
 		t.Errorf("switch = %v, want %v", sec, want)
 	}
-	if d.Head() != 0 || d.Mounted() != 4 {
+	if d.head != 0 || d.Mounted() != 4 {
 		t.Error("switch did not reset the head")
 	}
 	if _, err := d.Mount(99); err == nil {
@@ -96,14 +96,14 @@ func TestDeckReadAccounting(t *testing.T) {
 	if !almost(sec, wantLoc+wantRead) {
 		t.Errorf("read = %v, want %v", sec, wantLoc+wantRead)
 	}
-	if d.Head() != 11 {
-		t.Errorf("head = %d, want 11", d.Head())
+	if d.head != 11 {
+		t.Errorf("head = %d, want 11", d.head)
 	}
 	if _, err := d.ReadBlock(448); err == nil {
 		t.Error("out-of-range position accepted")
 	}
-	if d.Head() != 11 {
-		t.Errorf("rejected read moved the head to %d", d.Head())
+	if d.head != 11 {
+		t.Errorf("rejected read moved the head to %d", d.head)
 	}
 }
 
@@ -133,9 +133,9 @@ func TestDeckAgreesWithCostModel(t *testing.T) {
 				t.Fatal(err)
 			}
 			loc, rd, newHead := costs.ServeOneParts(head, p)
-			if got != loc+rd || d.Head() != newHead {
+			if got != loc+rd || d.head != newHead {
 				t.Errorf("read %d from %d = %v (head %d), cost model %v (head %d)",
-					p, head, got, d.Head(), loc+rd, newHead)
+					p, head, got, d.head, loc+rd, newHead)
 			}
 			head = newHead
 		}

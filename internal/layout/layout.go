@@ -381,9 +381,6 @@ func originalTape(cfg Config, b int) int {
 	return b % cfg.Tapes
 }
 
-// Config returns the configuration this layout was built from.
-func (l *Layout) Config() Config { return l.cfg }
-
 // Tapes returns the number of tapes.
 func (l *Layout) Tapes() int { return l.cfg.Tapes }
 
@@ -405,9 +402,6 @@ func (l *Layout) IsHot(b BlockID) bool { return int(b) < l.numHot }
 // Replicas returns the physical copies of block b; the original copy is
 // first. The returned slice must not be modified.
 func (l *Layout) Replicas(b BlockID) []Replica { return l.copies[b] }
-
-// Replicated reports whether block b has more than one physical copy.
-func (l *Layout) Replicated(b BlockID) bool { return len(l.copies[b]) > 1 }
 
 // BlockAt returns the logical block stored at (tape, pos), if any.
 func (l *Layout) BlockAt(tape, pos int) (BlockID, bool) {
@@ -436,12 +430,6 @@ func (l *Layout) ReplicaOn(b BlockID, tape int) (Replica, bool) {
 // order, precomputed at build time. The returned slice must not be
 // modified.
 func (l *Layout) TapeContents(t int) []Slot { return l.tapeSlots[t] }
-
-// ExpansionFactor returns E = 1 + NR*PH/100, the storage growth caused by
-// replication (Section 4.8, Figure 10a).
-func (l *Layout) ExpansionFactor() float64 {
-	return 1 + float64(l.cfg.Replicas)*l.cfg.HotPercent/100
-}
 
 // Validate checks the structural invariants of the layout and returns an
 // error describing the first violation. It is used by tests and available to

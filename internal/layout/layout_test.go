@@ -33,9 +33,6 @@ func TestNoReplicationFillsCapacity(t *testing.T) {
 	if got, want := l.NumHot(), 448; got != want {
 		t.Errorf("NumHot = %d, want %d", got, want)
 	}
-	if l.ExpansionFactor() != 1 {
-		t.Errorf("ExpansionFactor = %v, want 1", l.ExpansionFactor())
-	}
 }
 
 func TestFullReplicationShrinksData(t *testing.T) {
@@ -48,9 +45,6 @@ func TestFullReplicationShrinksData(t *testing.T) {
 	// E = 1.9, so roughly 4480/1.9 = 2357 logical blocks fit.
 	if l.NumBlocks() > 2357 || l.NumBlocks() < 2300 {
 		t.Errorf("NumBlocks = %d, want about 2357", l.NumBlocks())
-	}
-	if e := l.ExpansionFactor(); e != 1.9 {
-		t.Errorf("ExpansionFactor = %v, want 1.9", e)
 	}
 	// Every hot block must have a copy on every tape (full replication in a
 	// 10-tape jukebox).

@@ -22,17 +22,11 @@ func TestNewManualBasics(t *testing.T) {
 	if l.NumBlocks() != 2 || l.NumHot() != 1 || l.NumCold() != 1 {
 		t.Errorf("counts: blocks=%d hot=%d cold=%d", l.NumBlocks(), l.NumHot(), l.NumCold())
 	}
-	if !l.Replicated(0) || l.Replicated(1) {
-		t.Error("Replicated misreports")
-	}
 	if b, ok := l.BlockAt(1, 7); !ok || b != 0 {
 		t.Errorf("BlockAt(1,7) = %d,%v", b, ok)
 	}
 	if _, ok := l.BlockAt(0, 9); ok {
 		t.Error("empty position reported occupied")
-	}
-	if cfg := l.Config(); cfg.Tapes != 2 || cfg.TapeCapBlocks != 10 {
-		t.Errorf("Config() = %+v", cfg)
 	}
 }
 

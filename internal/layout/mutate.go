@@ -17,9 +17,6 @@ import (
 // differs from its build-time replica counts) while every structural
 // invariant still holds.
 
-// Mutated reports whether the layout has been modified since construction.
-func (l *Layout) Mutated() bool { return l.mutated }
-
 // FreeBlocks returns the number of unoccupied positions on tape t.
 func (l *Layout) FreeBlocks(t int) int {
 	return l.cfg.TapeCapBlocks - len(l.tapeSlots[t])

@@ -108,9 +108,6 @@ func TestAddCopyMaintainsIndexes(t *testing.T) {
 				t.Fatalf("AddCopy: %v", err)
 			}
 			checkFirstFree(t, l, rng)
-			if !l.Mutated() {
-				t.Error("Mutated() = false after AddCopy")
-			}
 			if c, ok := l.ReplicaOn(b, dst); !ok || c.Pos != pos {
 				t.Errorf("ReplicaOn(%d,%d) = %v,%v, want pos %d", b, dst, c, ok, pos)
 			}

@@ -14,6 +14,21 @@ const (
 	capacity  = tapes * capBlocks
 )
 
+// LayoutConfig materializes the recommendation as a layout configuration
+// for the given geometry.
+func (r *Recommendation) LayoutConfig(tapes, capBlocks, dataBlocks int, hotPercent float64) layout.Config {
+	return layout.Config{
+		Tapes:         tapes,
+		TapeCapBlocks: capBlocks,
+		HotPercent:    hotPercent,
+		Replicas:      r.Replicas,
+		Kind:          r.Kind,
+		StartPos:      r.StartPos,
+		DataBlocks:    dataBlocks,
+		PackAfterData: r.Packed,
+	}
+}
+
 func TestPlanStages(t *testing.T) {
 	cases := []struct {
 		name       string

@@ -22,7 +22,7 @@ func BenchmarkRankNext(b *testing.B) {
 			heat := NewHeat(jk.lay.NumBlocks(), 100_000)
 			pl := jk.planner(Config{}, heat)
 			rng := rand.New(rand.NewSource(1))
-			for blk := 0; pl.Active() < 700; blk++ {
+			for blk := 0; len(pl.jobs) < 700; blk++ {
 				if blk%2 == 0 {
 					for k := rng.Intn(5); k >= 0; k-- {
 						heat.Touch(blk, float64(rng.Intn(1000)))

@@ -99,8 +99,8 @@ func TestEvacuationMoot(t *testing.T) {
 		t.Errorf("PickSource status %d for a moot job, want SrcDone", st)
 	}
 	pl.Cancel(j)
-	if pl.Active() != 0 {
-		t.Errorf("Active = %d after cancelling the moot job", pl.Active())
+	if len(pl.jobs) != 0 {
+		t.Errorf("Active = %d after cancelling the moot job", len(pl.jobs))
 	}
 }
 
@@ -259,7 +259,7 @@ func evacKillResumeCase(t *testing.T, seed int64) {
 
 	// Drain: complete every remaining job and flush the vetoed removals.
 	noDest := make(map[layout.BlockID]bool) // no feasible destination remained
-	for guard := 0; pl.Active() > 0 && guard < 10*blocks; guard++ {
+	for guard := 0; len(pl.jobs) > 0 && guard < 10*blocks; guard++ {
 		j := ranked(pl, now)[0]
 		now++
 		_, st := pl.PickSource(j, nil)
@@ -288,8 +288,8 @@ func evacKillResumeCase(t *testing.T, seed int64) {
 	if pl.ReservedCount() != 0 {
 		t.Fatalf("seed %d: %d reservations leaked after drain", seed, pl.ReservedCount())
 	}
-	if pl.Active() != 0 {
-		t.Fatalf("seed %d: %d jobs leaked after drain", seed, pl.Active())
+	if len(pl.jobs) != 0 {
+		t.Fatalf("seed %d: %d jobs leaked after drain", seed, len(pl.jobs))
 	}
 	if err := jk.lay.Validate(); err != nil {
 		t.Fatalf("seed %d: final Validate: %v", seed, err)

@@ -205,9 +205,6 @@ func (p *Planner) LiveCopies(b layout.BlockID) int {
 // that loss-driven repair restores.
 func (p *Planner) Base(b layout.BlockID) int { return int(p.base[b]) }
 
-// Active returns the number of jobs currently in the table.
-func (p *Planner) Active() int { return len(p.jobs) }
-
 // Created returns the total number of jobs ever enqueued.
 func (p *Planner) Created() int64 { return p.created }
 

@@ -143,11 +143,11 @@ func rankCase(t *testing.T, seed int64, maxJobs int, halfLife float64) {
 				touch(b, now)
 			}
 		}
-		for pl.Active() < maxJobs && rng.Intn(4) > 0 {
+		for len(pl.jobs) < maxJobs && rng.Intn(4) > 0 {
 			enqueue(now)
 		}
-		if pl.Active() > 0 && rng.Intn(3) == 0 {
-			pl.Cancel(pl.jobs[rng.Intn(pl.Active())])
+		if len(pl.jobs) > 0 && rng.Intn(3) == 0 {
+			pl.Cancel(pl.jobs[rng.Intn(len(pl.jobs))])
 		}
 
 		want := referenceRanked(pl.jobs, ref, now)
@@ -227,7 +227,7 @@ func TestPlannerRepairsTapeFailure(t *testing.T) {
 
 	// Every block that kept at least one live copy and fell under its base
 	// count gets a job; blocks whose only copy died are beyond repair.
-	for pl.Active() > 0 {
+	for len(pl.jobs) > 0 {
 		driveJob(t, jk, pl, 20)
 	}
 	if pl.Created() == 0 {
@@ -264,8 +264,8 @@ func TestPlannerPromoteAndReclaim(t *testing.T) {
 		heat.Touch(int(hot), float64(i))
 	}
 	pl.Scan(10, func(layout.BlockID, layout.Replica) bool { return true })
-	if pl.Active() != 1 {
-		t.Fatalf("Active = %d after hot scan, want 1 promote job", pl.Active())
+	if len(pl.jobs) != 1 {
+		t.Fatalf("Active = %d after hot scan, want 1 promote job", len(pl.jobs))
 	}
 	driveJob(t, jk, pl, 20)
 	if got := pl.LiveCopies(hot); got != 2 {
@@ -278,8 +278,8 @@ func TestPlannerPromoteAndReclaim(t *testing.T) {
 	cs := jk.lay.Replicas(hot)
 	jk.dead[cs[1]] = true
 	cold.Scan(30, func(layout.BlockID, layout.Replica) bool { return true })
-	if cold.Active() != 1 {
-		t.Fatalf("scan did not enqueue repair for under-replicated block (Active=%d)", cold.Active())
+	if len(cold.jobs) != 1 {
+		t.Fatalf("scan did not enqueue repair for under-replicated block (Active=%d)", len(cold.jobs))
 	}
 }
 
@@ -346,7 +346,7 @@ func killResumeCase(t *testing.T, seed int64) {
 			if prev, ok := step[j.ID]; ok && j.Step < prev {
 				t.Fatalf("seed %d: job %d regressed from step %d to %d", seed, j.ID, prev, j.Step)
 			}
-			if j.ID <= lastID-int64(pl.Active())-100 {
+			if j.ID <= lastID-int64(len(pl.jobs))-100 {
 				t.Fatalf("seed %d: stale job %d reappeared", seed, j.ID)
 			}
 			step[j.ID] = j.Step
@@ -460,7 +460,7 @@ func killResumeCase(t *testing.T, seed int64) {
 	}
 
 	// Drain: run every remaining job to completion or cancellation.
-	for guard := 0; pl.Active() > 0 && guard < 10*blocks; guard++ {
+	for guard := 0; len(pl.jobs) > 0 && guard < 10*blocks; guard++ {
 		j := ranked(pl, now)[0]
 		now++
 		_, st := pl.PickSource(j, nil)
@@ -487,8 +487,8 @@ func killResumeCase(t *testing.T, seed int64) {
 	if pl.ReservedCount() != 0 {
 		t.Fatalf("seed %d: %d reservations leaked after drain", seed, pl.ReservedCount())
 	}
-	if pl.Active() != 0 {
-		t.Fatalf("seed %d: %d jobs leaked after drain", seed, pl.Active())
+	if len(pl.jobs) != 0 {
+		t.Fatalf("seed %d: %d jobs leaked after drain", seed, len(pl.jobs))
 	}
 	if err := jk.lay.Validate(); err != nil {
 		t.Fatalf("seed %d: final Validate: %v", seed, err)

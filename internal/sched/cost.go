@@ -29,9 +29,6 @@ func (c *CostModel) EnableTable(maxBlocks int) bool {
 	return c.tab != nil
 }
 
-// Table returns the enabled cost table, or nil. Exposed for tests.
-func (c *CostModel) Table() *tapemodel.CostTable { return c.tab }
-
 // PosMB converts a block-unit position to a megabyte offset.
 func (c *CostModel) PosMB(pos int) float64 { return float64(pos) * c.BlockMB }
 

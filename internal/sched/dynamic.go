@@ -17,9 +17,6 @@ func NewDynamic(p Policy) *Dynamic { return &Dynamic{policy: p} }
 // Name returns e.g. "dynamic-max-bandwidth".
 func (d *Dynamic) Name() string { return "dynamic-" + d.policy.String() }
 
-// Policy returns the tape-selection policy.
-func (d *Dynamic) Policy() Policy { return d.policy }
-
 // Reschedule behaves exactly like the static algorithm's major rescheduler.
 func (d *Dynamic) Reschedule(st *State) (int, *Sweep, bool) {
 	return d.sel.Reschedule(st, d.policy, nil)

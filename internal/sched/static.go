@@ -17,9 +17,6 @@ func NewStatic(p Policy) *Static { return &Static{policy: p} }
 // Name returns e.g. "static-max-bandwidth".
 func (s *Static) Name() string { return "static-" + s.policy.String() }
 
-// Policy returns the tape-selection policy.
-func (s *Static) Policy() Policy { return s.policy }
-
 // Reschedule chooses a tape by policy and extracts all pending requests
 // satisfiable by that tape, sorted into a single sweep from the post-switch
 // head position.

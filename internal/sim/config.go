@@ -236,7 +236,8 @@ func (a AdmissionConfig) Enabled() bool { return a.Policy != AdmitNone }
 // zero value keeps the stationary paper workloads.
 type BurstConfig struct {
 	// Factor multiplies the baseline arrival rate while bursting; required
-	// positive when any burst shape is configured.
+	// positive with Period or FlashLen, the open-model shapes. The closed
+	// model's FlashCount crowd does not read it.
 	Factor float64
 	// OnFrac in (0,1) is the fraction of an ON-OFF cycle spent bursting;
 	// Period is the mean cycle length in seconds (open model only).
@@ -413,8 +414,8 @@ func (c *Config) validateOverload() error {
 	if b.Period < 0 || b.FlashAt < 0 || b.FlashLen < 0 || b.FlashCount < 0 {
 		return &ConfigError{"Burst", "period/flash parameters must be non-negative"}
 	}
-	if b.Enabled() && b.Factor == 0 {
-		return &ConfigError{"Burst.Factor", "bursting needs a rate factor"}
+	if (b.Period > 0 || b.FlashLen > 0) && b.Factor == 0 {
+		return &ConfigError{"Burst.Factor", "rate modulation needs a rate factor"}
 	}
 	if b.Period > 0 && b.OnFrac == 0 {
 		return &ConfigError{"Burst.OnFrac", "ON-OFF modulation needs a positive ON fraction"}

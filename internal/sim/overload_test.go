@@ -419,6 +419,32 @@ func TestClosedFlashCrowd(t *testing.T) {
 	}
 }
 
+// TestClosedFlashNeedsNoFactor: the closed model's flash crowd never reads
+// Burst.Factor, so it validates without one and delivers the same extras
+// as with one.
+func TestClosedFlashNeedsNoFactor(t *testing.T) {
+	run := func(factor float64) *Result {
+		cfg := quickCfg(sched.NewDynamic(sched.MaxBandwidth))
+		cfg.Burst = BurstConfig{Factor: factor, FlashAt: 50_000, FlashCount: 80}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("factor %v: %v", factor, err)
+		}
+		return res
+	}
+	without, with := run(0), run(1)
+	if !reflect.DeepEqual(without, with) {
+		t.Errorf("the factor changed a closed flash crowd:\n%+v\n%+v", without, with)
+	}
+	base, err := Run(quickCfg(sched.NewDynamic(sched.MaxBandwidth)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if without.TotalArrivals <= base.TotalArrivals {
+		t.Errorf("flash crowd without a factor added no arrivals: %d vs baseline %d", without.TotalArrivals, base.TotalArrivals)
+	}
+}
+
 // TestAgingReducesTail: with deadlines assigned, turning on starvation-
 // aware aging must not break conservation and keeps the run deterministic.
 // (Whether it helps the tail is workload-dependent; the golden tests pin
@@ -466,6 +492,10 @@ func TestOverloadConfigValidation(t *testing.T) {
 		{"burst without factor", func(c *Config) {
 			c.QueueLength, c.MeanInterarrival = 0, 100
 			c.Burst = BurstConfig{Period: 1000, OnFrac: 0.5}
+		}, "Burst.Factor"},
+		{"flash window without factor", func(c *Config) {
+			c.QueueLength, c.MeanInterarrival = 0, 100
+			c.Burst = BurstConfig{FlashAt: 1000, FlashLen: 500}
 		}, "Burst.Factor"},
 		{"modulation without onFrac", func(c *Config) {
 			c.QueueLength, c.MeanInterarrival = 0, 100

@@ -10,34 +10,24 @@ import (
 	"sort"
 )
 
-// Accumulator gathers streaming count/mean/variance/min/max without
-// retaining samples.
+// Accumulator gathers streaming mean/variance/max without retaining
+// samples.
 type Accumulator struct {
 	n        int64
 	mean, m2 float64
-	min, max float64
+	max      float64
 }
 
 // Add folds one observation into the accumulator.
 func (a *Accumulator) Add(x float64) {
 	a.n++
-	if a.n == 1 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
+	if a.n == 1 || x > a.max {
+		a.max = x
 	}
 	delta := x - a.mean
 	a.mean += delta / float64(a.n)
 	a.m2 += delta * (x - a.mean)
 }
-
-// Count returns the number of observations.
-func (a *Accumulator) Count() int64 { return a.n }
 
 // Mean returns the sample mean, or 0 for an empty accumulator.
 func (a *Accumulator) Mean() float64 { return a.mean }
@@ -54,14 +44,8 @@ func (a *Accumulator) Variance() float64 {
 // StdDev returns the sample standard deviation.
 func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
 
-// Min returns the smallest observation, or 0 for an empty accumulator.
-func (a *Accumulator) Min() float64 { return a.min }
-
 // Max returns the largest observation, or 0 for an empty accumulator.
 func (a *Accumulator) Max() float64 { return a.max }
-
-// Sum returns n * mean, the total of all observations.
-func (a *Accumulator) Sum() float64 { return a.mean * float64(a.n) }
 
 // Reservoir retains up to K samples uniformly at random (Vitter's algorithm
 // R) so that percentiles can be estimated over long runs with bounded
@@ -99,9 +83,6 @@ func (r *Reservoir) Add(x float64, intn func(n int64) int64) {
 		r.samples[j] = x
 	}
 }
-
-// Seen returns the total number of observations offered.
-func (r *Reservoir) Seen() int64 { return r.seen }
 
 // Reset empties the reservoir for reuse, keeping its capacity and scratch
 // storage so a session running many simulations allocates the sample

@@ -26,15 +26,10 @@ type Positioner interface {
 	InitialLoad() float64
 	// StreamingRateMBps returns the sustained transfer rate.
 	StreamingRateMBps() float64
-	// DisplayName identifies the model for reports.
-	DisplayName() string
 }
 
 // InitialLoad returns the cost of loading a tape into an empty drive.
 func (p *Profile) InitialLoad() float64 { return p.RobotTime + p.LoadTime }
-
-// DisplayName returns the profile name.
-func (p *Profile) DisplayName() string { return p.Name }
 
 var _ Positioner = (*Profile)(nil)
 
@@ -160,9 +155,6 @@ func (s *Serpentine) StreamingRateMBps() float64 {
 	}
 	return 1 / s.ReadRate.PerMB
 }
-
-// DisplayName returns the drive name.
-func (s *Serpentine) DisplayName() string { return s.Name }
 
 var _ Positioner = (*Serpentine)(nil)
 

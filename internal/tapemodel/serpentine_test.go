@@ -87,13 +87,10 @@ func TestSerpentineInterface(t *testing.T) {
 	if s.StreamingRateMBps() != 5 {
 		t.Errorf("streaming = %v MB/s, want 5", s.StreamingRateMBps())
 	}
-	if s.DisplayName() == "" {
-		t.Error("empty display name")
-	}
 }
 
 func TestPositionerByName(t *testing.T) {
-	if p := PositionerByName("exb8505xl"); p == nil || p.DisplayName() != EXB8505XL().Name {
+	if p, ok := PositionerByName("exb8505xl").(*Profile); !ok || p.Name != EXB8505XL().Name {
 		t.Error("helical profile not resolved")
 	}
 	if p := PositionerByName("dlt7000"); p == nil {

@@ -110,9 +110,6 @@ func (t *CostTable) ReadBlock(dir Direction) float64 {
 	return t.readFwd
 }
 
-// Rewind returns Profile.Rewind from an on-grid block boundary.
-func (t *CostTable) Rewind(from int) float64 { return t.rewind[from] }
-
 // FullSwitch returns Profile.FullSwitch from an on-grid block boundary.
 func (t *CostTable) FullSwitch(from int) float64 { return t.rewind[from] + t.switchT }
 

@@ -51,10 +51,6 @@ func FuzzCostTableEquivalence(f *testing.F) {
 				t.Errorf("%s: ReadBlock(%v) block=%v = %v, profile says %v",
 					prof.Name, gotDir, blockMB, got, want)
 			}
-			if got, want := tab.Rewind(from), prof.Rewind(fromMB); math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("%s: Rewind(%d) block=%v = %v, profile says %v",
-					prof.Name, from, blockMB, got, want)
-			}
 			if got, want := tab.FullSwitch(from), prof.FullSwitch(fromMB); math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("%s: FullSwitch(%d) block=%v = %v, profile says %v",
 					prof.Name, from, blockMB, got, want)
@@ -80,8 +76,8 @@ func TestCostTableExhaustiveGrid(t *testing.T) {
 		}
 		for from := 0; from <= maxBlocks; from++ {
 			fromMB := float64(from) * blockMB
-			if got, want := tab.Rewind(from), prof.Rewind(fromMB); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s: Rewind(%d) = %v, profile says %v", prof.Name, from, got, want)
+			if got, want := tab.FullSwitch(from), prof.FullSwitch(fromMB); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: FullSwitch(%d) = %v, profile says %v", prof.Name, from, got, want)
 			}
 			for to := 0; to <= maxBlocks; to++ {
 				gotSec, gotDir := tab.Locate(from, to)

@@ -42,7 +42,7 @@ func NewRecorder(w io.Writer) *Recorder {
 }
 
 // Observe serializes one event. The first encoding error sticks and
-// subsequent events are dropped; check Err after the run.
+// subsequent events are dropped; Flush returns it after the run.
 func (r *Recorder) Observe(ev sim.Event) {
 	if r.err != nil {
 		return
@@ -58,16 +58,14 @@ func (r *Recorder) Observe(ev sim.Event) {
 	})
 }
 
-// Flush drains the internal buffer.
+// Flush drains the internal buffer. It returns the first encoding error
+// instead when one stuck.
 func (r *Recorder) Flush() error {
 	if r.err != nil {
 		return r.err
 	}
 	return r.w.Flush()
 }
-
-// Err returns the first error encountered while recording.
-func (r *Recorder) Err() error { return r.err }
 
 // Count returns the number of events recorded.
 func (r *Recorder) Count() int64 { return r.n }
