@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -83,6 +84,45 @@ func BenchmarkEnvelopeReschedule(b *testing.B) {
 				}
 				st.Pending = st.Pending[:0]
 				st.Pending = append(st.Pending, saved...)
+			}
+		})
+	}
+}
+
+// BenchmarkEnvelopeRescheduleShortQueue is the short-queue regime of a
+// sharded farm: three pending requests on a jukebox of 10, 100 and 1,000
+// tapes, a tenth of the blocks hot with one extra copy each. A reschedule
+// visits only the tapes that hold a pending copy, so its cost should not
+// grow with the tape count. Each iteration releases the sweep to the pool,
+// as the engine does, so allocations are the reschedule's own.
+func BenchmarkEnvelopeRescheduleShortQueue(b *testing.B) {
+	for _, tapes := range []int{10, 100, 1000} {
+		b.Run(fmt.Sprintf("tapes=%d", tapes), func(b *testing.B) {
+			l, err := layout.Build(layout.Config{
+				Tapes: tapes, TapeCapBlocks: 448, HotPercent: 10,
+				Replicas: 1, Kind: layout.Horizontal,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			st := sched.NewState(l, costs())
+			st.Mounted, st.Head = 3, 100
+			rng := rand.New(rand.NewSource(11))
+			saved := make([]*sched.Request, 3)
+			for i := range saved {
+				saved[i] = &sched.Request{ID: int64(i), Block: layout.BlockID(rng.Intn(l.NumBlocks()))}
+			}
+			st.Pending = append(st.Pending, saved...)
+			e := NewEnvelope(MaxBandwidth)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, sweep, ok := e.Reschedule(st)
+				if !ok {
+					b.Fatal("reschedule failed")
+				}
+				st.ReleaseSweep(sweep)
+				st.Pending = append(st.Pending[:0], saved...)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	mathbits "math/bits"
 	"slices"
 
 	"tapejuke/internal/layout"
@@ -16,8 +17,11 @@ import (
 // cached per tape and recomputed only for tapes whose envelope or
 // candidate set changed since the previous iteration. A builder is
 // reusable across reschedules via reset, so steady-state reschedules are
-// allocation-free. envelope_ref_test.go retains the naive construction;
-// the differential test asserts both produce bit-identical results.
+// allocation-free. Only the tapes in the builder's tape set have requests
+// or candidates, so the per-tape loops walk that set, in ascending order
+// like the naive construction's loops over every tape, and reset clears
+// only its rows. envelope_ref_test.go retains the naive construction; the
+// differential test asserts both produce bit-identical results.
 type builder struct {
 	st    *sched.State
 	env   []int            // envelope boundary per tape (block boundary)
@@ -39,6 +43,11 @@ type builder struct {
 	bw    [][]float64
 	dirty []bool
 
+	// tapes holds every tape with a row written this build: a request
+	// assigned to it or an extension entry. The rows of the other tapes
+	// are empty, and their dirty marks are never read.
+	tapes sched.TapeSet
+
 	prefix []int            // scratch: chosen prefix, request indices
 	cands  []layout.Replica // scratch for insideChoice
 
@@ -54,15 +63,25 @@ type extEntry struct {
 }
 
 // reset prepares the builder for a fresh construction over st, reusing
-// every previously allocated buffer.
+// every previously allocated buffer. Only the previous build's tapes have
+// rows to truncate. dirty needs no clearing: initExtensions marks every
+// tape of the set dirty, and no tape outside it is read.
 func (b *builder) reset(st *sched.State) {
+	for i, w := range b.tapes.Words() {
+		for ; w != 0; w &= w - 1 {
+			t := i<<6 | mathbits.TrailingZeros64(w)
+			b.onT[t], b.ext[t], b.bw[t] = b.onT[t][:0], b.ext[t][:0], b.bw[t][:0]
+		}
+	}
 	tapes := st.Layout.Tapes()
+	b.tapes.Reset(tapes)
 	n := len(st.Pending)
 	b.st = st
 	b.reqs = st.Pending
 	b.noFaults = st.Down == nil && st.DeadCopy == nil
-	b.env = resetInts(b.env, tapes)
-	b.count = resetInts(b.count, tapes)
+	b.env, b.count = grow(b.env, tapes), grow(b.count, tapes)
+	clear(b.env)
+	clear(b.count)
 	b.unsched = n
 
 	if cap(b.where) < n {
@@ -74,17 +93,8 @@ func (b *builder) reset(st *sched.State) {
 		b.where[i] = layout.Replica{Tape: -1}
 	}
 
-	b.onT = resetRows(b.onT, tapes)
-	b.ext = resetRows(b.ext, tapes)
-	b.bw = resetRows(b.bw, tapes)
-	if cap(b.dirty) < tapes {
-		b.dirty = make([]bool, tapes)
-	} else {
-		b.dirty = b.dirty[:tapes]
-	}
-	for t := range b.dirty {
-		b.dirty[t] = true
-	}
+	b.onT, b.ext, b.bw = grow(b.onT, tapes), grow(b.ext, tapes), grow(b.bw, tapes)
+	b.dirty = grow(b.dirty, tapes)
 	b.prefix = b.prefix[:0]
 }
 
@@ -204,22 +214,11 @@ func (b *builder) insideChoice(i int) (layout.Replica, bool) {
 	for _, c := range cands[1:] {
 		if b.count[c.Tape] > b.count[best.Tape] ||
 			(b.count[c.Tape] == b.count[best.Tape] &&
-				b.jukeboxRank(c.Tape) < b.jukeboxRank(best.Tape)) {
+				b.st.JukeboxRank(c.Tape) < b.st.JukeboxRank(best.Tape)) {
 			best = c
 		}
 	}
 	return best, true
-}
-
-// jukeboxRank orders tapes circularly starting at the mounted tape (or tape
-// 0 for an empty drive): rank 0 is the mounted tape itself.
-func (b *builder) jukeboxRank(tape int) int {
-	t0 := b.st.Mounted
-	if t0 < 0 {
-		t0 = 0
-	}
-	n := b.st.Layout.Tapes()
-	return ((tape-t0)%n + n) % n
 }
 
 func (b *builder) assign(i int, c layout.Replica) {
@@ -228,6 +227,9 @@ func (b *builder) assign(i int, c layout.Replica) {
 	}
 	b.where[i] = c
 	b.count[c.Tape]++
+	if len(b.onT[c.Tape]) == 0 {
+		b.tapes.Add(c.Tape)
+	}
 	b.onT[c.Tape] = append(b.onT[c.Tape], i)
 }
 
@@ -256,12 +258,9 @@ func (b *builder) unassign(i int) {
 // tape, sorted by position with ties (duplicate requests for one block) by
 // request index. From here on the lists only lose members, so they are
 // never re-sorted; scheduling a request tombstones its entries, compacted
-// by the next per-tape refresh.
+// by the next per-tape refresh. The lists start empty (reset truncated
+// them), and every tape of the set starts dirty.
 func (b *builder) initExtensions() {
-	for t := range b.ext {
-		b.ext[t] = b.ext[t][:0]
-		b.dirty[t] = true
-	}
 	for i := range b.reqs {
 		if b.where[i].Tape >= 0 {
 			continue
@@ -270,16 +269,26 @@ func (b *builder) initExtensions() {
 			if !b.copyOK(c) {
 				continue
 			}
+			if len(b.ext[c.Tape]) == 0 {
+				b.tapes.Add(c.Tape)
+			}
 			b.ext[c.Tape] = append(b.ext[c.Tape], extEntry{req: i, pos: c.Pos})
 		}
 	}
-	for t := range b.ext {
-		slices.SortFunc(b.ext[t], func(x, y extEntry) int {
-			if x.pos != y.pos {
-				return x.pos - y.pos
+	for i, w := range b.tapes.Words() {
+		for ; w != 0; w &= w - 1 {
+			t := i<<6 | mathbits.TrailingZeros64(w)
+			b.dirty[t] = true
+			if len(b.ext[t]) < 2 {
+				continue
 			}
-			return x.req - y.req
-		})
+			slices.SortFunc(b.ext[t], func(x, y extEntry) int {
+				if x.pos != y.pos {
+					return x.pos - y.pos
+				}
+				return x.req - y.req
+			})
+		}
 	}
 }
 
@@ -320,20 +329,22 @@ func (b *builder) refresh(t int) {
 // since the previous iteration are re-evaluated; the rest reuse their
 // cached prefix bandwidths, so the comparison sequence (and hence every
 // tie-break) is identical to the reference implementation's full rescan.
+// A refresh touches only its own tape's rows, so each tape is refreshed
+// just before it is scanned.
 func (b *builder) bestExtension() (int, []int) {
-	tapes := b.st.Layout.Tapes()
-	for t := 0; t < tapes; t++ {
-		if b.dirty[t] {
-			b.refresh(t)
-		}
-	}
 	bestTape, bestJ := -1, -1
 	bestBW := -1.0
-	for t := 0; t < tapes; t++ {
-		for j, bw := range b.bw[t] {
-			if bw > bestBW+1e-12 ||
-				(bw > bestBW-1e-12 && bestTape >= 0 && b.betterTie(t, bestTape)) {
-				bestTape, bestJ, bestBW = t, j, bw
+	for i, w := range b.tapes.Words() {
+		for ; w != 0; w &= w - 1 {
+			t := i<<6 | mathbits.TrailingZeros64(w)
+			if b.dirty[t] {
+				b.refresh(t)
+			}
+			for j, bw := range b.bw[t] {
+				if bw > bestBW+1e-12 ||
+					(bw > bestBW-1e-12 && bestTape >= 0 && b.betterTie(t, bestTape)) {
+					bestTape, bestJ, bestBW = t, j, bw
+				}
 			}
 		}
 	}
@@ -352,7 +363,7 @@ func (b *builder) betterTie(a, c int) bool {
 	if b.count[a] != b.count[c] {
 		return b.count[a] > b.count[c]
 	}
-	return b.jukeboxRank(a) < b.jukeboxRank(c)
+	return b.st.JukeboxRank(a) < b.st.JukeboxRank(c)
 }
 
 // extend performs step 4: schedule the chosen prefix on the tape and push
@@ -386,14 +397,17 @@ func (b *builder) extend(tape int, prefix []int) {
 func (b *builder) shrink() {
 	for {
 		cand := -1
-		for a := 0; a < b.st.Layout.Tapes(); a++ {
-			if _, _, ok := b.shrinkMove(a); !ok {
-				continue
-			}
-			if cand < 0 ||
-				b.count[a] < b.count[cand] ||
-				(b.count[a] == b.count[cand] && b.jukeboxRank(a) < b.jukeboxRank(cand)) {
-				cand = a
+		for i, w := range b.tapes.Words() {
+			for ; w != 0; w &= w - 1 {
+				a := i<<6 | mathbits.TrailingZeros64(w)
+				if _, _, ok := b.shrinkMove(a); !ok {
+					continue
+				}
+				if cand < 0 ||
+					b.count[a] < b.count[cand] ||
+					(b.count[a] == b.count[cand] && b.st.JukeboxRank(a) < b.st.JukeboxRank(cand)) {
+					cand = a
+				}
 			}
 		}
 		if cand < 0 {
@@ -449,7 +463,7 @@ func (b *builder) relocation(a, edge int) (layout.Replica, bool) {
 		if !found ||
 			b.count[c.Tape] > b.count[best.Tape] ||
 			(b.count[c.Tape] == b.count[best.Tape] &&
-				b.jukeboxRank(c.Tape) < b.jukeboxRank(best.Tape)) {
+				b.st.JukeboxRank(c.Tape) < b.st.JukeboxRank(best.Tape)) {
 			best, found = c, true
 		}
 	}
@@ -509,30 +523,11 @@ func extensionCost(st *sched.State, env, tape int, positions []int) float64 {
 	return total
 }
 
-// resetInts returns s resized to n and zeroed, reusing capacity.
-func resetInts(s []int, n int) []int {
+// grow returns s resized to n, keeping the elements already allocated
+// (and so, for rows, their storage).
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
 	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// resetRows resizes a slice of rows to n rows, truncating each reused row
-// to length zero.
-func resetRows[T any](rows [][]T, n int) [][]T {
-	if cap(rows) < n {
-		grown := make([][]T, n)
-		copy(grown, rows)
-		rows = grown
-	} else {
-		rows = rows[:n]
-	}
-	for i := range rows {
-		rows[i] = rows[i][:0]
-	}
-	return rows
+	return s[:n]
 }

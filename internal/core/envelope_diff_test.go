@@ -54,6 +54,14 @@ func diffCompare(t *testing.T, seed int64, st *sched.State, reused *builder) {
 func randomManualState(t *testing.T, rng *rand.Rand) *sched.State {
 	t.Helper()
 	tapes := 1 + rng.Intn(6)
+	return manualState(t, rng, tapes, tapes, 40)
+}
+
+// manualState builds a scheduling state over a random manual layout of the
+// given tape count, each block with up to maxCopies copies on distinct
+// tapes, and 1 to maxReqs pending requests (duplicates allowed).
+func manualState(t *testing.T, rng *rand.Rand, tapes, maxCopies, maxReqs int) *sched.State {
+	t.Helper()
 	blocks := 1 + rng.Intn(30)
 	// Every block could land on the same tape, so keep per-tape capacity
 	// comfortably above the block count or the placement loop cannot finish.
@@ -61,7 +69,7 @@ func randomManualState(t *testing.T, rng *rand.Rand) *sched.State {
 	used := make(map[layout.Replica]bool)
 	copies := make([][]layout.Replica, blocks)
 	for b := range copies {
-		n := 1 + rng.Intn(tapes)
+		n := 1 + rng.Intn(maxCopies)
 		for _, tp := range rng.Perm(tapes)[:n] {
 			for {
 				c := layout.Replica{Tape: tp, Pos: rng.Intn(capBlocks)}
@@ -84,7 +92,7 @@ func randomManualState(t *testing.T, rng *rand.Rand) *sched.State {
 	}
 	st := sched.NewState(l, costs())
 	st.Mounted, st.Head = mounted, head
-	n := 1 + rng.Intn(40)
+	n := 1 + rng.Intn(maxReqs)
 	for i := 0; i < n; i++ {
 		st.Pending = append(st.Pending, &sched.Request{
 			ID: int64(i), Block: layout.BlockID(rng.Intn(blocks)),
@@ -146,6 +154,21 @@ func TestEnvelopeDifferentialBuilt(t *testing.T) {
 	for seed := int64(1000); seed < 1500; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		st := randomBuiltState(t, rng)
+		diffCompare(t, seed, st, reused)
+	}
+}
+
+// The short-queue regime on wide jukeboxes: a few pending requests with up
+// to three copies each over 130, 3 and 70 tapes in turn. One builder
+// serves every state, so a build over fewer tapes follows one over more
+// and must not see the rows the larger build left behind, and a build over
+// more tapes must not see stale rows beyond the smaller one.
+func TestEnvelopeDifferentialWide(t *testing.T) {
+	reused := &builder{}
+	for seed := int64(3000); seed < 3600; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tapes := []int{130, 3, 70}[seed%3]
+		st := manualState(t, rng, tapes, min(tapes, 3), 5)
 		diffCompare(t, seed, st, reused)
 	}
 }

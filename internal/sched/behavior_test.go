@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tapejuke/internal/layout"
@@ -78,29 +79,46 @@ func TestSelectorSetsWithReplication(t *testing.T) {
 	}
 }
 
+// jukeboxWalk lists the tapes s.JukeboxOrder visits from first, stopping after
+// limit tapes (0: no limit).
+func jukeboxWalk(s *TapeSet, first, limit int) []int {
+	var order []int
+	s.JukeboxOrder(first, func(tp int) bool {
+		order = append(order, tp)
+		return limit == 0 || len(order) < limit
+	})
+	return order
+}
+
+// The tape set's jukebox-order walk from the mounted tape visits the tapes
+// in ascending JukeboxRank, wrapping, and only the tapes in the set.
 func TestJukeboxOrderAndStartHead(t *testing.T) {
 	st := fixture(t, 0, layout.Horizontal)
 	st.Mounted, st.Head = 2, 7
+	var all TapeSet
+	all.Reset(4)
+	for tp := 0; tp < 4; tp++ {
+		all.Add(tp)
+	}
 
-	var order []int
-	st.JukeboxOrder(func(tp int) bool {
-		order = append(order, tp)
-		return true
-	})
-	want := []int{2, 3, 0, 1}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("jukebox order = %v, want %v", order, want)
+	order := jukeboxWalk(&all, st.jukeboxFirst(), 0)
+	if want := []int{2, 3, 0, 1}; !slices.Equal(order, want) {
+		t.Fatalf("jukebox order = %v, want %v", order, want)
+	}
+	for rank, tp := range order {
+		if got := st.JukeboxRank(tp); got != rank {
+			t.Errorf("JukeboxRank(%d) = %d, want %d", tp, got, rank)
 		}
 	}
-	// Early termination.
-	order = order[:0]
-	st.JukeboxOrder(func(tp int) bool {
-		order = append(order, tp)
-		return len(order) < 2
-	})
-	if len(order) != 2 {
+	if order := jukeboxWalk(&all, st.jukeboxFirst(), 2); len(order) != 2 {
 		t.Errorf("early stop visited %d tapes", len(order))
+	}
+	var some TapeSet
+	some.Reset(4)
+	some.Add(0)
+	some.Add(3)
+	if order, want := jukeboxWalk(&some, st.jukeboxFirst(), 0), []int{3, 0}; !slices.Equal(order, want) {
+		t.Errorf("walk of {0, 3} from tape 2 = %v, want %v", order, want)
 	}
 
 	if st.StartHead(2) != 7 {
@@ -112,13 +130,8 @@ func TestJukeboxOrderAndStartHead(t *testing.T) {
 
 	// Empty drive starts the order at tape 0.
 	st.Mounted = -1
-	order = order[:0]
-	st.JukeboxOrder(func(tp int) bool {
-		order = append(order, tp)
-		return false
-	})
-	if order[0] != 0 {
-		t.Errorf("empty-drive order starts at %d, want 0", order[0])
+	if order := jukeboxWalk(&all, st.jukeboxFirst(), 0); order[0] != 0 || st.JukeboxRank(0) != 0 {
+		t.Errorf("empty-drive order = %v, want it to start at 0", order)
 	}
 }
 

@@ -55,11 +55,12 @@ func (p Policy) String() string {
 // sweep. The sets and scoring scratch are reused across calls, so a
 // reschedule allocates nothing but the sweep. The zero value is ready.
 type Selector struct {
-	sets [][]*Request // per tape: requests with a readable in-reach copy, arrival order
-	pos  [][]int      // per tape: the positions of those copies, same shape
-	cand []bool       // per tape: eligible for the current choice
-	urg  []float64    // per tape: highest urgency in its set (aging only)
-	bits posSorter    // bandwidthBits scratch
+	sets  [][]*Request // per tape: requests with a readable in-reach copy, arrival order
+	pos   [][]int      // per tape: the positions of those copies, same shape
+	cand  []bool       // per tape: eligible for the current choice
+	urg   []float64    // per tape: highest urgency in its set (aging only)
+	tapes TapeSet      // the tapes whose set is non-empty; only these are read
+	bits  posSorter    // bandwidthBits scratch
 }
 
 // Reschedule picks a tape with policy p among the per-tape sets of the
@@ -87,17 +88,20 @@ func (s *Selector) Reschedule(st *State, p Policy, reach []int) (int, *Sweep, bo
 // the oldest pending request. With aging on, the choice narrows to tapes
 // holding a request in the urgency window, unless none of the remaining
 // candidates does (see ageWindow). ok is false when no candidate remains.
+// Only the tapes with a non-empty set are visited.
 func (s *Selector) pick(st *State, p Policy, reach []int) (tape int, ok bool) {
 	if len(st.Pending) == 0 {
 		return 0, false
 	}
-	n := st.Layout.Tapes()
-	s.group(st, reach, n)
+	s.group(st, reach, st.Layout.Tapes())
 
 	cand := s.cand
 	oldest := p == OldestMaxRequests || p == OldestMaxBandwidth
-	for t := range cand {
-		cand[t] = !oldest && len(s.sets[t]) > 0 && st.Available(t)
+	for i, w := range s.tapes.Words() {
+		for ; w != 0; w &= w - 1 {
+			t := i<<6 | mathbits.TrailingZeros64(w)
+			cand[t] = !oldest && st.Available(t)
+		}
 	}
 	if oldest {
 		for _, c := range st.Layout.Replicas(st.Pending[0].Block) {
@@ -112,17 +116,17 @@ func (s *Selector) pick(st *State, p Policy, reach []int) (tape int, ok bool) {
 
 	if p == RoundRobin {
 		// The first candidate after the mounted tape, the mounted tape last.
-		start := st.Mounted + 1
-		for i := 0; i < n; i++ {
-			if t := (start + i) % n; cand[t] {
-				return t, true
+		s.tapes.JukeboxOrder(st.Mounted+1, func(t int) bool {
+			if cand[t] {
+				tape, ok = t, true
 			}
-		}
-		return 0, false
+			return !ok
+		})
+		return tape, ok
 	}
 	bandwidth := p == MaxBandwidth || p == OldestMaxBandwidth
 	best, bestScore := -1, -1.0
-	st.JukeboxOrder(func(t int) bool {
+	s.tapes.JukeboxOrder(st.jukeboxFirst(), func(t int) bool {
 		if !cand[t] {
 			return true
 		}
@@ -138,18 +142,28 @@ func (s *Selector) pick(st *State, p Policy, reach []int) (tape int, ok bool) {
 	return best, best >= 0
 }
 
-// group rebuilds the per-tape sets over st.Pending within reach, reusing
-// every row's storage.
+// group rebuilds the per-tape sets over st.Pending within reach, and the
+// set of tapes holding them. Only the previous call's tapes have rows to
+// truncate, and every row keeps its storage. cand and urg need no
+// clearing: pick and ageWindow write them for every tape of the set before
+// reading them, and read no other tape.
 func (s *Selector) group(st *State, reach []int, n int) {
+	for i, w := range s.tapes.Words() {
+		for ; w != 0; w &= w - 1 {
+			t := i<<6 | mathbits.TrailingZeros64(w)
+			s.sets[t], s.pos[t] = s.sets[t][:0], s.pos[t][:0]
+		}
+	}
+	s.tapes.Reset(n)
 	s.sets, s.pos = grow(s.sets, n), grow(s.pos, n)
 	s.cand, s.urg = grow(s.cand, n), grow(s.urg, n)
 	sets, pos := s.sets, s.pos
-	for t := range sets {
-		sets[t], pos[t] = sets[t][:0], pos[t][:0]
-	}
 	for _, r := range st.Pending {
 		for _, c := range st.Layout.Replicas(r.Block) {
 			if (reach == nil || c.Pos < reach[c.Tape]) && st.CopyOK(c) {
+				if len(sets[c.Tape]) == 0 {
+					s.tapes.Add(c.Tape)
+				}
 				sets[c.Tape] = append(sets[c.Tape], r)
 				pos[c.Tape] = append(pos[c.Tape], c.Pos)
 			}
@@ -176,36 +190,45 @@ func grow[T any](s []T, n int) []T {
 // tape has work and the oldest request is never starved.
 func (s *Selector) ageWindow(st *State) {
 	maxU := 0.0
-	for t, set := range s.sets {
-		u := 0.0
-		for _, r := range set {
-			if v := st.Urgency(r); v > u {
-				u = v
+	for i, w := range s.tapes.Words() {
+		for ; w != 0; w &= w - 1 {
+			t := i<<6 | mathbits.TrailingZeros64(w)
+			u := 0.0
+			for _, r := range s.sets[t] {
+				if v := st.Urgency(r); v > u {
+					u = v
+				}
 			}
-		}
-		s.urg[t] = u
-		if u > maxU {
-			maxU = u
+			s.urg[t] = u
+			if u > maxU {
+				maxU = u
+			}
 		}
 	}
 	cut := maxU * st.AgeWeight / (1 + st.AgeWeight)
 	inWindow := false
-	for t, c := range s.cand {
-		inWindow = inWindow || c && s.urg[t] >= cut
+	for i, w := range s.tapes.Words() {
+		for ; w != 0; w &= w - 1 {
+			t := i<<6 | mathbits.TrailingZeros64(w)
+			inWindow = inWindow || s.cand[t] && s.urg[t] >= cut
+		}
 	}
 	if !inWindow {
 		return
 	}
-	for t := range s.cand {
-		s.cand[t] = s.cand[t] && s.urg[t] >= cut
+	for i, w := range s.tapes.Words() {
+		for ; w != 0; w &= w - 1 {
+			t := i<<6 | mathbits.TrailingZeros64(w)
+			s.cand[t] = s.cand[t] && s.urg[t] >= cut
+		}
 	}
 }
 
-// posSorter is reusable scratch for bandwidthBits: an occupancy bitmap
-// over block positions plus per-position multiplicities. Both are kept
-// all-zero between calls (the bitmap is cleared word-wise, the counts
-// sparsely through the input positions), so a call touches O(range/64 + n)
-// words rather than the whole position space.
+// posSorter is reusable scratch for bandwidthBits' bitmap pass: an
+// occupancy bitmap over block positions plus per-position multiplicities.
+// Both are kept all-zero between calls (the bitmap is cleared word-wise,
+// the counts sparsely through the input positions), so a call touches
+// O(range/64 + n) words rather than the whole position space.
 type posSorter struct {
 	set []uint64
 	cnt []uint32
@@ -214,21 +237,67 @@ type posSorter struct {
 // bandwidthBits is CostModel.EffectiveBandwidth over the positions in
 // single-sweep order from startHead (ascending positions at or above it,
 // then descending positions below it), computed without materializing the
-// order: a counting sort keyed by the occupancy bitmap walks the positions
-// in sweep order and accumulates the serve costs directly. The additions
-// happen in exactly the order ExecTime would perform them, so the score is
-// bit-identical to the two-step computation (the tests pin this). pick
-// calls it once per candidate tape per reschedule under the max-bandwidth
-// policies.
+// order. Fewer than smallSort positions are insertion-sorted on the stack;
+// more are walked in sweep order by a counting sort keyed by an occupancy
+// bitmap. Either way the serve costs accumulate in exactly the order
+// ExecTime would add them, so the score is bit-identical to the two-step
+// computation (the tests pin this). pick calls it once per candidate tape
+// per reschedule under the max-bandwidth policies.
 func bandwidthBits(costs *CostModel, mounted, head, tape, startHead int, positions []int, ps *posSorter) float64 {
+	var exec float64
+	if len(positions) < smallSort {
+		exec = execInsertion(costs, startHead, positions)
+	} else {
+		exec = execBitmap(costs, startHead, positions, ps)
+	}
+	total := costs.SwitchCost(mounted, head, tape) + exec
+	if total <= 0 {
+		return 0
+	}
+	return float64(len(positions)) * costs.BlockMB / total
+}
+
+// execInsertion is the execution time of fewer than smallSort positions in
+// sweep order from startHead: it sorts a copy on the stack by insertion,
+// then serves forward from the first position at or above startHead and
+// backward from the one below it.
+func execInsertion(costs *CostModel, startHead int, positions []int) float64 {
+	var buf [smallSort]int
+	sorted := buf[:len(positions)]
+	for i, p := range positions {
+		j := i
+		for ; j > 0 && sorted[j-1] > p; j-- {
+			sorted[j] = sorted[j-1]
+		}
+		sorted[j] = p
+	}
+	split := 0
+	for split < len(sorted) && sorted[split] < startHead {
+		split++
+	}
+	exec, cur := 0.0, startHead
+	for _, p := range sorted[split:] {
+		step, h := costs.ServeOne(cur, p)
+		exec += step
+		cur = h
+	}
+	for i := split - 1; i >= 0; i-- {
+		step, h := costs.ServeOne(cur, sorted[i])
+		exec += step
+		cur = h
+	}
+	return exec
+}
+
+// execBitmap is the execution time of the positions in sweep order from
+// startHead, walked through ps's occupancy bitmap: upward from startHead,
+// then downward below it, each position served as often as it occurs.
+func execBitmap(costs *CostModel, startHead int, positions []int, ps *posSorter) float64 {
 	maxp := -1
 	for _, p := range positions {
 		if p > maxp {
 			maxp = p
 		}
-	}
-	if maxp < 0 {
-		return 0
 	}
 	words := maxp>>6 + 1
 	if len(ps.set) < words {
@@ -292,9 +361,5 @@ func bandwidthBits(costs *CostModel, mounted, head, tape, startHead int, positio
 	for _, p := range positions {
 		cnt[p] = 0
 	}
-	total := costs.SwitchCost(mounted, head, tape) + exec
-	if total <= 0 {
-		return 0
-	}
-	return float64(len(positions)) * costs.BlockMB / total
+	return exec
 }

@@ -289,22 +289,6 @@ func (sh *Shared) RemovePending(taken []*Request) {
 	sh.Pending = kept
 }
 
-// JukeboxOrder iterates tape indices in jukebox order starting at the
-// mounted tape (or tape 0 for an empty drive): mounted, mounted+1, ...,
-// wrapping around. It calls f for each tape until f returns false.
-func (st *State) JukeboxOrder(f func(tape int) bool) {
-	t0 := st.Mounted
-	if t0 < 0 {
-		t0 = 0
-	}
-	n := st.Layout.Tapes()
-	for i := 0; i < n; i++ {
-		if !f((t0 + i) % n) {
-			return
-		}
-	}
-}
-
 // StartHead returns the head position a schedule on `tape` would execute
 // from: the current head when the tape is already mounted, 0 after a switch.
 func (st *State) StartHead(tape int) int {

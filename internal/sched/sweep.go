@@ -40,8 +40,14 @@ func NewSweep(reqs []*Request, head int) *Sweep {
 	return s
 }
 
+// smallSort is the size below which a comparison sort is cheapest:
+// Sweep.init stable-sorts fewer requests by comparison and bandwidthBits
+// insertion-sorts fewer positions, while from smallSort on Sweep.init
+// sorts packed keys and bandwidthBits walks an occupancy bitmap.
+const smallSort = 16
+
 // init (re)builds the sweep contents, reusing any backing arrays the sweep
-// already owns; reqs must not alias them. Sixteen or more requests sort
+// already owns; reqs must not alias them. smallSort or more requests sort
 // (phaseKey, original index) packed into uint64s -- the index in the low
 // bits reproduces stability exactly -- trading two extra passes for an
 // ordered sort with single-instruction comparisons instead of a
@@ -54,7 +60,7 @@ func (s *Sweep) init(reqs []*Request, head int) {
 		}
 	}
 	buf := slices.Grow(s.buf[:0], len(reqs))
-	if len(reqs) < 16 {
+	if len(reqs) < smallSort {
 		buf = append(buf, reqs...)
 		slices.SortStableFunc(buf, func(a, b *Request) int {
 			return cmp.Compare(phaseKey(a.Target.Pos, head), phaseKey(b.Target.Pos, head))
