@@ -24,29 +24,21 @@ func Convergence(o Options) (*Figure, error) {
 }
 
 func planConvergence(o Options) (plan, error) {
-	horizons := []float64{100_000, 300_000, 1_000_000, 3_000_000, 10_000_000}
-	var jobs []job
-	for _, alg := range []tapejuke.Algorithm{
-		tapejuke.DynamicMaxBandwidth, tapejuke.EnvelopeMaxBandwidth,
-	} {
-		for _, h := range horizons {
+	p := plan{fig: Figure{
+		ID:        "convergence",
+		Title:     fmt.Sprintf("Estimator convergence with the simulated horizon (%d replications)", o.Replications),
+		ParamName: "horizon_s",
+	}}
+	for _, alg := range []tapejuke.Algorithm{tapejuke.DynamicMaxBandwidth, tapejuke.EnvelopeMaxBandwidth} {
+		for _, h := range []float64{100_000, 300_000, 1_000_000, 3_000_000, 10_000_000} {
 			cfg := base(o)
 			cfg.Algorithm = alg
 			cfg.HorizonSec = h
 			if alg == tapejuke.EnvelopeMaxBandwidth {
-				cfg.Placement = tapejuke.Vertical
-				cfg.Replicas = 9
-				cfg.StartPos = 1
+				fullReplication(&cfg)
 			}
-			jobs = append(jobs, job{series: string(alg), param: h, cfg: cfg})
+			p.jobs = append(p.jobs, job{series: string(alg), param: h, cfg: cfg})
 		}
 	}
-	return plan{jobs: jobs, finish: func(rows []Row) (*Figure, error) {
-		return &Figure{
-			ID:        "convergence",
-			Title:     fmt.Sprintf("Estimator convergence with the simulated horizon (%d replications)", o.Replications),
-			ParamName: "horizon_s",
-			Rows:      rows,
-		}, nil
-	}}, nil
+	return p, nil
 }

@@ -21,15 +21,18 @@ type job struct {
 	value  func(*tapejuke.Result) float64
 }
 
-// plan is a figure broken into its simulation jobs plus a finishing step
-// that shapes the resulting rows (one per job, in job order) into the
-// figure. Analytic figures have no jobs. Plans exist so All can pour every
-// figure's jobs into one shared worker pool with no barrier between
-// figures: a slow straggler of one figure overlaps the next figure's work
-// instead of idling the pool.
+// plan is a figure as data: its header (a Figure without rows) and the
+// simulation jobs whose rows, one per job in job order, become its Rows.
+// finish, when set, builds or reshapes the rows: the analytic figures
+// (fig1, fig10a) build them, fig10b derives its ratios from them, and the
+// farm adds its RunFarm points. Plans exist so All can pour every figure's
+// jobs into one shared worker pool with no barrier between figures: a slow
+// straggler of one figure overlaps the next figure's work instead of
+// idling the pool.
 type plan struct {
+	fig    Figure
 	jobs   []job
-	finish func([]Row) (*Figure, error)
+	finish func(*Figure) error
 }
 
 // runPlan executes a single figure's plan on its own grid.
@@ -43,7 +46,19 @@ func runPlan(o Options, pf func(Options) (plan, error)) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.finish(rows)
+	return p.figure(rows)
+}
+
+// figure fills the plan's header with its jobs' rows and applies finish.
+func (p plan) figure(rows []Row) (*Figure, error) {
+	f := p.fig
+	f.Rows = rows
+	if p.finish != nil {
+		if err := p.finish(&f); err != nil {
+			return nil, err
+		}
+	}
+	return &f, nil
 }
 
 // runGrid executes every (job, replication) task on the worker pool and

@@ -2,6 +2,7 @@ package figures
 
 import (
 	"fmt"
+	"slices"
 
 	"tapejuke"
 )
@@ -9,21 +10,6 @@ import (
 // The figures in this file are extension studies beyond the paper,
 // registered alongside the reproduction figures so cmd/figures can
 // regenerate every number in EXPERIMENTS.md.
-
-// serpentineSweep builds one series of queue-length jobs on the given
-// serpentine drive profile, with mut applied to each configuration.
-func serpentineSweep(o Options, profile, label string, mut func(*tapejuke.Config)) []job {
-	var jobs []job
-	for i := range o.QueueLengths {
-		cfg := base(o)
-		cfg.DriveProfile = profile
-		cfg.RAO = false
-		mut(&cfg)
-		p := applyIntensity(&cfg, o, i)
-		jobs = append(jobs, job{series: label, param: p, cfg: cfg})
-	}
-	return jobs
-}
 
 // Serpentine compares placements and schedulers on the synthetic DLT-class
 // serpentine drive -- the technology the paper excludes. Two stories in one
@@ -33,23 +19,25 @@ func serpentineSweep(o Options, profile, label string, mut func(*tapejuke.Config
 func Serpentine(o Options) (*Figure, error) { return runPlan(o, planSerpentine) }
 
 func planSerpentine(o Options) (plan, error) {
-	var jobs []job
-	jobs = append(jobs, serpentineSweep(o, "dlt7000", "dyn-SP0", func(c *tapejuke.Config) { c.StartPos = 0 })...)
-	jobs = append(jobs, serpentineSweep(o, "dlt7000", "dyn-SP1", func(c *tapejuke.Config) { c.StartPos = 1 })...)
-	jobs = append(jobs, serpentineSweep(o, "dlt7000", "env-NR9", func(c *tapejuke.Config) {
-		c.Algorithm = tapejuke.EnvelopeMaxBandwidth
-		c.Placement = tapejuke.Vertical
-		c.Replicas = 9
-		c.StartPos = 1
-	})...)
-	return plan{jobs: jobs, finish: func(rows []Row) (*Figure, error) {
-		return &Figure{
+	o.DriveProfile, o.RAO = "dlt7000", false
+	return plan{
+		fig: Figure{
 			ID:        "serpentine",
 			Title:     "Extension: placement and replication on a serpentine (DLT-class) drive",
 			ParamName: intensityName(o),
-			Rows:      rows,
-		}, nil
-	}}, nil
+		},
+		jobs: slices.Concat(
+			series(o, "dyn-SP0", func(c *tapejuke.Config) { c.StartPos = 0 }),
+			series(o, "dyn-SP1", func(c *tapejuke.Config) { c.StartPos = 1 }),
+			series(o, "env-NR9", envelopeNR9),
+		),
+	}, nil
+}
+
+// envelopeNR9 runs the max-bandwidth envelope scheduler on full replication.
+func envelopeNR9(c *tapejuke.Config) {
+	c.Algorithm = tapejuke.EnvelopeMaxBandwidth
+	fullReplication(c)
 }
 
 // LTO9 runs the same study on the LTO-9-class profile (many more track
@@ -61,27 +49,22 @@ func planSerpentine(o Options) (plan, error) {
 func LTO9(o Options) (*Figure, error) { return runPlan(o, planLTO9) }
 
 func planLTO9(o Options) (plan, error) {
-	env := func(c *tapejuke.Config) {
-		c.Algorithm = tapejuke.EnvelopeMaxBandwidth
-		c.Placement = tapejuke.Vertical
-		c.Replicas = 9
-		c.StartPos = 1
-	}
-	var jobs []job
-	jobs = append(jobs, serpentineSweep(o, "lto9", "dyn", func(c *tapejuke.Config) {})...)
-	jobs = append(jobs, serpentineSweep(o, "lto9", "env-NR9", env)...)
-	jobs = append(jobs, serpentineSweep(o, "lto9", "env-NR9-rao", func(c *tapejuke.Config) {
-		env(c)
-		c.RAO = true
-	})...)
-	return plan{jobs: jobs, finish: func(rows []Row) (*Figure, error) {
-		return &Figure{
+	o.DriveProfile, o.RAO = "lto9", false
+	return plan{
+		fig: Figure{
 			ID:        "lto9",
 			Title:     "Extension: scheduling and RAO reordering on an LTO-9-class serpentine drive",
 			ParamName: intensityName(o),
-			Rows:      rows,
-		}, nil
-	}}, nil
+		},
+		jobs: slices.Concat(
+			series(o, "dyn", func(*tapejuke.Config) {}),
+			series(o, "env-NR9", envelopeNR9),
+			series(o, "env-NR9-rao", func(c *tapejuke.Config) {
+				envelopeNR9(c)
+				c.RAO = true
+			}),
+		),
+	}, nil
 }
 
 // MultiDrive sweeps the drive count of the jukebox (the paper's future
@@ -89,23 +72,15 @@ func planLTO9(o Options) (plan, error) {
 func MultiDrive(o Options) (*Figure, error) { return runPlan(o, planMultiDrive) }
 
 func planMultiDrive(o Options) (plan, error) {
-	var jobs []job
+	p := plan{fig: Figure{
+		ID:        "multidrive",
+		Title:     "Extension: multi-drive jukebox scaling (shared tapes, shared pending list)",
+		ParamName: intensityName(o),
+	}}
 	for _, drives := range []int{1, 2, 3, 4} {
-		for i := range o.QueueLengths {
-			cfg := base(o)
-			cfg.Drives = drives
-			p := applyIntensity(&cfg, o, i)
-			jobs = append(jobs, job{series: fmt.Sprintf("drives-%d", drives), param: p, cfg: cfg})
-		}
+		p.jobs = append(p.jobs, series(o, fmt.Sprintf("drives-%d", drives), func(c *tapejuke.Config) { c.Drives = drives })...)
 	}
-	return plan{jobs: jobs, finish: func(rows []Row) (*Figure, error) {
-		return &Figure{
-			ID:        "multidrive",
-			Title:     "Extension: multi-drive jukebox scaling (shared tapes, shared pending list)",
-			ParamName: intensityName(o),
-			Rows:      rows,
-		}, nil
-	}}, nil
+	return p, nil
 }
 
 // GradualFill regenerates the Section 4.8 lifecycle table: the recommended
@@ -114,45 +89,31 @@ func planMultiDrive(o Options) (plan, error) {
 func GradualFill(o Options) (*Figure, error) { return runPlan(o, planGradualFill) }
 
 func planGradualFill(o Options) (plan, error) {
-	capacityMB := 10 * 7168.0
-	var jobs []job
+	const capacityMB = 10 * 7168.0
+	p := plan{fig: Figure{
+		ID:        "gradualfill",
+		Title:     "Extension: the Section 4.8 gradual-fill procedure vs. a naive layout",
+		ParamName: "fill_fraction",
+		ValueName: "plan_replicas",
+	}}
 	for _, fill := range []float64{0.2, 0.4, 0.6, 0.8, 0.9, 0.97, 1.0} {
-		planned := tapejuke.Config{
+		naive := tapejuke.Config{
 			Algorithm:  tapejuke.EnvelopeMaxBandwidth,
 			DataMB:     fill * capacityMB,
 			HorizonSec: o.HorizonSec,
 			Seed:       o.Seed,
 		}
-		plannedCfg, _, err := tapejuke.PlanGradualFill(planned)
+		planned, gf, err := tapejuke.PlanGradualFill(naive)
 		if err != nil {
 			return plan{}, err
 		}
-		jobs = append(jobs, job{series: "recommended", param: fill, cfg: plannedCfg})
-
-		naive := planned.WithDefaults()
-		jobs = append(jobs, job{series: "naive", param: fill, cfg: naive})
+		replicas := float64(gf.Replicas)
+		p.jobs = append(p.jobs,
+			job{series: "recommended", param: fill, cfg: planned,
+				value: func(*tapejuke.Result) float64 { return replicas }},
+			job{series: "naive", param: fill, cfg: naive.WithDefaults()})
 	}
-	return plan{jobs: jobs, finish: func(rows []Row) (*Figure, error) {
-		// Attach the replica counts to the recommended rows.
-		out := make([]Row, len(rows))
-		copy(out, rows)
-		for i, r := range out {
-			if r.Series != "recommended" {
-				continue
-			}
-			cfg := tapejuke.Config{DataMB: r.Param * capacityMB}
-			if _, gfPlan, err := tapejuke.PlanGradualFill(cfg); err == nil {
-				out[i].Value = float64(gfPlan.Replicas)
-			}
-		}
-		return &Figure{
-			ID:        "gradualfill",
-			Title:     "Extension: the Section 4.8 gradual-fill procedure vs. a naive layout",
-			ParamName: "fill_fraction",
-			ValueName: "plan_replicas",
-			Rows:      out,
-		}, nil
-	}}, nil
+	return p, nil
 }
 
 // Repair studies the self-healing replication extension: availability as a
@@ -163,6 +124,22 @@ func planGradualFill(o Options) (plan, error) {
 // during idle time and holds availability up. Row.Value carries the
 // availability (post-warmup completed / (completed + unserviceable)).
 func Repair(o Options) (*Figure, error) { return runPlan(o, planRepair) }
+
+func planRepair(o Options) (plan, error) {
+	p := plan{fig: Figure{
+		ID:        "repair",
+		Title:     "Extension: self-healing replication under tape failures (PH-100 RH-100, open model)",
+		ParamName: "horizon_s",
+		ValueName: "availability",
+	}}
+	for _, nr := range []int{1, 2} {
+		p.jobs = append(p.jobs, horizonSeries(o, fmt.Sprintf("NR%d-norepair", nr), nr, availability,
+			func(*tapejuke.Config) {})...)
+		p.jobs = append(p.jobs, horizonSeries(o, fmt.Sprintf("NR%d-repair", nr), nr, availability,
+			func(c *tapejuke.Config) { c.Repair.Enable = true })...)
+	}
+	return p, nil
+}
 
 // Health studies the proactive media-health extension on top of repair:
 // availability and latent-error detection latency as a function of the
@@ -176,107 +153,63 @@ func Repair(o Options) (*Figure, error) { return runPlan(o, planRepair) }
 func Health(o Options) (*Figure, error) { return runPlan(o, planHealth) }
 
 func planHealth(o Options) (plan, error) {
-	horizons := []float64{250_000, 500_000, 1_000_000, 1_500_000, 2_000_000}
-	variants := []struct {
-		label string
-		mut   func(*tapejuke.Config)
+	p := plan{fig: Figure{
+		ID:        "health",
+		Title:     "Extension: media-health scrubbing and evacuation under latent errors (PH-100 RH-100 NR-2, open model)",
+		ParamName: "horizon_s",
+		ValueName: "availability_or_mttd_s",
+	}}
+	for _, v := range []struct {
+		label  string
+		health tapejuke.HealthConfig
 	}{
-		{"repair", func(c *tapejuke.Config) {}},
-		{"scrub", func(c *tapejuke.Config) {
-			c.Health = tapejuke.HealthConfig{Enable: true, ScrubRate: 64}
-		}},
-		{"scrub-evac", func(c *tapejuke.Config) {
-			c.Health = tapejuke.HealthConfig{Enable: true, ScrubRate: 64,
-				SuspectScore: 3, Evacuate: true}
-		}},
-	}
-	metrics := []struct {
-		label string
-		value func(*tapejuke.Result) float64
-	}{
-		{"avail", func(r *tapejuke.Result) float64 { return r.Availability }},
-		{"mttd", func(r *tapejuke.Result) float64 { return r.MeanTimeToDetectSec }},
-	}
-	var jobs []job
-	for _, v := range variants {
-		for _, m := range metrics {
-			for _, h := range horizons {
-				// The same open uniform-heat workload as the repair figure,
-				// with latent errors developing alongside whole-tape deaths.
-				cfg := tapejuke.Config{
-					Algorithm:           tapejuke.EnvelopeMaxBandwidth,
-					HotPercent:          100,
-					ReadHotPercent:      100,
-					DataMB:              16_000,
-					Replicas:            2,
-					MeanInterarrivalSec: 300,
-					HorizonSec:          h,
-					Seed:                13 + o.Seed,
-					Faults: tapejuke.FaultConfig{
-						TapeMTBFSec:         1_200_000,
-						LatentErrorsPerTape: 2,
-						LatentMeanOnsetSec:  400_000,
-					},
-					Repair: tapejuke.RepairConfig{Enable: true},
-				}
-				v.mut(&cfg)
-				cfg = cfg.WithDefaults()
-				cfg.QueueLength = 0
-				jobs = append(jobs, job{series: v.label + "-" + m.label,
-					param: h, cfg: cfg, value: m.value})
-			}
+		{"repair", tapejuke.HealthConfig{}},
+		{"scrub", tapejuke.HealthConfig{Enable: true, ScrubRate: 64}},
+		{"scrub-evac", tapejuke.HealthConfig{Enable: true, ScrubRate: 64, SuspectScore: 3, Evacuate: true}},
+	} {
+		for _, m := range []struct {
+			label string
+			value func(*tapejuke.Result) float64
+		}{
+			{"avail", availability},
+			{"mttd", func(r *tapejuke.Result) float64 { return r.MeanTimeToDetectSec }},
+		} {
+			// Latent errors develop alongside the whole-tape deaths.
+			p.jobs = append(p.jobs, horizonSeries(o, v.label+"-"+m.label, 2, m.value, func(c *tapejuke.Config) {
+				c.Faults.LatentErrorsPerTape = 2
+				c.Faults.LatentMeanOnsetSec = 400_000
+				c.Repair.Enable = true
+				c.Health = v.health
+			})...)
 		}
 	}
-	return plan{jobs: jobs, finish: func(rows []Row) (*Figure, error) {
-		return &Figure{
-			ID:        "health",
-			Title:     "Extension: media-health scrubbing and evacuation under latent errors (PH-100 RH-100 NR-2, open model)",
-			ParamName: "horizon_s",
-			ValueName: "availability_or_mttd_s",
-			Rows:      rows,
-		}, nil
-	}}, nil
+	return p, nil
 }
 
-func planRepair(o Options) (plan, error) {
-	horizons := []float64{250_000, 500_000, 1_000_000, 1_500_000, 2_000_000}
-	avail := func(r *tapejuke.Result) float64 { return r.Availability }
+func availability(r *tapejuke.Result) float64 { return r.Availability }
+
+// horizonSeries returns one job per horizon of the repair and health
+// figures, each labelled label and reading value from its result. Both run
+// the open uniform-heat workload that separates their series cleanly:
+// every block hot and requested, so a block whose copies all die is
+// noticed as unserviceable demand rather than silently never asked for,
+// at nr extra replicas under random tape failures, changed by mut.
+func horizonSeries(o Options, label string, nr int, value func(*tapejuke.Result) float64, mut func(*tapejuke.Config)) []job {
 	var jobs []job
-	for _, nr := range []int{1, 2} {
-		for _, rep := range []bool{false, true} {
-			for _, h := range horizons {
-				// The open uniform-heat workload that separates the
-				// series cleanly: every block hot and requested, so a
-				// block whose copies all die is noticed as unserviceable
-				// demand rather than silently never asked for.
-				cfg := tapejuke.Config{
-					Algorithm:           tapejuke.EnvelopeMaxBandwidth,
-					HotPercent:          100,
-					ReadHotPercent:      100,
-					DataMB:              16_000,
-					Replicas:            nr,
-					MeanInterarrivalSec: 300,
-					HorizonSec:          h,
-					Seed:                13 + o.Seed,
-					Faults:              tapejuke.FaultConfig{TapeMTBFSec: 1_200_000},
-				}.WithDefaults()
-				cfg.QueueLength = 0
-				label := fmt.Sprintf("NR%d-norepair", nr)
-				if rep {
-					cfg.Repair = tapejuke.RepairConfig{Enable: true}
-					label = fmt.Sprintf("NR%d-repair", nr)
-				}
-				jobs = append(jobs, job{series: label, param: h, cfg: cfg, value: avail})
-			}
+	for _, h := range []float64{250_000, 500_000, 1_000_000, 1_500_000, 2_000_000} {
+		cfg := tapejuke.Config{
+			Algorithm:           tapejuke.EnvelopeMaxBandwidth,
+			HotPercent:          100,
+			ReadHotPercent:      100,
+			DataMB:              16_000,
+			Replicas:            nr,
+			MeanInterarrivalSec: 300,
+			HorizonSec:          h,
+			Seed:                13 + o.Seed,
+			Faults:              tapejuke.FaultConfig{TapeMTBFSec: 1_200_000},
 		}
+		mut(&cfg)
+		jobs = append(jobs, job{series: label, param: h, cfg: cfg.WithDefaults(), value: value})
 	}
-	return plan{jobs: jobs, finish: func(rows []Row) (*Figure, error) {
-		return &Figure{
-			ID:        "repair",
-			Title:     "Extension: self-healing replication under tape failures (PH-100 RH-100, open model)",
-			ParamName: "horizon_s",
-			ValueName: "availability",
-			Rows:      rows,
-		}, nil
-	}}, nil
+	return jobs
 }

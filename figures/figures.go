@@ -8,10 +8,11 @@
 // space, and a family of curves varies the quantity under study. Rows carry
 // the parameter value and all three outputs so either rendering works.
 //
-// Internally every figure is a plan: the list of simulation jobs it needs
-// plus a finishing step over the resulting rows. All plans the whole set up
-// front and drains every job through one shared worker pool (see runGrid in
-// engine.go); single-figure entry points run their own plan the same way.
+// Internally every figure is a plan: its header plus the simulation jobs
+// whose rows fill it, most of them built by series, one job per queue
+// length (see plan in engine.go). All plans the whole set up front and
+// drains every job through one shared worker pool (see runGrid);
+// single-figure entry points run their own plan the same way.
 package figures
 
 import (
@@ -98,17 +99,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// openInterarrivals maps the closed-model queue lengths to open-model mean
-// interarrival times of comparable intensity: light load for short queues,
-// saturation for long ones.
-func openInterarrivals(queues []int) []float64 {
-	out := make([]float64, len(queues))
-	for i, q := range queues {
-		out[i] = 1600 / float64(q) // 80 s at q=20 down to ~11 s at q=140
-	}
-	return out
-}
-
 // base returns the paper's reference configuration (moderate skew, closed
 // queuing, dynamic max-bandwidth) at the option's horizon, on the option's
 // drive profile.
@@ -121,17 +111,40 @@ func base(o Options) tapejuke.Config {
 	}.WithDefaults()
 }
 
-// applyIntensity sets the workload intensity on cfg: queue length q for
-// closed models, or the matching interarrival time for open models.
-func applyIntensity(cfg *tapejuke.Config, o Options, idx int) float64 {
-	if o.Open {
-		ia := openInterarrivals(o.QueueLengths)[idx]
-		cfg.QueueLength = 0
-		cfg.MeanInterarrivalSec = ia
-		return ia
+// series returns one job per queue length of o, each labelled label and
+// running base(o) changed by mut at that intensity (see setIntensity).
+func series(o Options, label string, mut func(*tapejuke.Config)) []job {
+	jobs := make([]job, len(o.QueueLengths))
+	for i, q := range o.QueueLengths {
+		cfg := base(o)
+		mut(&cfg)
+		p := setIntensity(&cfg, o, q)
+		jobs[i] = job{series: label, param: p, cfg: cfg}
 	}
-	cfg.QueueLength = o.QueueLengths[idx]
-	return float64(o.QueueLengths[idx])
+	return jobs
+}
+
+// setIntensity sets the workload intensity on cfg from the closed-model
+// queue length q: the queue itself, or on the open model a mean
+// interarrival time of comparable intensity, from light load at short
+// queues to saturation at long ones (80 s at q=20 down to ~11 s at q=140).
+// It returns the value the figure plots.
+func setIntensity(cfg *tapejuke.Config, o Options, q int) float64 {
+	if o.Open {
+		cfg.QueueLength = 0
+		cfg.MeanInterarrivalSec = 1600 / float64(q)
+		return cfg.MeanInterarrivalSec
+	}
+	cfg.QueueLength = q
+	return float64(q)
+}
+
+// fullReplication is the paper's best replicated layout: every hot block
+// on all ten tapes (NR-9, vertical) with the replicas at the tape end (SP-1).
+func fullReplication(c *tapejuke.Config) {
+	c.Placement = tapejuke.Vertical
+	c.Replicas = 9
+	c.StartPos = 1
 }
 
 // allPlans are the paper figures regenerated by All, in publication order.
@@ -166,7 +179,7 @@ func All(o Options) ([]*Figure, error) {
 	for _, p := range plans {
 		sub := rows[off : off+len(p.jobs) : off+len(p.jobs)]
 		off += len(p.jobs)
-		f, ferr := p.finish(sub)
+		f, ferr := p.figure(sub)
 		if ferr != nil {
 			return nil, ferr
 		}
@@ -210,23 +223,24 @@ func ByID(id string, o Options) (*Figure, error) {
 func Fig1(o Options) (*Figure, error) { return runPlan(o, planFig1) }
 
 func planFig1(Options) (plan, error) {
-	return plan{finish: func([]Row) (*Figure, error) {
-		p := tapemodel.EXB8505XL()
-		f := &Figure{
+	return plan{
+		fig: Figure{
 			ID:        "fig1",
 			Title:     "Locate time as a function of distance (1 MB logical blocks)",
 			ParamName: "distance_mb",
 			ValueName: "locate_seconds",
-		}
-		distances := []float64{1, 2, 4, 8, 16, 24, 28, 29, 32, 64, 128, 256, 512, 1024, 2048, 4096, 7168}
-		for _, d := range distances {
-			f.Rows = append(f.Rows,
-				Row{Series: "forward", Param: d, Value: p.LocateForward(d)},
-				Row{Series: "reverse", Param: d, Value: p.LocateReverse(d)},
-			)
-		}
-		return f, nil
-	}}, nil
+		},
+		finish: func(f *Figure) error {
+			p := tapemodel.EXB8505XL()
+			for _, d := range []float64{1, 2, 4, 8, 16, 24, 28, 29, 32, 64, 128, 256, 512, 1024, 2048, 4096, 7168} {
+				f.Rows = append(f.Rows,
+					Row{Series: "forward", Param: d, Value: p.LocateForward(d)},
+					Row{Series: "reverse", Param: d, Value: p.LocateReverse(d)},
+				)
+			}
+			return nil
+		},
+	}, nil
 }
 
 // Fig3 sweeps the I/O transfer size at four workload intensities
@@ -234,29 +248,20 @@ func planFig1(Options) (plan, error) {
 func Fig3(o Options) (*Figure, error) { return runPlan(o, planFig3) }
 
 func planFig3(o Options) (plan, error) {
-	queues := []int{20, 60, 100, 140}
-	blocks := []float64{2, 4, 8, 16, 32, 64}
-	var jobs []job
-	for _, q := range queues {
-		for _, b := range blocks {
+	p := plan{fig: Figure{
+		ID:        "fig3",
+		Title:     "The effect of transfer size (PH-10 RH-40 NR-0 SP-0)",
+		ParamName: "block_mb",
+	}}
+	for _, q := range []int{20, 60, 100, 140} {
+		for _, b := range []float64{2, 4, 8, 16, 32, 64} {
 			cfg := base(o)
 			cfg.BlockMB = b
-			cfg.QueueLength = q
-			if o.Open {
-				cfg.QueueLength = 0
-				cfg.MeanInterarrivalSec = 1600 / float64(q)
-			}
-			jobs = append(jobs, job{series: fmt.Sprintf("queue-%d", q), param: b, cfg: cfg})
+			setIntensity(&cfg, o, q)
+			p.jobs = append(p.jobs, job{series: fmt.Sprintf("queue-%d", q), param: b, cfg: cfg})
 		}
 	}
-	return plan{jobs: jobs, finish: func(rows []Row) (*Figure, error) {
-		return &Figure{
-			ID:        "fig3",
-			Title:     "The effect of transfer size (PH-10 RH-40 NR-0 SP-0)",
-			ParamName: "block_mb",
-			Rows:      rows,
-		}, nil
-	}}, nil
+	return p, nil
 }
 
 // Fig4 compares all eleven simple schedulers without replication
@@ -265,30 +270,21 @@ func planFig3(o Options) (plan, error) {
 func Fig4(o Options) (*Figure, error) { return runPlan(o, planFig4) }
 
 func planFig4(o Options) (plan, error) {
-	algs := []tapejuke.Algorithm{
+	p := plan{fig: Figure{
+		ID:        "fig4",
+		Title:     "Relative performance of scheduling algorithms, no replication (PH-10 RH-40 NR-0 SP-0)",
+		ParamName: intensityName(o),
+	}}
+	for _, a := range []tapejuke.Algorithm{
 		tapejuke.FIFO,
 		tapejuke.StaticRoundRobin, tapejuke.StaticMaxRequests, tapejuke.StaticMaxBandwidth,
 		tapejuke.StaticOldestMaxRequests, tapejuke.StaticOldestMaxBandwidth,
 		tapejuke.DynamicRoundRobin, tapejuke.DynamicMaxRequests, tapejuke.DynamicMaxBandwidth,
 		tapejuke.DynamicOldestMaxRequests, tapejuke.DynamicOldestMaxBandwidth,
+	} {
+		p.jobs = append(p.jobs, series(o, string(a), func(c *tapejuke.Config) { c.Algorithm = a })...)
 	}
-	var jobs []job
-	for _, a := range algs {
-		for i := range o.QueueLengths {
-			cfg := base(o)
-			cfg.Algorithm = a
-			p := applyIntensity(&cfg, o, i)
-			jobs = append(jobs, job{series: string(a), param: p, cfg: cfg})
-		}
-	}
-	return plan{jobs: jobs, finish: func(rows []Row) (*Figure, error) {
-		return &Figure{
-			ID:        "fig4",
-			Title:     "Relative performance of scheduling algorithms, no replication (PH-10 RH-40 NR-0 SP-0)",
-			ParamName: intensityName(o),
-			Rows:      rows,
-		}, nil
-	}}, nil
+	return p, nil
 }
 
 // Fig5 studies hot-data placement without replication: horizontal layouts
@@ -297,29 +293,16 @@ func planFig4(o Options) (plan, error) {
 func Fig5(o Options) (*Figure, error) { return runPlan(o, planFig5) }
 
 func planFig5(o Options) (plan, error) {
-	var jobs []job
+	p := plan{fig: Figure{
+		ID:        "fig5",
+		Title:     "Throughput and latency as a function of hot data placement, no replication (PH-10 RH-40 NR-0)",
+		ParamName: intensityName(o),
+	}}
 	for _, sp := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		for i := range o.QueueLengths {
-			cfg := base(o)
-			cfg.StartPos = sp
-			p := applyIntensity(&cfg, o, i)
-			jobs = append(jobs, job{series: fmt.Sprintf("SP-%.2f", sp), param: p, cfg: cfg})
-		}
+		p.jobs = append(p.jobs, series(o, fmt.Sprintf("SP-%.2f", sp), func(c *tapejuke.Config) { c.StartPos = sp })...)
 	}
-	for i := range o.QueueLengths {
-		cfg := base(o)
-		cfg.Placement = tapejuke.Vertical
-		p := applyIntensity(&cfg, o, i)
-		jobs = append(jobs, job{series: "vertical", param: p, cfg: cfg})
-	}
-	return plan{jobs: jobs, finish: func(rows []Row) (*Figure, error) {
-		return &Figure{
-			ID:        "fig5",
-			Title:     "Throughput and latency as a function of hot data placement, no replication (PH-10 RH-40 NR-0)",
-			ParamName: intensityName(o),
-			Rows:      rows,
-		}, nil
-	}}, nil
+	p.jobs = append(p.jobs, series(o, "vertical", func(c *tapejuke.Config) { c.Placement = tapejuke.Vertical })...)
+	return p, nil
 }
 
 // Fig6 varies the number of replicas of hot data from 0 to 9 (vertical
@@ -327,28 +310,22 @@ func planFig5(o Options) (plan, error) {
 func Fig6(o Options) (*Figure, error) { return runPlan(o, planFig6) }
 
 func planFig6(o Options) (plan, error) {
-	var jobs []job
+	p := plan{fig: Figure{
+		ID:        "fig6",
+		Title:     "Throughput and latency as a function of the number of replicas (PH-10 RH-40, vertical, SP-1)",
+		ParamName: intensityName(o),
+	}}
 	for nr := 0; nr <= 9; nr++ {
-		for i := range o.QueueLengths {
-			cfg := base(o)
-			cfg.Placement = tapejuke.Vertical
-			cfg.Replicas = nr
-			cfg.StartPos = 1
+		p.jobs = append(p.jobs, series(o, fmt.Sprintf("NR-%d", nr), func(c *tapejuke.Config) {
+			c.Placement = tapejuke.Vertical
+			c.Replicas = nr
+			c.StartPos = 1
 			if nr == 0 {
-				cfg.StartPos = 0 // best no-replication placement
+				c.StartPos = 0 // best no-replication placement
 			}
-			p := applyIntensity(&cfg, o, i)
-			jobs = append(jobs, job{series: fmt.Sprintf("NR-%d", nr), param: p, cfg: cfg})
-		}
+		})...)
 	}
-	return plan{jobs: jobs, finish: func(rows []Row) (*Figure, error) {
-		return &Figure{
-			ID:        "fig6",
-			Title:     "Throughput and latency as a function of the number of replicas (PH-10 RH-40, vertical, SP-1)",
-			ParamName: intensityName(o),
-			Rows:      rows,
-		}, nil
-	}}, nil
+	return p, nil
 }
 
 // Fig7 varies the placement of replicas with full replication (NR-9,
@@ -356,25 +333,18 @@ func planFig6(o Options) (plan, error) {
 func Fig7(o Options) (*Figure, error) { return runPlan(o, planFig7) }
 
 func planFig7(o Options) (plan, error) {
-	var jobs []job
+	p := plan{fig: Figure{
+		ID:        "fig7",
+		Title:     "Throughput and latency as a function of replica placement (PH-10 RH-40 NR-9, vertical)",
+		ParamName: intensityName(o),
+	}}
 	for _, sp := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		for i := range o.QueueLengths {
-			cfg := base(o)
-			cfg.Placement = tapejuke.Vertical
-			cfg.Replicas = 9
-			cfg.StartPos = sp
-			p := applyIntensity(&cfg, o, i)
-			jobs = append(jobs, job{series: fmt.Sprintf("SP-%.2f", sp), param: p, cfg: cfg})
-		}
+		p.jobs = append(p.jobs, series(o, fmt.Sprintf("SP-%.2f", sp), func(c *tapejuke.Config) {
+			fullReplication(c)
+			c.StartPos = sp
+		})...)
 	}
-	return plan{jobs: jobs, finish: func(rows []Row) (*Figure, error) {
-		return &Figure{
-			ID:        "fig7",
-			Title:     "Throughput and latency as a function of replica placement (PH-10 RH-40 NR-9, vertical)",
-			ParamName: intensityName(o),
-			Rows:      rows,
-		}, nil
-	}}, nil
+	return p, nil
 }
 
 // Fig8 compares schedulers under full replication at the tape end
@@ -383,26 +353,18 @@ func planFig7(o Options) (plan, error) {
 func Fig8(o Options) (*Figure, error) { return runPlan(o, planFig8) }
 
 func planFig8(o Options) (plan, error) {
-	var jobs []job
+	p := plan{fig: Figure{
+		ID:        "fig8",
+		Title:     "Relative performance of scheduling algorithms with replication (PH-10 RH-40 NR-9 SP-1)",
+		ParamName: intensityName(o),
+	}}
 	for _, a := range tapejuke.Algorithms() {
-		for i := range o.QueueLengths {
-			cfg := base(o)
-			cfg.Algorithm = a
-			cfg.Placement = tapejuke.Vertical
-			cfg.Replicas = 9
-			cfg.StartPos = 1
-			p := applyIntensity(&cfg, o, i)
-			jobs = append(jobs, job{series: string(a), param: p, cfg: cfg})
-		}
+		p.jobs = append(p.jobs, series(o, string(a), func(c *tapejuke.Config) {
+			c.Algorithm = a
+			fullReplication(c)
+		})...)
 	}
-	return plan{jobs: jobs, finish: func(rows []Row) (*Figure, error) {
-		return &Figure{
-			ID:        "fig8",
-			Title:     "Relative performance of scheduling algorithms with replication (PH-10 RH-40 NR-9 SP-1)",
-			ParamName: intensityName(o),
-			Rows:      rows,
-		}, nil
-	}}, nil
+	return p, nil
 }
 
 // Fig9 studies the importance of skew: RH from 20 to 80 percent, with no
@@ -411,33 +373,23 @@ func planFig8(o Options) (plan, error) {
 func Fig9(o Options) (*Figure, error) { return runPlan(o, planFig9) }
 
 func planFig9(o Options) (plan, error) {
-	var jobs []job
+	p := plan{fig: Figure{
+		ID:        "fig9",
+		Title:     "The relationship between skew and performance improvements (PH-10, envelope-max-bandwidth)",
+		ParamName: intensityName(o),
+	}}
 	for _, rh := range []float64{20, 40, 60, 80} {
-		for _, full := range []bool{false, true} {
-			for i := range o.QueueLengths {
-				cfg := base(o)
-				cfg.Algorithm = tapejuke.EnvelopeMaxBandwidth
-				cfg.ReadHotPercent = rh
-				label := fmt.Sprintf("RH-%.0f-norepl", rh)
-				if full {
-					cfg.Placement = tapejuke.Vertical
-					cfg.Replicas = 9
-					cfg.StartPos = 1
-					label = fmt.Sprintf("RH-%.0f-full", rh)
-				}
-				p := applyIntensity(&cfg, o, i)
-				jobs = append(jobs, job{series: label, param: p, cfg: cfg})
-			}
+		skew := func(c *tapejuke.Config) {
+			c.Algorithm = tapejuke.EnvelopeMaxBandwidth
+			c.ReadHotPercent = rh
 		}
+		p.jobs = append(p.jobs, series(o, fmt.Sprintf("RH-%.0f-norepl", rh), skew)...)
+		p.jobs = append(p.jobs, series(o, fmt.Sprintf("RH-%.0f-full", rh), func(c *tapejuke.Config) {
+			skew(c)
+			fullReplication(c)
+		})...)
 	}
-	return plan{jobs: jobs, finish: func(rows []Row) (*Figure, error) {
-		return &Figure{
-			ID:        "fig9",
-			Title:     "The relationship between skew and performance improvements (PH-10, envelope-max-bandwidth)",
-			ParamName: intensityName(o),
-			Rows:      rows,
-		}, nil
-	}}, nil
+	return p, nil
 }
 
 // Fig10a tabulates the storage expansion factor E = 1 + NR*PH/100 as a
@@ -445,25 +397,27 @@ func planFig9(o Options) (plan, error) {
 func Fig10a(o Options) (*Figure, error) { return runPlan(o, planFig10a) }
 
 func planFig10a(Options) (plan, error) {
-	return plan{finish: func([]Row) (*Figure, error) {
-		f := &Figure{
+	return plan{
+		fig: Figure{
 			ID:        "fig10a",
 			Title:     "Storage expansion factor of replication",
 			ParamName: "replicas",
 			ValueName: "expansion_factor",
-		}
-		for _, ph := range []float64{5, 10, 20, 30} {
-			for nr := 0; nr <= 9; nr++ {
-				cfg := tapejuke.Config{HotPercent: ph, Replicas: nr}
-				f.Rows = append(f.Rows, Row{
-					Series: fmt.Sprintf("PH-%.0f", ph),
-					Param:  float64(nr),
-					Value:  cfg.ExpansionFactor(),
-				})
+		},
+		finish: func(f *Figure) error {
+			for _, ph := range []float64{5, 10, 20, 30} {
+				for nr := 0; nr <= 9; nr++ {
+					cfg := tapejuke.Config{HotPercent: ph, Replicas: nr}
+					f.Rows = append(f.Rows, Row{
+						Series: fmt.Sprintf("PH-%.0f", ph),
+						Param:  float64(nr),
+						Value:  cfg.ExpansionFactor(),
+					})
+				}
 			}
-		}
-		return f, nil
-	}}, nil
+			return nil
+		},
+	}, nil
 }
 
 // Fig10b computes the cost-performance ratio of replication versus no
@@ -473,9 +427,13 @@ func Fig10b(o Options) (*Figure, error) { return runPlan(o, planFig10b) }
 
 func planFig10b(o Options) (plan, error) {
 	const baseQueue = 60
-	skews := []float64{40, 60, 80, 95}
-	var jobs []job
-	for _, rh := range skews {
+	p := plan{fig: Figure{
+		ID:        "fig10b",
+		Title:     "Cost-performance of replication vs. no replication (PH-10, queue 60/E)",
+		ParamName: "replicas",
+		ValueName: "cost_performance_ratio",
+	}}
+	for _, rh := range []float64{40, 60, 80, 95} {
 		for nr := 0; nr <= 9; nr++ {
 			cfg := base(o)
 			cfg.Algorithm = tapejuke.EnvelopeMaxBandwidth
@@ -485,45 +443,30 @@ func planFig10b(o Options) (plan, error) {
 				cfg.Placement = tapejuke.Vertical
 				cfg.StartPos = 1
 			}
-			e := cfg.ExpansionFactor()
-			q, err := tapejuke.ScaledQueueLength(baseQueue, e)
+			q, err := tapejuke.ScaledQueueLength(baseQueue, cfg.ExpansionFactor())
 			if err != nil {
 				return plan{}, err
 			}
 			cfg.QueueLength = q
 			cfg.MeanInterarrivalSec = 0
-			jobs = append(jobs, job{series: fmt.Sprintf("RH-%.0f", rh), param: float64(nr), cfg: cfg})
+			p.jobs = append(p.jobs, job{series: fmt.Sprintf("RH-%.0f", rh), param: float64(nr), cfg: cfg})
 		}
 	}
-	return plan{jobs: jobs, finish: func(rows []Row) (*Figure, error) {
-		baselineRes := make(map[float64]float64)
-		for _, r := range rows {
+	// Each skew's series starts at NR-0, the baseline its ratios divide by.
+	p.finish = func(f *Figure) error {
+		var baseT float64
+		for i, r := range f.Rows {
 			if r.Param == 0 {
-				baselineRes[seriesSkew(r.Series)] = r.ThroughputKBps
+				baseT = r.ThroughputKBps
 			}
-		}
-		f := &Figure{
-			ID:        "fig10b",
-			Title:     "Cost-performance of replication vs. no replication (PH-10, queue 60/E)",
-			ParamName: "replicas",
-			ValueName: "cost_performance_ratio",
-		}
-		for _, r := range rows {
-			baseT := baselineRes[seriesSkew(r.Series)]
 			if baseT <= 0 {
-				return nil, fmt.Errorf("figures: missing baseline for %s", r.Series)
+				return fmt.Errorf("figures: missing baseline for %s", r.Series)
 			}
-			r.Value = r.ThroughputKBps / baseT
-			f.Rows = append(f.Rows, r)
+			f.Rows[i].Value = r.ThroughputKBps / baseT
 		}
-		return f, nil
-	}}, nil
-}
-
-func seriesSkew(series string) float64 {
-	var rh float64
-	fmt.Sscanf(series, "RH-%f", &rh)
-	return rh
+		return nil
+	}
+	return p, nil
 }
 
 func intensityName(o Options) string {
