@@ -61,11 +61,10 @@ type engine struct {
 	respSample   *stats.Reservoir
 	queueAreaSec float64
 
-	// Deferred observer events, ordered by (time, push sequence); operations
-	// queue their interior and end-of-operation events at issue time and the
-	// kernel releases them as the clock passes them (kernel.go).
-	evq   eventQueue
-	evSeq int64
+	// Deferred observer events, sorted by time and then push order;
+	// operations queue their interior and end-of-operation events at issue
+	// time and the kernel releases them as the clock passes them (kernel.go).
+	evq []Event
 
 	writes *writeState    // write-model extension, nil when disabled
 	flt    *faultState    // fault-model extension, nil when disabled

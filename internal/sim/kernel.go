@@ -539,94 +539,37 @@ func (e *engine) bgTransfer(d, pos int, vt float64, sink *float64) (float64, flo
 	return vt + sec, sec, true
 }
 
-// queuedEvent pairs an event with its push sequence so simultaneous events
-// release in push order.
-type queuedEvent struct {
-	ev  Event
-	seq int64
-}
-
-// eventQueue is a monomorphic 4-ary min-heap on (time, sequence). It
-// replaces the container/heap machinery: pushes and pops are direct slice
-// operations on the concrete element type, with no interface boxing (which
-// allocated one heap copy of every pushed event), and the 4-ary layout
-// halves the levels walked per operation. (time, sequence) is a total
-// order, so the pop sequence -- and hence the observed event stream -- is
-// identical to the binary interface heap it replaces.
-type eventQueue []queuedEvent
-
-func (q eventQueue) less(i, j int) bool {
-	if q[i].ev.Time != q[j].ev.Time {
-		return q[i].ev.Time < q[j].ev.Time
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q *eventQueue) push(it queuedEvent) {
-	h := append(*q, it)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !h.less(i, p) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	*q = h
-}
-
-func (q *eventQueue) pop() queuedEvent {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = queuedEvent{}
-	h = h[:n]
-	*q = h
-	i := 0
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		best := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if h.less(j, best) {
-				best = j
-			}
-		}
-		if !h.less(best, i) {
-			break
-		}
-		h[i], h[best] = h[best], h[i]
-		i = best
-	}
-	return top
-}
-
 // push queues an event for the observer. Events may be pushed with future
 // timestamps (an operation's interior attempts and completion, resolved at
 // issue time); flushEvents releases them once the clock catches up, keeping
-// the observed stream in global time order across drives.
+// the observed stream in global time order across drives. The queue stays
+// sorted by time, each event going after every queued event of equal time
+// so that simultaneous events release in push order. Most events are pushed
+// in time order, so the insertion point is searched from the tail.
 func (e *engine) push(ev Event) {
 	if e.cfg.Observer == nil {
 		return
 	}
-	e.evSeq++
-	e.evq.push(queuedEvent{ev: ev, seq: e.evSeq})
+	q := append(e.evq, ev)
+	i := len(q) - 1
+	for i > 0 && q[i-1].Time > ev.Time {
+		i--
+	}
+	copy(q[i+1:], q[i:len(q)-1])
+	q[i] = ev
+	e.evq = q
 }
 
-// flushEvents delivers every queued event due by now.
+// flushEvents delivers the queue's prefix of events due by now.
 func (e *engine) flushEvents() {
 	if e.cfg.Observer == nil {
 		return
 	}
-	for len(e.evq) > 0 && e.evq[0].ev.Time <= e.now {
-		e.cfg.Observer.Observe(e.evq.pop().ev)
+	n := 0
+	for ; n < len(e.evq) && e.evq[n].Time <= e.now; n++ {
+		e.cfg.Observer.Observe(e.evq[n])
+	}
+	if n > 0 {
+		e.evq = e.evq[:copy(e.evq, e.evq[n:])]
 	}
 }

@@ -30,7 +30,7 @@ type Session struct {
 	drives     []drive
 	reqFree    []*sched.Request
 	respSample *stats.Reservoir
-	evq        eventQueue
+	evq        []Event
 
 	genRand *rand.Rand // workload generator stream, reseeded per run
 	arrRand *rand.Rand // Poisson arrival stream, reseeded per run
