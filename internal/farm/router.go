@@ -19,6 +19,7 @@ import "fmt"
 type Router struct {
 	shards int
 	scores []uint64 // Prefer scratch; makes the router single-goroutine
+	taken  []bool   // Prefer scratch: shards already picked, cleared on return
 }
 
 // NewRouter returns a router over n shards. The router keeps internal
@@ -28,7 +29,7 @@ func NewRouter(n int) (*Router, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("farm: router needs at least one shard, got %d", n)
 	}
-	return &Router{shards: n, scores: make([]uint64, n)}, nil
+	return &Router{shards: n, scores: make([]uint64, n), taken: make([]bool, n)}, nil
 }
 
 // mix64 is the splitmix64 finalizer: a cheap invertible mixer whose output
@@ -76,31 +77,19 @@ func (r *Router) Prefer(key uint64, k int, buf []int) []int {
 	for s := range scores {
 		scores[s] = score(key, s)
 	}
-	taken := uint64(0) // bitmask; shards is far below 64 in practice
-	var takenBig map[int]bool
-	if r.shards > 64 {
-		takenBig = make(map[int]bool, k)
-	}
+	taken := r.taken
 	for len(buf) < k {
 		best, bestScore, found := 0, uint64(0), false
-		for s := 0; s < r.shards; s++ {
-			if takenBig != nil {
-				if takenBig[s] {
-					continue
-				}
-			} else if taken&(1<<uint(s)) != 0 {
-				continue
-			}
-			if !found || scores[s] > bestScore {
+		for s := range scores {
+			if !taken[s] && (!found || scores[s] > bestScore) {
 				best, bestScore, found = s, scores[s], true
 			}
 		}
-		if takenBig != nil {
-			takenBig[best] = true
-		} else {
-			taken |= 1 << uint(best)
-		}
+		taken[best] = true
 		buf = append(buf, best)
+	}
+	for _, s := range buf {
+		taken[s] = false
 	}
 	return buf
 }

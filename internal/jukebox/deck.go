@@ -53,23 +53,13 @@ func (d *Deck) posMB(pos int) float64 { return float64(pos) * d.blockMB }
 
 // Mount makes `tape` the mounted tape, rewinding and ejecting the current
 // one if necessary. Mounting the mounted tape is free. It returns the
-// elapsed time.
+// elapsed time, SwitchCost(tape).
 func (d *Deck) Mount(tape int) (float64, error) {
-	if tape < 0 || tape >= d.tapes {
-		return 0, fmt.Errorf("jukebox: tape %d out of range [0,%d)", tape, d.tapes)
+	sec, err := d.SwitchCost(tape)
+	if err == nil && tape != d.mounted {
+		d.mounted, d.head = tape, 0
 	}
-	if tape == d.mounted {
-		return 0, nil
-	}
-	var sec float64
-	if d.mounted < 0 {
-		sec = d.prof.InitialLoad()
-	} else {
-		sec = d.prof.FullSwitch(d.posMB(d.head))
-	}
-	d.mounted = tape
-	d.head = 0
-	return sec, nil
+	return sec, err
 }
 
 // SwitchCost returns the time Mount(tape) would take from the current

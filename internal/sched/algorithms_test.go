@@ -239,6 +239,21 @@ func TestRemovePending(t *testing.T) {
 	}
 }
 
+// TestRemovePendingOutOfOrderPanics pins RemovePending's precondition: a
+// taken slice out of Pending's order is a scheduler bug, not a removal.
+func TestRemovePendingOutOfOrderPanics(t *testing.T) {
+	st := fixture(t, 0, layout.Horizontal)
+	a := addReq(st, 1, 0, 0)
+	addReq(st, 2, 1, 1)
+	c := addReq(st, 3, 2, 2)
+	defer func() {
+		if recover() == nil {
+			t.Error("RemovePending accepted taken in reverse order")
+		}
+	}()
+	st.RemovePending([]*Request{c, a})
+}
+
 func TestSelectTapeEmptyPending(t *testing.T) {
 	st := fixture(t, 0, layout.Horizontal)
 	for _, p := range []Policy{RoundRobin, MaxRequests, MaxBandwidth, OldestMaxRequests, OldestMaxBandwidth} {

@@ -247,13 +247,10 @@ type RunResetter interface {
 // RemovePending deletes the given requests (matched by pointer identity)
 // from the pending list, preserving arrival order of the remainder.
 //
-// Schedulers extract requests by filtering the pending list, so `taken` is
-// almost always an ordered subsequence of Pending; that case is one
-// in-place filtering pass with no allocation. The pass is optimistic: it
-// removes taken[0..k) as it matches them in order, so if some of taken
-// turns out to be out of order (k < len(taken) at the end), the matched
-// prefix is already correctly gone and only the remainder taken[k:] needs
-// a second, set-based pass.
+// taken must be an ordered subsequence of Pending, as every scheduler's
+// extraction produces: Selector builds each tape's set by walking Pending,
+// and FIFO takes one request. Removal is then one in-place filtering pass
+// with no allocation; a taken slice out of Pending's order panics.
 func (sh *Shared) RemovePending(taken []*Request) {
 	if len(taken) == 0 {
 		return
@@ -267,19 +264,8 @@ func (sh *Shared) RemovePending(taken []*Request) {
 		}
 		kept = append(kept, r)
 	}
-	if rest := taken[k:]; len(rest) > 0 {
-		// Out-of-order remainder: remove the stragglers by set.
-		set := make(map[*Request]bool, len(rest))
-		for _, r := range rest {
-			set[r] = true
-		}
-		kept2 := kept[:0]
-		for _, r := range kept {
-			if !set[r] {
-				kept2 = append(kept2, r)
-			}
-		}
-		kept = kept2
+	if k < len(taken) {
+		panic("sched: RemovePending needs taken in Pending's order, each request pending")
 	}
 	// Zero the tail so dropped requests do not linger in the backing
 	// array.
