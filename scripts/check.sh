@@ -13,3 +13,4 @@ go test -race -short ./...
 echo "== go test ./..."
 go test ./...
 echo "check.sh: all green"
+echo "== production Go lines (tracked in ROADMAP.md, not a gate): $(scripts/prodlines.sh)"
