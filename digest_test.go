@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"tapejuke/internal/sim"
 	"tapejuke/internal/trace"
 )
 
@@ -199,9 +200,9 @@ type matrixRun struct {
 	cfg     Config         // zero for farms
 	res     *Result        // nil for farms
 	sum     *trace.Summary // trace summary of the event stream; nil for farms
-	// switchSec and writeSec sum the stream's switch and write-flush
-	// seconds in issue order; zero for farms.
-	switchSec, writeSec float64
+	// tally is the stream tallied in issue order under the run's warm-up
+	// (see issueTally); zero for farms.
+	tally sim.Tally
 	// replay is trace.Verify's verdict on the stream (see replayTrace);
 	// single-drive runs only.
 	replay error
@@ -266,7 +267,7 @@ func computeMatrix() ([]matrixRun, error) {
 		}
 		r := matrixRun{name: mc.name, events: direct.h.Sum64(), nEvents: direct.n,
 			result: digestValue(res), cfg: mc.cfg, res: res, sum: trace.Summarize(direct.recs),
-			switchSec: issuedSeconds(direct.recs, "switch"), writeSec: issuedSeconds(direct.recs, "write-flush")}
+			tally: issueTally(direct.recs, mc.cfg)}
 		if mc.cfg.Drives == 1 {
 			r.replay = replayTrace(mc.cfg, direct.recs)
 		}

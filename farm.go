@@ -106,7 +106,8 @@ type FarmResult struct {
 	P99ResponseSec  float64
 
 	// Availability is post-warmup farm completions over completions plus
-	// abandoned-every-copy-lost requests.
+	// the whole run's abandoned-every-copy-lost requests (a shard's
+	// Result.Availability counts only the post-warmup ones).
 	Availability float64
 
 	// RequestImbalance is max/mean over Routed; QueueImbalance is
@@ -449,7 +450,6 @@ func mergeFarm(results []*Result, routed []int64, failedOver int64, pol farm.Pol
 		Routed:     routed,
 		FailedOver: failedOver,
 	}
-	var unserv int64
 	for _, r := range results {
 		fr.TotalArrivals += r.TotalArrivals
 		fr.TotalCompleted += r.TotalCompleted
@@ -461,7 +461,6 @@ func mergeFarm(results []*Result, routed []int64, failedOver int64, pol farm.Pol
 		fr.ThroughputKBps += r.ThroughputKBps
 		fr.RequestsPerMinute += r.RequestsPerMinute
 		fr.MeanResponseSec += float64(r.Completed) * r.MeanResponseSec
-		unserv += r.Unserviceable
 	}
 	fr.Outstanding = fr.TotalArrivals - fr.TotalCompleted - fr.Expired - fr.Shed - fr.Unserviceable
 	if fr.Completed > 0 {
@@ -471,8 +470,8 @@ func mergeFarm(results []*Result, routed []int64, failedOver int64, pol farm.Pol
 	}
 	fr.P50ResponseSec = weightedQuantile(results, 0.50, func(r *Result) float64 { return r.P50ResponseSec })
 	fr.P99ResponseSec = weightedQuantile(results, 0.99, func(r *Result) float64 { return r.P99ResponseSec })
-	if fr.Completed+unserv > 0 {
-		fr.Availability = float64(fr.Completed) / float64(fr.Completed+unserv)
+	if fr.Completed+fr.Unserviceable > 0 {
+		fr.Availability = float64(fr.Completed) / float64(fr.Completed+fr.Unserviceable)
 	} else {
 		fr.Availability = 1
 	}

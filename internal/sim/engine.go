@@ -52,10 +52,12 @@ type engine struct {
 	// completion.
 	intn func(int64) int64
 
-	// res is the run's only metrics ledger: every counter and drive-time
-	// bucket is charged into it where it happens, and result() derives
-	// only the means, percentiles, and ratios. The accumulators below feed
-	// those derived figures.
+	// tally counts every event at issue; result() charges the Result
+	// fields the event stream defines from it (Tally.Charge). res holds
+	// the counters and drive-time buckets no event carries, charged where
+	// they happen, and result() derives the means, percentiles, and
+	// ratios. The accumulators below feed those derived figures.
+	tally        Tally
 	res          *Result
 	resp         stats.Accumulator
 	respSample   *stats.Reservoir
@@ -285,13 +287,13 @@ func (e *engine) deliver(r *sched.Request) {
 // leave is the system's one exit. The caller has already taken r off the
 // pending list, out of its sweep or off its drive; kind names the way out
 // (EventComplete, EventExpire, EventShed or EventUnserviceable). leave
-// charges that exit's counters, emits its event and recycles r -- unless a
-// drive still holds r in fault limbo: the drive's settle dereferences it,
-// and a recycled struct would alias a live request there, so r is marked
-// Gone and requeueFaulted recycles it. It reports whether a closed-model
-// process issues its next request now, which the caller delivers. Flash
-// extras are ephemeral, and once every tape has failed no process has
-// anything left to ask for.
+// emits that exit's event, which the tally counts, charges what the event
+// does not carry, and recycles r -- unless a drive still holds r in fault
+// limbo: the drive's settle dereferences it, and a recycled struct would
+// alias a live request there, so r is marked Gone and requeueFaulted
+// recycles it. It reports whether a closed-model process issues its next
+// request now, which the caller delivers. Flash extras are ephemeral, and
+// once every tape has failed no process has anything left to ask for.
 func (e *engine) leave(r *sched.Request, kind EventKind) bool {
 	e.outstanding--
 	post := e.now > e.warmupEnd
@@ -299,12 +301,10 @@ func (e *engine) leave(r *sched.Request, kind EventKind) bool {
 	switch kind {
 	case EventComplete:
 		ev.Tape, ev.Pos = r.Target.Tape, r.Target.Pos
-		e.res.TotalCompleted++
 		if e.rep != nil {
 			e.rep.heat.Touch(int(r.Block), e.now)
 		}
 		if post {
-			e.res.Completed++
 			rt := e.now - r.Arrival
 			e.resp.Add(rt)
 			e.respSample.Add(rt, e.intn)
@@ -325,19 +325,16 @@ func (e *engine) leave(r *sched.Request, kind EventKind) bool {
 			}
 		}
 	case EventExpire:
-		e.res.Expired++
 		if post {
 			e.res.DeadlineMisses++
 			e.ovl.deadlinedPost++
 			e.noteQueueAge(e.now - r.Arrival)
 		}
 	case EventShed:
-		e.res.Shed++
 		if post {
 			e.noteQueueAge(e.now - r.Arrival)
 		}
 	case EventUnserviceable:
-		e.res.Unserviceable++
 		if post {
 			e.flt.unservPost++
 		}
@@ -352,10 +349,11 @@ func (e *engine) leave(r *sched.Request, kind EventKind) bool {
 	return respawn
 }
 
-// result completes the ledger with the figures derived from it: the
-// measurement window, means, percentiles, and ratios.
+// result completes the ledger with the tallied fields and the figures
+// derived from it: the measurement window, means, percentiles, and ratios.
 func (e *engine) result() *Result {
 	res := e.res
+	e.tally.Charge(res)
 	measured := e.now - e.warmupEnd
 	if measured < 0 {
 		measured = 0

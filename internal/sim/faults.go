@@ -83,7 +83,6 @@ func (e *engine) noteLatentFound(tape, pos int, at float64, byScrub bool) {
 		f.latentDet = make(map[int64]float64)
 	}
 	f.latentDet[key] = at
-	e.res.LatentErrorsFound++
 	f.inj.MarkDead(tape, pos)
 	f.maskDirty = true
 	if e.rep != nil {
@@ -136,7 +135,6 @@ func (e *engine) markTapeDown(tape int) {
 	e.flt.down[tape] = true
 	e.flt.upTapes--
 	e.flt.maskDirty = true
-	e.res.TapeFailures++
 	e.push(Event{Kind: EventTapeFail, Time: e.now, Tape: tape, Pos: -1})
 	if e.rep != nil {
 		e.rep.pl.NoteTapeFail(tape, e.now)

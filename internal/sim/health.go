@@ -208,7 +208,6 @@ func (e *engine) healthFenceOp(d int) bool {
 		e.sh.Fenced = make([]bool, len(e.drives))
 	}
 	e.sh.Fenced[d] = true
-	e.res.FencedDrives++
 	if st.Mounted >= 0 {
 		// Maintenance happens on an empty drive; the cartridge goes back
 		// to the library so other drives may use it.
@@ -385,7 +384,6 @@ func (e *engine) evacRemove(b layout.BlockID, from layout.Replica) bool {
 	if err := e.sh.Layout.RemoveCopy(b, from.Tape); err != nil {
 		return false
 	}
-	e.res.EvacuatedCopies++
 	e.push(Event{Kind: EventEvacuate, Time: e.now, Tape: from.Tape, Pos: from.Pos})
 	e.notifyCopyRemoved(b, from)
 	return true

@@ -70,7 +70,7 @@ func (e *engine) run() (*Result, error) {
 		if e.now < e.cfg.Horizon {
 			e.expireDue()
 			e.pumpArrivals()
-			if e.cfg.MaxCompletions > 0 && e.res.Completed >= e.cfg.MaxCompletions {
+			if e.cfg.MaxCompletions > 0 && e.tally.Post[EventComplete] >= e.cfg.MaxCompletions {
 				e.flushEvents()
 				return e.result(), nil
 			}
@@ -112,7 +112,6 @@ func (e *engine) run() (*Result, error) {
 			} else {
 				dt = wake - e.now
 			}
-			e.res.IdleSeconds += dt
 			e.advanceClock(e.now + dt)
 			e.push(Event{Kind: EventIdle, Time: e.now, Tape: -1, Pos: -1, Seconds: dt})
 			e.flushEvents()
@@ -349,10 +348,6 @@ func (e *engine) startSwitch(d, tape int, sw float64) {
 		}
 		if f == nil || !f.inj.SwitchAttemptFails() {
 			vt += sw
-			e.res.SwitchSeconds += sw
-			if vt > e.warmupEnd {
-				e.res.TapeSwitches++
-			}
 			e.push(Event{Kind: EventSwitch, Time: vt, Tape: tape, Pos: -1, Seconds: sw})
 			e.beginOp(d, vt, true)
 			return
@@ -378,7 +373,6 @@ func (e *engine) startSwitch(d, tape int, sw float64) {
 // repair downtime and returns the time it is back in service.
 func (e *engine) repairDrive(d int, vt float64) float64 {
 	rep := e.flt.inj.DriveRepair(d, vt)
-	e.res.DriveFailures++
 	e.res.DriveRepairSeconds += rep
 	vt += rep
 	e.push(Event{Kind: EventDriveRepair, Time: vt, Tape: -1, Pos: -1, Seconds: rep})
@@ -508,10 +502,6 @@ func (e *engine) bgSwitch(d, tape int, vt float64, sink *float64) (float64, bool
 		return vt + sw, false
 	}
 	vt += sw
-	e.res.SwitchSeconds += sw
-	if vt > e.warmupEnd {
-		e.res.TapeSwitches++
-	}
 	e.push(Event{Kind: EventSwitch, Time: vt, Tape: tape, Pos: -1, Seconds: sw})
 	return vt, true
 }
@@ -539,37 +529,39 @@ func (e *engine) bgTransfer(d, pos int, vt float64, sink *float64) (float64, flo
 	return vt + sec, sec, true
 }
 
-// push queues an event for the observer. Events may be pushed with future
-// timestamps (an operation's interior attempts and completion, resolved at
-// issue time); flushEvents releases them once the clock catches up, keeping
-// the observed stream in global time order across drives. The queue stays
-// sorted by time, each event going after every queued event of equal time
-// so that simultaneous events release in push order. Most events are pushed
-// in time order, so the insertion point is searched from the tail.
+// push tallies an event at issue and, with an observer, queues it.
+// Events may be pushed with future timestamps (an operation's interior
+// attempts and completion, resolved at issue time); flushEvents releases
+// them once the clock catches up, keeping the observed stream in global
+// time order across drives. push only appends, which keeps it small enough
+// to inline on the kernel's hot path; flushEvents places what it appended.
 func (e *engine) push(ev Event) {
-	if e.cfg.Observer == nil {
-		return
+	e.tally.Add(ev, ev.Time > e.warmupEnd)
+	if e.cfg.Observer != nil {
+		e.evq = append(e.evq, ev)
 	}
-	q := append(e.evq, ev)
-	i := len(q) - 1
-	for i > 0 && q[i-1].Time > ev.Time {
-		i--
-	}
-	copy(q[i+1:], q[i:len(q)-1])
-	q[i] = ev
-	e.evq = q
 }
 
-// flushEvents delivers the queue's prefix of events due by now.
+// flushEvents sorts the queue by time and delivers its prefix of events
+// due by now. The queue is sorted up to the events pushed since the last
+// flush; an insertion pass moves each of those left past every queued
+// event of later time, so simultaneous events release in push order. Most
+// events are pushed in time order and do not move.
 func (e *engine) flushEvents() {
 	if e.cfg.Observer == nil {
 		return
 	}
+	q := e.evq
+	for j := 1; j < len(q); j++ {
+		for i := j; i > 0 && q[i-1].Time > q[i].Time; i-- {
+			q[i-1], q[i] = q[i], q[i-1]
+		}
+	}
 	n := 0
-	for ; n < len(e.evq) && e.evq[n].Time <= e.now; n++ {
-		e.cfg.Observer.Observe(e.evq[n])
+	for ; n < len(q) && q[n].Time <= e.now; n++ {
+		e.cfg.Observer.Observe(q[n])
 	}
 	if n > 0 {
-		e.evq = e.evq[:copy(e.evq, e.evq[n:])]
+		e.evq = q[:copy(q, q[n:])]
 	}
 }

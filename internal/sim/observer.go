@@ -67,49 +67,34 @@ const (
 	EventLatentFound
 )
 
-// String names the event kind.
+// kindNames names every event kind, indexed by kind: the trace format's
+// spelling of each.
+var kindNames = [...]string{
+	EventSwitch: "switch", EventRead: "read", EventComplete: "complete", EventIdle: "idle",
+	EventWriteFlush: "write-flush", EventFault: "fault", EventTapeFail: "tape-fail",
+	EventDriveRepair: "drive-repair", EventUnserviceable: "unserviceable", EventExpire: "expire",
+	EventShed: "shed", EventReject: "reject", EventRepairRead: "repair-read",
+	EventRepairWrite: "repair-write", EventReclaim: "reclaim", EventScrubRead: "scrub-read",
+	EventEvacuate: "evacuate", EventDriveFence: "drive-fence", EventLatentFound: "latent-found",
+}
+
+// String names the event kind, or "unknown" for a value no kind has.
 func (k EventKind) String() string {
-	switch k {
-	case EventSwitch:
-		return "switch"
-	case EventRead:
-		return "read"
-	case EventComplete:
-		return "complete"
-	case EventIdle:
-		return "idle"
-	case EventWriteFlush:
-		return "write-flush"
-	case EventFault:
-		return "fault"
-	case EventTapeFail:
-		return "tape-fail"
-	case EventDriveRepair:
-		return "drive-repair"
-	case EventUnserviceable:
-		return "unserviceable"
-	case EventExpire:
-		return "expire"
-	case EventShed:
-		return "shed"
-	case EventReject:
-		return "reject"
-	case EventRepairRead:
-		return "repair-read"
-	case EventRepairWrite:
-		return "repair-write"
-	case EventReclaim:
-		return "reclaim"
-	case EventScrubRead:
-		return "scrub-read"
-	case EventEvacuate:
-		return "evacuate"
-	case EventDriveFence:
-		return "drive-fence"
-	case EventLatentFound:
-		return "latent-found"
+	if uint(k) >= uint(len(kindNames)) {
+		return "unknown"
 	}
-	return "unknown"
+	return kindNames[k]
+}
+
+// ParseEventKind returns the kind String names name, or -1 when no kind
+// has that name.
+func ParseEventKind(name string) EventKind {
+	for k, n := range kindNames {
+		if n == name {
+			return EventKind(k)
+		}
+	}
+	return -1
 }
 
 // Event is one simulator occurrence, reported in simulated-time order.
@@ -133,3 +118,42 @@ type ObserverFunc func(Event)
 
 // Observe calls f(e).
 func (f ObserverFunc) Observe(e Event) { f(e) }
+
+// Tally counts events per kind: every event (Count), those that ended
+// after warm-up (Post), and the Seconds they carry. The kernel tallies each
+// event at issue; a trace summary tallies its records the same way.
+type Tally struct {
+	Count   [len(kindNames)]int64
+	Post    [len(kindNames)]int64
+	Seconds [len(kindNames)]float64
+}
+
+// Add tallies one event; post reports whether it ended after warm-up.
+func (t *Tally) Add(ev Event, post bool) {
+	t.Count[ev.Kind]++
+	if post {
+		t.Post[ev.Kind]++
+	}
+	t.Seconds[ev.Kind] += ev.Seconds
+}
+
+// Charge sets the Result fields the event stream alone defines; DESIGN.md
+// section 10 says why the other counters stay charged where they happen.
+func (t *Tally) Charge(res *Result) {
+	res.TotalCompleted = t.Count[EventComplete]
+	res.Completed = t.Post[EventComplete]
+	res.TapeSwitches = t.Post[EventSwitch]
+	res.SwitchSeconds = t.Seconds[EventSwitch]
+	res.IdleSeconds = t.Seconds[EventIdle]
+	res.WritesFlushed = t.Count[EventWriteFlush]
+	res.TapeFailures = int(t.Count[EventTapeFail])
+	res.DriveFailures = t.Count[EventDriveRepair]
+	res.FencedDrives = t.Count[EventDriveFence]
+	res.Unserviceable = t.Count[EventUnserviceable]
+	res.Expired = t.Count[EventExpire]
+	res.Shed = t.Count[EventShed]
+	res.Rejected = t.Count[EventReject]
+	res.ReclaimedCopies = t.Count[EventReclaim]
+	res.EvacuatedCopies = t.Count[EventEvacuate]
+	res.LatentErrorsFound = t.Count[EventLatentFound]
+}

@@ -253,7 +253,6 @@ func (e *engine) admitArrival() bool {
 		}
 		return true
 	}
-	e.res.Rejected++
 	e.push(Event{Kind: EventReject, Time: e.now, Tape: -1, Pos: -1})
 	return false
 }

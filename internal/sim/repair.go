@@ -248,7 +248,6 @@ func (e *engine) reclaimCopy(b layout.BlockID, c layout.Replica) bool {
 	if err := e.sh.Layout.RemoveCopy(b, c.Tape); err != nil {
 		return false
 	}
-	e.res.ReclaimedCopies++
 	e.push(Event{Kind: EventReclaim, Time: e.now, Tape: c.Tape, Pos: c.Pos})
 	e.notifyCopyRemoved(b, c)
 	return true

@@ -116,7 +116,6 @@ func (e *engine) resolveFlush(d int, vt float64) float64 {
 		w.logCursor[tape] = (w.logCursor[tape] + 1) % w.logBlocks
 		var sec float64
 		vt, sec, _ = e.bgTransfer(d, pos, vt, &e.res.WriteSeconds)
-		e.res.WritesFlushed++
 		if vt > e.warmupEnd {
 			w.delay.Add(vt - arrival)
 		}

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -84,6 +85,60 @@ func TestReservoirBounded(t *testing.T) {
 	med := r.Percentile(0.5)
 	if med < 0.3 || med > 0.7 {
 		t.Errorf("median of uniform stream = %v, want near 0.5", med)
+	}
+}
+
+// TestReservoirPercentileMatchesSort checks Percentile against
+// sort.Float64s and the same interpolation over every size from 1 to 300
+// and a spread of sizes up to 5,000, with duplicates and negative values,
+// on one reservoir reused through Reset.
+func TestReservoirPercentileMatchesSort(t *testing.T) {
+	const maxN = 5000
+	r := NewReservoir(maxN)
+	rng := rand.New(rand.NewSource(3))
+	ps := []float64{0, 0.001, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1}
+	var sizes []int
+	for n := 1; n <= 300; n++ {
+		sizes = append(sizes, n)
+	}
+	for n := 301; n < maxN; n += 157 {
+		sizes = append(sizes, n)
+	}
+	sizes = append(sizes, maxN)
+	vals := make([]float64, 0, maxN)
+	for _, n := range sizes {
+		r.Reset()
+		vals = vals[:0]
+		for i := 0; i < n; i++ {
+			var x float64
+			switch rng.Intn(3) {
+			case 0: // duplicates, negatives included
+				x = float64(rng.Intn(41)-20) / 4
+			case 1:
+				x = rng.NormFloat64() * 1e3
+			default:
+				x = rng.ExpFloat64() * 250
+			}
+			vals = append(vals, x)
+			r.Add(x, rng.Int63n)
+		}
+		want := append([]float64(nil), vals...)
+		sort.Float64s(want)
+		for _, p := range ps {
+			w := want[len(want)-1]
+			if p < 1 {
+				pos := p * float64(len(want)-1)
+				lo, hi := int(math.Floor(pos)), int(math.Ceil(pos))
+				w = want[lo]
+				if lo != hi {
+					frac := pos - float64(lo)
+					w = want[lo]*(1-frac) + want[hi]*frac
+				}
+			}
+			if got := r.Percentile(p); got != w {
+				t.Fatalf("n=%d: P%v = %v, sort.Float64s gives %v", n, p, got, w)
+			}
+		}
 	}
 }
 

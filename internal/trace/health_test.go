@@ -46,23 +46,21 @@ func healthTrace(t *testing.T) ([]Record, *sim.Result) {
 func TestSummarizeHealthTrace(t *testing.T) {
 	recs, res := healthTrace(t)
 	s := Summarize(recs)
-	if s.ScrubReads == 0 || s.ScrubSeconds <= 0 {
-		t.Errorf("scrub activity missing from the summary: %d reads, %v s", s.ScrubReads, s.ScrubSeconds)
+	if scrubs := s.Count[sim.EventScrubRead]; scrubs == 0 || s.Seconds[sim.EventScrubRead] <= 0 {
+		t.Errorf("scrub activity missing from the summary: %d reads, %v s", scrubs, s.Seconds[sim.EventScrubRead])
 	}
-	if s.LatentFinds != res.LatentErrorsFound {
-		t.Errorf("trace shows %d latent finds, result reports %d", s.LatentFinds, res.LatentErrorsFound)
+	finds := s.Count[sim.EventLatentFound]
+	if finds != res.LatentErrorsFound {
+		t.Errorf("trace shows %d latent finds, result reports %d", finds, res.LatentErrorsFound)
 	}
-	if s.Evacuations != res.EvacuatedCopies {
-		t.Errorf("trace shows %d evacuations, result reports %d moved copies", s.Evacuations, res.EvacuatedCopies)
+	if evac := s.Count[sim.EventEvacuate]; evac != res.EvacuatedCopies {
+		t.Errorf("trace shows %d evacuations, result reports %d moved copies", evac, res.EvacuatedCopies)
 	}
-	if s.RepairedCopies != s.RepairWrites {
-		t.Errorf("RepairedCopies %d != RepairWrites %d", s.RepairedCopies, s.RepairWrites)
+	if s.Count[sim.EventRepairWrite] > 0 && s.MeanReadToWriteSec <= 0 {
+		t.Errorf("copies written but MeanReadToWriteSec = %v", s.MeanReadToWriteSec)
 	}
-	if s.RepairedCopies > 0 && s.MeanTimeToRepairSec <= 0 {
-		t.Errorf("copies repaired but MeanTimeToRepairSec = %v", s.MeanTimeToRepairSec)
-	}
-	if s.LatentFinds > 0 && s.MeanTimeToDetectSec <= 0 {
-		t.Errorf("latents found but MeanTimeToDetectSec = %v", s.MeanTimeToDetectSec)
+	if finds > 0 && s.MeanFoundLatencySec <= 0 {
+		t.Errorf("latents found but MeanFoundLatencySec = %v", s.MeanFoundLatencySec)
 	}
 	var out bytes.Buffer
 	s.Format(&out)

@@ -40,11 +40,12 @@ func overloadTrace(t *testing.T) ([]Record, *sim.Result) {
 func TestSummarizeCountsOverloadEvents(t *testing.T) {
 	recs, res := overloadTrace(t)
 	s := Summarize(recs)
-	if s.Expires == 0 {
+	expires := s.Count[sim.EventExpire]
+	if expires == 0 {
 		t.Fatal("trace of a deadlined run contains no expire records")
 	}
-	if s.Expires != res.Expired {
-		t.Errorf("summary counts %d expiries, result reports %d", s.Expires, res.Expired)
+	if expires != res.Expired {
+		t.Errorf("summary counts %d expiries, result reports %d", expires, res.Expired)
 	}
 	var out bytes.Buffer
 	s.Format(&out)

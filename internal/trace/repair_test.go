@@ -44,13 +44,14 @@ func repairTrace(t *testing.T) ([]Record, *sim.Result) {
 func TestSummarizeRepairTrace(t *testing.T) {
 	recs, res := repairTrace(t)
 	s := Summarize(recs)
-	if s.RepairWrites != res.RepairedCopies {
-		t.Errorf("trace shows %d repair writes, result reports %d repaired copies", s.RepairWrites, res.RepairedCopies)
+	reads, writes := s.Count[sim.EventRepairRead], s.Count[sim.EventRepairWrite]
+	if writes != res.RepairedCopies {
+		t.Errorf("trace shows %d repair writes, result reports %d repaired copies", writes, res.RepairedCopies)
 	}
-	if s.RepairReads < s.RepairWrites {
-		t.Errorf("%d repair writes but only %d repair reads: every copy needs a source read", s.RepairWrites, s.RepairReads)
+	if reads < writes {
+		t.Errorf("%d repair writes but only %d repair reads: every copy needs a source read", writes, reads)
 	}
-	if s.RepairSeconds <= 0 {
+	if s.Seconds[sim.EventRepairRead]+s.Seconds[sim.EventRepairWrite] <= 0 {
 		t.Error("repair ops recorded but no repair seconds accumulated")
 	}
 	var out bytes.Buffer

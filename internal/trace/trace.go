@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"tapejuke/internal/sim"
 	"tapejuke/internal/stats"
@@ -86,48 +85,30 @@ func Read(rd io.Reader) ([]Record, error) {
 	}
 }
 
-// Summary aggregates a trace into operator-facing statistics.
+// Summary aggregates a trace into operator-facing statistics. Its Tally
+// counts records per kind as the simulator's own tally counts events, with
+// every record post-warm-up (a trace carries no warm-up), so Post equals
+// Count; a record of unknown kind counts in Events only. The other fields
+// are what only the trace defines.
 type Summary struct {
-	Events     int64
-	Reads      int64
-	Switches   int64
-	Completes  int64
-	Flushes    int64 // delta blocks written (one write-flush record each)
-	IdleSpells int64
-	Expires    int64 // deadline expiries (overload extension)
-	Sheds      int64 // requests shed by admission overflow
-	Rejects    int64 // arrivals rejected by admission overflow
+	sim.Tally
 
-	RepairReads  int64 // repair-job source reads (repair extension)
-	RepairWrites int64 // repair-job copy writes
-	Reclaims     int64 // excess replicas reclaimed
-
-	ScrubReads  int64 // scrub verification reads (health extension)
-	LatentFinds int64 // latent errors detected (any path)
-	Evacuations int64 // copies dropped from suspect tapes
-	DriveFences int64 // drives fenced for maintenance
-
+	Events          int64   // every record
 	Span            float64 // last event time
-	ReadSeconds     float64 // total time inside read operations (locate+transfer)
-	SwitchSeconds   float64
-	RepairSeconds   float64 // time inside repair reads and writes
-	ScrubSeconds    float64 // time inside scrub verification reads
-	IdleSeconds     float64
 	MeanSweepLen    float64 // reads per tape visit
 	MeanSwitchGap   float64 // seconds between consecutive switches
 	ReadsPerTape    map[int]int64
 	BusiestTape     int
 	BusiestTapeFrac float64
 
-	// RepairedCopies counts repair jobs whose copy write landed, and
-	// MeanTimeToRepairSec averages the gap between each job's source read
-	// and its copy write (jobs still open at the end of the trace are not
-	// counted). MeanTimeToDetectSec averages the detection latency the
-	// latent-found records carry: how long each latent error sat on tape
-	// before a read -- user, repair, or scrub -- touched it.
-	RepairedCopies      int64
-	MeanTimeToRepairSec float64
-	MeanTimeToDetectSec float64
+	// MeanReadToWriteSec averages the gap between each repair job's
+	// source read and its copy write (jobs still open at the end of the
+	// trace are not counted). MeanFoundLatencySec averages the detection
+	// latency the latent-found records carry: how long each latent error
+	// that was found sat on tape before a read -- user, repair, or scrub --
+	// touched it.
+	MeanReadToWriteSec  float64
+	MeanFoundLatencySec float64
 }
 
 // Summarize computes a Summary from records in time order.
@@ -137,24 +118,25 @@ func Summarize(recs []Record) *Summary {
 	lastSwitch := -1.0
 	readsSinceSwitch := int64(0)
 	var sweeps stats.Accumulator
-	var mttr, mttd stats.Accumulator
+	var readToWrite, found stats.Accumulator
 	readAt := make(map[int64]float64) // repair job ID -> source-read time
 	for _, r := range recs {
 		s.Events++
 		if r.Time > s.Span {
 			s.Span = r.Time
 		}
-		switch r.Kind {
-		case "read":
-			s.Reads++
-			s.ReadSeconds += r.Seconds
+		k := sim.ParseEventKind(r.Kind)
+		if k < 0 {
+			continue
+		}
+		s.Add(sim.Event{Kind: k, Seconds: r.Seconds}, true)
+		switch k {
+		case sim.EventRead:
 			readsSinceSwitch++
 			if r.Tape >= 0 {
 				s.ReadsPerTape[r.Tape]++
 			}
-		case "switch":
-			s.Switches++
-			s.SwitchSeconds += r.Seconds
+		case sim.EventSwitch:
 			if lastSwitch >= 0 {
 				gap.Add(r.Time - lastSwitch)
 			}
@@ -163,45 +145,17 @@ func Summarize(recs []Record) *Summary {
 				sweeps.Add(float64(readsSinceSwitch))
 			}
 			readsSinceSwitch = 0
-		case "complete":
-			s.Completes++
-		case "write-flush":
-			s.Flushes++
-		case "idle":
-			s.IdleSpells++
-			s.IdleSeconds += r.Seconds
-		case "expire":
-			s.Expires++
-		case "shed":
-			s.Sheds++
-		case "reject":
-			s.Rejects++
-		case "repair-read":
-			s.RepairReads++
-			s.RepairSeconds += r.Seconds
+		case sim.EventRepairRead:
 			if _, open := readAt[r.Request]; !open {
 				readAt[r.Request] = r.Time
 			}
-		case "repair-write":
-			s.RepairWrites++
-			s.RepairSeconds += r.Seconds
-			s.RepairedCopies++
+		case sim.EventRepairWrite:
 			if t0, ok := readAt[r.Request]; ok {
-				mttr.Add(r.Time - t0)
+				readToWrite.Add(r.Time - t0)
 				delete(readAt, r.Request)
 			}
-		case "reclaim":
-			s.Reclaims++
-		case "scrub-read":
-			s.ScrubReads++
-			s.ScrubSeconds += r.Seconds
-		case "latent-found":
-			s.LatentFinds++
-			mttd.Add(r.Seconds)
-		case "evacuate":
-			s.Evacuations++
-		case "drive-fence":
-			s.DriveFences++
+		case sim.EventLatentFound:
+			found.Add(r.Seconds)
 		}
 	}
 	if readsSinceSwitch > 0 {
@@ -209,50 +163,46 @@ func Summarize(recs []Record) *Summary {
 	}
 	s.MeanSweepLen = sweeps.Mean()
 	s.MeanSwitchGap = gap.Mean()
-	s.MeanTimeToRepairSec = mttr.Mean()
-	s.MeanTimeToDetectSec = mttd.Mean()
-	var best int64 = -1
-	// Deterministic tie-break: lowest tape index wins.
-	tapes := make([]int, 0, len(s.ReadsPerTape))
-	for t := range s.ReadsPerTape {
-		tapes = append(tapes, t)
-	}
-	sort.Ints(tapes)
-	for _, t := range tapes {
-		if s.ReadsPerTape[t] > best {
-			best = s.ReadsPerTape[t]
-			s.BusiestTape = t
+	s.MeanReadToWriteSec = readToWrite.Mean()
+	s.MeanFoundLatencySec = found.Mean()
+	var best int64
+	for t, n := range s.ReadsPerTape {
+		if n > best || n == best && t < s.BusiestTape { // ties go to the lowest tape
+			best, s.BusiestTape = n, t
 		}
 	}
-	if s.Reads > 0 && best > 0 {
-		s.BusiestTapeFrac = float64(best) / float64(s.Reads)
+	if reads := s.Count[sim.EventRead]; reads > 0 && best > 0 {
+		s.BusiestTapeFrac = float64(best) / float64(reads)
 	}
 	return s
 }
 
 // Format renders the summary as aligned text.
 func (s *Summary) Format(w io.Writer) {
+	n, sec := &s.Count, &s.Seconds
 	fmt.Fprintf(w, "events            %d over %.0f simulated seconds\n", s.Events, s.Span)
-	fmt.Fprintf(w, "reads             %d (%.0f s in read+locate)\n", s.Reads, s.ReadSeconds)
-	fmt.Fprintf(w, "tape switches     %d (%.0f s; mean gap %.0f s)\n", s.Switches, s.SwitchSeconds, s.MeanSwitchGap)
+	fmt.Fprintf(w, "reads             %d (%.0f s in read+locate)\n", n[sim.EventRead], sec[sim.EventRead])
+	fmt.Fprintf(w, "tape switches     %d (%.0f s; mean gap %.0f s)\n", n[sim.EventSwitch], sec[sim.EventSwitch], s.MeanSwitchGap)
 	fmt.Fprintf(w, "mean sweep        %.1f reads per tape visit\n", s.MeanSweepLen)
-	fmt.Fprintf(w, "completions       %d\n", s.Completes)
-	if s.Flushes > 0 {
-		fmt.Fprintf(w, "write flushes     %d\n", s.Flushes)
+	fmt.Fprintf(w, "completions       %d\n", n[sim.EventComplete])
+	if n[sim.EventWriteFlush] > 0 {
+		fmt.Fprintf(w, "write flushes     %d\n", n[sim.EventWriteFlush])
 	}
-	if s.IdleSpells > 0 {
-		fmt.Fprintf(w, "idle              %d spells, %.0f s\n", s.IdleSpells, s.IdleSeconds)
+	if n[sim.EventIdle] > 0 {
+		fmt.Fprintf(w, "idle              %d spells, %.0f s\n", n[sim.EventIdle], sec[sim.EventIdle])
 	}
-	if s.Expires+s.Sheds+s.Rejects > 0 {
-		fmt.Fprintf(w, "overload          %d expired, %d shed, %d rejected\n", s.Expires, s.Sheds, s.Rejects)
+	if n[sim.EventExpire]+n[sim.EventShed]+n[sim.EventReject] > 0 {
+		fmt.Fprintf(w, "overload          %d expired, %d shed, %d rejected\n", n[sim.EventExpire], n[sim.EventShed], n[sim.EventReject])
 	}
-	if s.RepairReads+s.RepairWrites+s.Reclaims > 0 {
-		fmt.Fprintf(w, "repair            %d reads, %d writes, %d reclaims (%.0f s; %d copies repaired, MTTR %.0f s)\n",
-			s.RepairReads, s.RepairWrites, s.Reclaims, s.RepairSeconds, s.RepairedCopies, s.MeanTimeToRepairSec)
+	if n[sim.EventRepairRead]+n[sim.EventRepairWrite]+n[sim.EventReclaim] > 0 {
+		fmt.Fprintf(w, "repair            %d reads, %d writes, %d reclaims (%.0f s; mean read-to-write %.0f s)\n",
+			n[sim.EventRepairRead], n[sim.EventRepairWrite], n[sim.EventReclaim],
+			sec[sim.EventRepairRead]+sec[sim.EventRepairWrite], s.MeanReadToWriteSec)
 	}
-	if s.ScrubReads+s.LatentFinds+s.Evacuations+s.DriveFences > 0 {
-		fmt.Fprintf(w, "health            %d scrub reads (%.0f s), %d latent found (MTTD %.0f s), %d evacuations, %d fences\n",
-			s.ScrubReads, s.ScrubSeconds, s.LatentFinds, s.MeanTimeToDetectSec, s.Evacuations, s.DriveFences)
+	if n[sim.EventScrubRead]+n[sim.EventLatentFound]+n[sim.EventEvacuate]+n[sim.EventDriveFence] > 0 {
+		fmt.Fprintf(w, "health            %d scrub reads (%.0f s), %d latent found (mean latency %.0f s), %d evacuations, %d fences\n",
+			n[sim.EventScrubRead], sec[sim.EventScrubRead], n[sim.EventLatentFound], s.MeanFoundLatencySec,
+			n[sim.EventEvacuate], n[sim.EventDriveFence])
 	}
 	if s.BusiestTape >= 0 {
 		fmt.Fprintf(w, "busiest tape      %d (%.0f%% of reads)\n", s.BusiestTape, 100*s.BusiestTapeFrac)

@@ -7,6 +7,7 @@ import (
 
 	"tapejuke/internal/sched"
 	"tapejuke/internal/sim"
+	"tapejuke/internal/tapemodel"
 )
 
 // runWithRecorder simulates a short closed run recording all events.
@@ -41,16 +42,17 @@ func TestRecordReadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := Summarize(recs)
-	if s.Completes != res.TotalCompleted {
-		t.Errorf("trace completions %d != result %d", s.Completes, res.TotalCompleted)
+	completes, reads, switches := s.Count[sim.EventComplete], s.Count[sim.EventRead], s.Count[sim.EventSwitch]
+	if completes != res.TotalCompleted {
+		t.Errorf("trace completions %d != result %d", completes, res.TotalCompleted)
 	}
-	if s.Reads != res.TotalCompleted {
-		t.Errorf("trace reads %d != completions %d", s.Reads, res.TotalCompleted)
+	if reads != res.TotalCompleted {
+		t.Errorf("trace reads %d != completions %d", reads, res.TotalCompleted)
 	}
 	// The engine counts post-warmup switches only, so the trace (which sees
 	// all of them) must report at least as many.
-	if s.Switches < res.TapeSwitches {
-		t.Errorf("trace switches %d < result %d", s.Switches, res.TapeSwitches)
+	if switches < res.TapeSwitches {
+		t.Errorf("trace switches %d < result %d", switches, res.TapeSwitches)
 	}
 	if s.Span <= 0 || s.Span > 81_000 {
 		t.Errorf("span = %v", s.Span)
@@ -142,3 +144,33 @@ var errFail = &writeError{}
 type writeError struct{}
 
 func (*writeError) Error() string { return "synthetic write failure" }
+
+// TestOutsideInput feeds Summarize and Verify a record of a kind no event
+// has and a read at tape -1: a trace file is outside input, so neither may
+// panic. The unknown record counts in Events only, the read lands in no
+// ReadsPerTape entry, and Verify skips the unknown record but refuses the
+// read.
+func TestOutsideInput(t *testing.T) {
+	recs := []Record{
+		{Kind: "defragment", Time: 1, Tape: 2, Pos: 3, Seconds: 4},
+		{Kind: "read", Time: 2, Tape: -1, Pos: 0, Seconds: 5, Request: 1},
+	}
+	s := Summarize(recs)
+	var want sim.Tally
+	want.Add(sim.Event{Kind: sim.EventRead, Seconds: 5}, true)
+	if s.Events != 2 || s.Tally != want {
+		t.Errorf("Summarize counts %d events and tallies %+v, want 2 events and only the read", s.Events, s.Tally)
+	}
+	if len(s.ReadsPerTape) != 0 || s.BusiestTape != -1 {
+		t.Errorf("a read at tape -1 landed in ReadsPerTape %v (busiest %d)", s.ReadsPerTape, s.BusiestTape)
+	}
+	var out bytes.Buffer
+	s.Format(&out)
+	rep, err := Verify(recs[:1], tapemodel.EXB8505XL(), 16, 10, 448, 1e-6)
+	if err != nil || rep.Operations != 0 {
+		t.Errorf("Verify of an unknown record: %v, %+v", err, rep)
+	}
+	if _, err := Verify(recs, tapemodel.EXB8505XL(), 16, 10, 448, 1e-6); err == nil {
+		t.Error("Verify replayed a read at tape -1")
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"tapejuke/internal/jukebox"
+	"tapejuke/internal/sim"
 	"tapejuke/internal/tapemodel"
 )
 
@@ -60,7 +61,8 @@ func (r *VerifyReport) OK() bool { return r.Mismatches == 0 }
 // a later read, fault, or completion referencing a cancelled request fails
 // verification (an altered trace cannot resurrect a request it already
 // cancelled). Idle, completion, drive-repair, unserviceable, and reject
-// records carry no drive geometry and are skipped.
+// records carry no drive geometry and are skipped, as is a record of a kind
+// no event has.
 func Verify(recs []Record, prof tapemodel.Positioner, blockMB float64, tapes, capBlocks int, tol float64) (*VerifyReport, error) {
 	deck, err := jukebox.NewDeck(prof, blockMB, tapes, capBlocks)
 	if err != nil {
@@ -80,42 +82,43 @@ func Verify(recs []Record, prof tapemodel.Positioner, blockMB float64, tapes, ca
 			rep.First = fmt.Sprintf("record %d (%s): recorded %.6f s, recomputed %.6f s", i, kind, want, got)
 		}
 	}
-	cancelled := make(map[int64]string) // request ID -> how it left the system
-	failedTapes := make(map[int]bool)   // tapes the trace declared dead
-	repairRead := make(map[int64]bool)  // repair jobs whose source read landed
-	repairDone := make(map[int64]bool)  // repair jobs whose copy write landed
-	reclaimed := make(map[[2]int]bool)  // (tape, pos) holding no data since reclaim or evacuation
-	touched := make(map[[2]int]bool)    // (tape, pos) the head has accessed
-	latent := make(map[[2]int]bool)     // (tape, pos) with a latent-found record
+	cancelled := make(map[int64]sim.EventKind) // request ID -> how it left the system
+	failedTapes := make(map[int]bool)          // tapes the trace declared dead
+	repairRead := make(map[int64]bool)         // repair jobs whose source read landed
+	repairDone := make(map[int64]bool)         // repair jobs whose copy write landed
+	reclaimed := make(map[[2]int]bool)         // (tape, pos) holding no data since reclaim or evacuation
+	touched := make(map[[2]int]bool)           // (tape, pos) the head has accessed
+	latent := make(map[[2]int]bool)            // (tape, pos) with a latent-found record
 	for i, r := range recs {
+		k := sim.ParseEventKind(r.Kind)
 		if r.Request != 0 {
-			switch r.Kind {
-			case "expire", "shed":
+			switch k {
+			case sim.EventExpire, sim.EventShed:
 				if why, gone := cancelled[r.Request]; gone {
 					return nil, fmt.Errorf("trace: record %d cancels request %d already %s", i, r.Request, why)
 				}
-				cancelled[r.Request] = r.Kind
-			case "read", "fault", "complete":
+				cancelled[r.Request] = k
+			case sim.EventRead, sim.EventFault, sim.EventComplete:
 				if why, gone := cancelled[r.Request]; gone {
 					return nil, fmt.Errorf("trace: record %d (%s) references request %d already %s",
-						i, r.Kind, r.Request, why)
+						i, k, r.Request, why)
 				}
-				if r.Kind == "complete" {
-					cancelled[r.Request] = "complete"
+				if k == sim.EventComplete {
+					cancelled[r.Request] = k
 				}
 			}
 		}
 		tp := [2]int{r.Tape, r.Pos}
-		switch r.Kind {
-		case "switch":
+		switch k {
+		case sim.EventSwitch:
 			got, err := deck.Mount(r.Tape)
 			if err != nil {
 				return nil, fmt.Errorf("trace: record %d: %w", i, err)
 			}
 			rep.Operations++
-			note(i, "switch", got, r.Seconds)
-		case "fault", "read", "repair-read", "repair-write", "scrub-read", "write-flush":
-			if r.Kind == "fault" && r.Pos < 0 {
+			note(i, k.String(), got, r.Seconds)
+		case sim.EventFault, sim.EventRead, sim.EventRepairRead, sim.EventRepairWrite, sim.EventScrubRead, sim.EventWriteFlush:
+			if k == sim.EventFault && r.Pos < 0 {
 				// Failed load attempt: the mechanics run but the deck state
 				// does not change.
 				got, err := deck.SwitchCost(r.Tape)
@@ -126,25 +129,25 @@ func Verify(recs []Record, prof tapemodel.Positioner, blockMB float64, tapes, ca
 				note(i, "fault-switch", got, r.Seconds)
 				continue
 			}
-			write := r.Kind == "repair-write" || r.Kind == "write-flush"
+			write := k == sim.EventRepairWrite || k == sim.EventWriteFlush
 			switch {
 			case deck.Mounted() != r.Tape:
 				return nil, fmt.Errorf("trace: record %d (%s) accesses tape %d but tape %d is mounted (multi-drive trace?)",
-					i, r.Kind, r.Tape, deck.Mounted())
+					i, k, r.Tape, deck.Mounted())
 			case failedTapes[r.Tape]:
-				return nil, fmt.Errorf("trace: record %d (%s) accesses tape %d after its failure", i, r.Kind, r.Tape)
+				return nil, fmt.Errorf("trace: record %d (%s) accesses tape %d after its failure", i, k, r.Tape)
 			case reclaimed[tp] && !write:
 				return nil, fmt.Errorf("trace: record %d (%s) reads tape %d pos %d, emptied with no copy written since",
-					i, r.Kind, r.Tape, r.Pos)
-			case latent[tp] && r.Kind == "scrub-read":
+					i, k, r.Tape, r.Pos)
+			case latent[tp] && k == sim.EventScrubRead:
 				return nil, fmt.Errorf("trace: record %d scrub-reads tape %d pos %d, dead since its latent error was found",
 					i, r.Tape, r.Pos)
-			case r.Kind == "repair-read" && repairRead[r.Request]:
+			case k == sim.EventRepairRead && repairRead[r.Request]:
 				return nil, fmt.Errorf("trace: record %d repeats the source read of repair job %d", i, r.Request)
-			case r.Kind == "repair-write" && !repairRead[r.Request]:
+			case k == sim.EventRepairWrite && !repairRead[r.Request]:
 				return nil, fmt.Errorf("trace: record %d writes repair job %d's copy with no surviving-copy read before it",
 					i, r.Request)
-			case r.Kind == "repair-write" && repairDone[r.Request]:
+			case k == sim.EventRepairWrite && repairDone[r.Request]:
 				return nil, fmt.Errorf("trace: record %d completes repair job %d a second time", i, r.Request)
 			}
 			got, err := deck.ReadBlock(r.Pos)
@@ -153,15 +156,15 @@ func Verify(recs []Record, prof tapemodel.Positioner, blockMB float64, tapes, ca
 			}
 			touched[tp] = true
 			rep.Operations++
-			note(i, r.Kind, got, r.Seconds)
-			switch r.Kind {
-			case "repair-read":
+			note(i, k.String(), got, r.Seconds)
+			switch k {
+			case sim.EventRepairRead:
 				repairRead[r.Request] = true
-			case "repair-write":
+			case sim.EventRepairWrite:
 				repairDone[r.Request] = true
 				delete(reclaimed, tp)
 			}
-		case "tape-fail":
+		case sim.EventTapeFail:
 			failedTapes[r.Tape] = true
 			if deck.Mounted() != r.Tape {
 				// The death was discovered at load: the cartridge never
@@ -169,17 +172,17 @@ func Verify(recs []Record, prof tapemodel.Positioner, blockMB float64, tapes, ca
 				// mid-read leaves the dead tape in the drive.)
 				deck.Unload()
 			}
-		case "reclaim":
+		case sim.EventReclaim:
 			// Metadata-only: no drive motion, but the slot holds no data
 			// until a later repair-write refills it.
 			reclaimed[tp] = true
-		case "evacuate":
+		case sim.EventEvacuate:
 			// Metadata-only, like a reclaim.
 			if reclaimed[tp] {
 				return nil, fmt.Errorf("trace: record %d evacuates tape %d pos %d, already emptied", i, r.Tape, r.Pos)
 			}
 			reclaimed[tp] = true
-		case "latent-found":
+		case sim.EventLatentFound:
 			// Metadata-only, but a detection needs a detector: some head
 			// access at this position must precede it.
 			if !touched[tp] {
@@ -191,7 +194,7 @@ func Verify(recs []Record, prof tapemodel.Positioner, blockMB float64, tapes, ca
 					i, r.Tape, r.Pos)
 			}
 			latent[tp] = true
-		case "drive-fence":
+		case sim.EventDriveFence:
 			deck.Unload()
 		}
 	}

@@ -3,82 +3,73 @@ package tapejuke
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
+	"tapejuke/internal/sim"
 	"tapejuke/internal/tapemodel"
 	"tapejuke/internal/trace"
 )
 
-// TestLedgerMatchesTrace cross-checks the live Result against the trace
-// summary of the same run's event stream, over every single-library
-// configuration of the digest matrix: counters against event counts, and
-// drive-time buckets against the seconds the events carry.
+// TestLedgerMatchesTrace cross-checks the live Result against the trace of
+// the same run's event stream, over every single-library configuration of
+// the digest matrix. A copy of the Result, re-charged from the trace's
+// records tallied in issue order under the run's warm-up, must equal it in
+// every field, floats by their bits; the trace summary must count every
+// kind as that tally does. The drive-time figures no tally defines are
+// checked against the seconds their events carry.
 func TestLedgerMatchesTrace(t *testing.T) {
 	for _, r := range runMatrix(t) {
 		if r.res == nil {
 			continue
 		}
-		res, s := r.res, r.sum
-		counts := []struct {
-			name       string
-			got, event int64
-		}{
-			{"TotalCompleted", res.TotalCompleted, s.Completes},
-			{"Expired", res.Expired, s.Expires},
-			{"Shed", res.Shed, s.Sheds},
-			{"Rejected", res.Rejected, s.Rejects},
-			{"ReclaimedCopies", res.ReclaimedCopies, s.Reclaims},
-			{"EvacuatedCopies", res.EvacuatedCopies, s.Evacuations},
-			{"FencedDrives", res.FencedDrives, s.DriveFences},
-			{"LatentErrorsFound", res.LatentErrorsFound, s.LatentFinds},
-			{"WritesFlushed", res.WritesFlushed, s.Flushes},
-		}
-		for _, c := range counts {
-			if c.got != c.event {
-				t.Errorf("%s: %s = %d, the trace counts %d", r.name, c.name, c.got, c.event)
+		res, tl := r.res, &r.tally
+		recharged := *res
+		tl.Charge(&recharged)
+		live, again := reflect.ValueOf(*res), reflect.ValueOf(recharged)
+		for i := 0; i < live.NumField(); i++ {
+			if digestValue(live.Field(i).Interface()) != digestValue(again.Field(i).Interface()) {
+				t.Errorf("%s: %s = %v, the trace's tally charges %v", r.name, live.Type().Field(i).Name,
+					live.Field(i).Interface(), again.Field(i).Interface())
 			}
 		}
-		if res.IdleSeconds != s.IdleSeconds {
-			t.Errorf("%s: IdleSeconds = %v, the trace sums %v", r.name, res.IdleSeconds, s.IdleSeconds)
+		if r.sum.Count != tl.Count {
+			t.Errorf("%s: the trace summary counts %v per kind, the issue-order tally %v", r.name, r.sum.Count, tl.Count)
 		}
-		if res.SwitchSeconds != r.switchSec {
-			t.Errorf("%s: SwitchSeconds = %v, the trace's switches sum to %v in issue order",
-				r.name, res.SwitchSeconds, r.switchSec)
-		}
-		if res.WriteSeconds != r.writeSec {
+		if w := tl.Seconds[sim.EventWriteFlush]; res.WriteSeconds != w {
 			t.Errorf("%s: WriteSeconds = %v, the trace's write flushes sum to %v in issue order",
-				r.name, res.WriteSeconds, r.writeSec)
+				r.name, res.WriteSeconds, w)
 		}
-		if want := float64(s.ScrubReads) * r.cfg.BlockMB; res.ScrubbedMB != want {
-			t.Errorf("%s: ScrubbedMB = %v, the trace has %d scrub reads (%v MB)", r.name, res.ScrubbedMB, s.ScrubReads, want)
+		if want := float64(tl.Count[sim.EventScrubRead]) * r.cfg.BlockMB; res.ScrubbedMB != want {
+			t.Errorf("%s: ScrubbedMB = %v, the trace has %d scrub reads (%v MB)",
+				r.name, res.ScrubbedMB, tl.Count[sim.EventScrubRead], want)
 		}
-		if got := res.ReadSeconds + res.LocateSeconds; !relClose(got, s.ReadSeconds, 1e-9) {
-			t.Errorf("%s: ReadSeconds+LocateSeconds = %v, the trace sums %v", r.name, got, s.ReadSeconds)
+		if got, want := res.ReadSeconds+res.LocateSeconds, tl.Seconds[sim.EventRead]; !relClose(got, want, 1e-9) {
+			t.Errorf("%s: ReadSeconds+LocateSeconds = %v, the trace sums %v", r.name, got, want)
 		}
 	}
 }
 
-// issuedSeconds sums the seconds of one kind of record in the order the
-// operations were issued, which is the order the ledger charges them in.
-// The trace emits an operation when it completes, so with several drives a
-// long switch can be issued before a shorter one yet emitted after it, and
-// the float sum can then differ in its last bit. An operation was issued
-// at its completion time less its seconds; equal issue times keep emission
-// order.
-func issuedSeconds(recs []trace.Record, kind string) float64 {
-	var ops []trace.Record
-	for _, r := range recs {
-		if r.Kind == kind {
-			ops = append(ops, r)
-		}
-	}
+// issueTally tallies a run's records in the order the operations were
+// issued, which is the order the kernel tallies them in, each after
+// warm-up when it ended after c's warm-up. The trace emits an operation
+// when it completes, so with several drives a long switch can be issued
+// before a shorter one yet emitted after it, and a float sum can then
+// differ in its last bit. An operation was issued at its completion time
+// less its seconds; equal issue times keep emission order.
+func issueTally(recs []trace.Record, c Config) sim.Tally {
+	c = c.WithDefaults()
+	warmupEnd := c.HorizonSec * c.WarmupFrac
+	ops := slices.Clone(recs)
 	sort.SliceStable(ops, func(i, j int) bool { return ops[i].Time-ops[i].Seconds < ops[j].Time-ops[j].Seconds })
-	var sum float64
+	var tl sim.Tally
 	for _, r := range ops {
-		sum += r.Seconds
+		ev := sim.Event{Kind: sim.ParseEventKind(r.Kind), Time: r.Time, Seconds: r.Seconds}
+		tl.Add(ev, ev.Time > warmupEnd)
 	}
-	return sum
+	return tl
 }
 
 // replayTrace runs trace.Verify over a run's records on the run's own
