@@ -64,7 +64,12 @@ func (p plan) figure(rows []Row) (*Figure, error) {
 // runGrid executes every (job, replication) task on the worker pool and
 // reduces the results to one mean row per job.
 //
-// Determinism: each task writes into its own slot of the per-metric arrays
+// Each distinct configuration runs once: tasks whose seeded configs are
+// equal -- the same point asked for by two figures, or by two series of
+// one -- share one run's Result, which is exactly what a second run would
+// return (a Runner's run equals a fresh one).
+//
+// Determinism: each run writes into its own slot of the results array
 // (disjoint writes, no shared accumulators, no locks), and the reduction
 // below runs sequentially in job-then-replication input order, so the
 // output -- including replication means and confidence intervals, which
@@ -73,39 +78,25 @@ func (p plan) figure(rows []Row) (*Figure, error) {
 //
 // Each worker owns one tapejuke.Runner for the lifetime of the grid, so
 // data layouts, cost tables, and simulator scratch are reused across every
-// task the worker claims rather than rebuilt per run.
+// run the worker claims rather than rebuilt per run.
 //
-// The first failure makes workers stop claiming tasks; already-claimed
-// tasks finish, and every recorded error is returned joined, in task
-// order, each carrying its series/param/replication context.
+// The first failure makes workers stop claiming runs; already-claimed
+// runs finish, and every recorded error is returned joined, in run order,
+// each carrying the series/param/replication context of the first task
+// that asked for the run.
 func runGrid(jobs []job, workers, reps int) ([]Row, error) {
 	if reps < 1 {
 		reps = 1
 	}
-	tasks := len(jobs) * reps
-	tps := make([]float64, tasks)
-	rpms := make([]float64, tasks)
-	resps := make([]float64, tasks)
-	vals := make([]float64, tasks)
-	errs := pool.Each(tasks, workers, tapejuke.NewRunner, func(r *tapejuke.Runner, t int) error {
-		i, rep := t/reps, t%reps
-		cfg := jobs[i].cfg
-		// Replication seeds are spaced 7919 (the 1000th prime) apart: far
-		// enough that the streams a run derives from its seed (workload at
-		// Seed, arrivals at Seed+1, writes at Seed+2, bursts at Seed+5)
-		// never collide across replications, and fixed so recorded figures
-		// stay reproducible. See DESIGN.md section 13.
-		cfg.Seed += int64(rep) * 7919
-		res, err := r.Run(cfg)
+	runs, runOf := distinctRuns(jobs, reps)
+	results := make([]*tapejuke.Result, len(runs))
+	errs := pool.Each(len(runs), workers, tapejuke.NewRunner, func(r *tapejuke.Runner, k int) error {
+		res, err := r.Run(runs[k].cfg)
 		if err != nil {
-			return fmt.Errorf("%s param %v rep %d: %w", jobs[i].series, jobs[i].param, rep, err)
+			t := runs[k].task
+			return fmt.Errorf("%s param %v rep %d: %w", jobs[t/reps].series, jobs[t/reps].param, t%reps, err)
 		}
-		tps[t] = res.ThroughputKBps
-		rpms[t] = res.RequestsPerMinute
-		resps[t] = res.MeanResponseSec
-		if jobs[i].value != nil {
-			vals[t] = jobs[i].value(res)
-		}
+		results[k] = res
 		return nil
 	})
 	if err := errors.Join(errs...); err != nil {
@@ -115,11 +106,13 @@ func runGrid(jobs []job, workers, reps int) ([]Row, error) {
 	for i := range jobs {
 		var tp, rpm, resp, val stats.Accumulator
 		for rep := 0; rep < reps; rep++ {
-			t := i*reps + rep
-			tp.Add(tps[t])
-			rpm.Add(rpms[t])
-			resp.Add(resps[t])
-			val.Add(vals[t])
+			res := results[runOf[i*reps+rep]]
+			tp.Add(res.ThroughputKBps)
+			rpm.Add(res.RequestsPerMinute)
+			resp.Add(res.MeanResponseSec)
+			if jobs[i].value != nil {
+				val.Add(jobs[i].value(res))
+			}
 		}
 		rows[i] = Row{
 			Series:            jobs[i].series,
@@ -138,6 +131,38 @@ func runGrid(jobs []job, workers, reps int) ([]Row, error) {
 		}
 	}
 	return rows, nil
+}
+
+// gridRun is one distinct simulation of a grid: its seeded config and the
+// first task (job*reps + replication) that asks for it.
+type gridRun struct {
+	cfg  tapejuke.Config
+	task int
+}
+
+// distinctRuns lists the distinct seeded configs of every (job,
+// replication) task in first-asked order, and maps each task to its run;
+// reps must be at least 1. Replication seeds are spaced 7919 (the 1000th
+// prime) apart: far enough that the streams a run derives from its seed
+// (workload at Seed, arrivals at Seed+1, writes at Seed+2, bursts at
+// Seed+5) never collide across replications, and fixed so recorded
+// figures stay reproducible. See DESIGN.md section 13.
+func distinctRuns(jobs []job, reps int) ([]gridRun, []int) {
+	var runs []gridRun
+	runOf := make([]int, len(jobs)*reps)
+	index := make(map[tapejuke.Config]int)
+	for t := range runOf {
+		cfg := jobs[t/reps].cfg
+		cfg.Seed += int64(t%reps) * 7919
+		k, ok := index[cfg]
+		if !ok {
+			k = len(runs)
+			index[cfg] = k
+			runs = append(runs, gridRun{cfg, t})
+		}
+		runOf[t] = k
+	}
+	return runs, runOf
 }
 
 // WriteTSV writes the figure in cmd/figures' tab-separated format: a

@@ -76,10 +76,12 @@ func TestGridErrorAggregation(t *testing.T) {
 	good.HorizonSec = 10_000
 	bad := good
 	bad.Algorithm = "no-such-algorithm"
+	alsoBad := bad
+	alsoBad.Seed++ // a distinct run, not a repeat the grid would share
 	jobs := []job{
 		{series: "ok", param: 1, cfg: good},
 		{series: "broken", param: 32, cfg: bad},
-		{series: "also-broken", param: 64, cfg: bad},
+		{series: "also-broken", param: 64, cfg: alsoBad},
 	}
 	_, err := runGrid(jobs, 1, 1)
 	if err == nil {
@@ -174,5 +176,46 @@ func TestLTO9Figure(t *testing.T) {
 		if r.ThroughputKBps <= 0 {
 			t.Errorf("%s param %v has no throughput", r.Series, r.Param)
 		}
+	}
+}
+
+// TestGridRunsEachDistinctConfigOnce pins the grid's run counts: the
+// health figure asks for each of its 15 configs twice (availability and
+// MTTD series), and All's 442 tasks hold 400 distinct configs. Tasks that
+// share a run get its result in every row.
+func TestGridRunsEachDistinctConfigOnce(t *testing.T) {
+	o := Options{}.withDefaults()
+	count := func(pfs ...func(Options) (plan, error)) (tasks, runs int) {
+		var jobs []job
+		for _, pf := range pfs {
+			p, err := pf(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs = append(jobs, p.jobs...)
+		}
+		rs, runOf := distinctRuns(jobs, o.Replications)
+		for task, k := range runOf {
+			if rs[k].task > task || rs[k].cfg != jobs[task].cfg {
+				t.Fatalf("task %d maps to run %d, first asked by task %d with another config", task, k, rs[k].task)
+			}
+		}
+		return len(runOf), len(rs)
+	}
+	if tasks, runs := count(planHealth); tasks != 30 || runs != 15 {
+		t.Errorf("health: %d tasks in %d runs, want 30 in 15", tasks, runs)
+	}
+	if tasks, runs := count(allPlans...); tasks != 442 || runs != 400 {
+		t.Errorf("All: %d tasks in %d runs, want 442 in 400", tasks, runs)
+	}
+
+	cfg := base(tiny().withDefaults())
+	cfg.HorizonSec = 10_000
+	rows, err := runGrid([]job{{series: "a", cfg: cfg}, {series: "b", cfg: cfg}}, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows[0].ThroughputKBps != rows[1].ThroughputKBps || rows[0].ThroughputCI95 != rows[1].ThroughputCI95 {
+		t.Errorf("two jobs of one config read %+v and %+v", rows[0], rows[1])
 	}
 }

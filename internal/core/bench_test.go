@@ -129,10 +129,10 @@ func BenchmarkEnvelopeRescheduleShortQueue(b *testing.B) {
 }
 
 // BenchmarkEnvelopeRescheduleFaultHooks is the fault-free hot path with
-// the fault-model hooks armed: a non-nil all-healthy Down mask and a
-// DeadCopy callback that never kills a copy. The ISSUE's perf gate is that
-// this stays within 5% of the plain BenchmarkEnvelopeReschedule cases —
-// fault awareness must be free when nothing faults.
+// the fault-model hooks armed: a non-nil all-healthy Down mask and an
+// empty DeadCopy table. Its gate is that this stays within 5% of the
+// plain BenchmarkEnvelopeReschedule cases — fault awareness must be free
+// when nothing faults.
 func BenchmarkEnvelopeRescheduleFaultHooks(b *testing.B) {
 	cases := []struct {
 		name string
@@ -147,7 +147,8 @@ func BenchmarkEnvelopeRescheduleFaultHooks(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			st, saved := benchEnvelopeState(b, tc.q, tc.nr)
 			st.Down = make([]bool, st.Layout.Tapes())
-			st.DeadCopy = func(tape, pos int) bool { return false }
+			dead := layout.NewPosSet(st.Layout.Tapes(), st.Layout.TapeCap())
+			st.DeadCopy = &dead
 			e := NewEnvelope(MaxBandwidth)
 			b.ReportAllocs()
 			b.ResetTimer()

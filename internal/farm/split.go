@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"tapejuke/internal/layout"
 	"tapejuke/internal/workload"
@@ -156,6 +157,7 @@ func Split(cfg SplitConfig) (*SplitResult, error) {
 		mirrorAll[s] = s
 	}
 	var seq int64
+	sizeAt := cfg.Horizon / 4
 	for {
 		ten := -1
 		for i, t := range next {
@@ -168,6 +170,10 @@ func Split(cfg SplitConfig) (*SplitResult, error) {
 		}
 		at := next[ten]
 		next[ten] = cfg.Tenants[ten].Arrivals.Next()
+		if at >= sizeAt {
+			res.sizeTraces(at, cfg.Horizon)
+			sizeAt = math.Inf(1)
+		}
 
 		// One Float64 (class) + one Intn (key) per arrival, always in
 		// this order, so the key stream is invariant across policies.
@@ -231,6 +237,21 @@ func Split(cfg SplitConfig) (*SplitResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// sizeTraces grows every shard's trace once, when the merge first reaches
+// `at`, to the count its arrivals so far project over the whole horizon
+// plus four standard deviations of a Poisson count that size: a steady
+// stream then fills the trace without regrowing it.
+func (res *SplitResult) sizeTraces(at, horizon float64) {
+	for s := range res.Traces {
+		tr := &res.Traces[s]
+		n := len(tr.Times)
+		est := float64(n) * horizon / at // at < horizon, so est >= n
+		more := int(est+4*math.Sqrt(est)) + 1 - n
+		tr.Times = slices.Grow(tr.Times, more)
+		tr.Blocks = slices.Grow(tr.Blocks, more)
+	}
 }
 
 // localHot maps a farm hot block onto a shard-local hot block (stable per

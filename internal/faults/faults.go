@@ -29,6 +29,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"tapejuke/internal/layout"
 )
 
 // Config describes the fault environment of one run. The zero value
@@ -180,9 +182,9 @@ type Injector struct {
 
 	tapeFailAt  []float64 // per-tape permanent failure time (+Inf = never)
 	driveFailAt []float64 // per-drive next failure time (+Inf = never)
-	// bad marks permanently dead copies at tape*tapeCap+pos; nil until the
-	// first one, so runs without bad blocks skip the lookup.
-	bad         []bool
+	// dead marks permanently dead copies; it allocates at the first one,
+	// so runs without bad blocks keep no table.
+	dead        layout.PosSet
 	badInjected int // bad blocks placed at initialization
 	tapeCap     int
 
@@ -218,6 +220,7 @@ func New(cfg Config, tapes, drives, tapeCapBlocks int) (*Injector, error) {
 		cfg:     cfg,
 		retry:   cfg.Retry.withDefaults(),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		dead:    layout.NewPosSet(tapes, tapeCapBlocks),
 		tapeCap: tapeCapBlocks,
 	}
 	inj.tapeFailAt = make([]float64, tapes)
@@ -323,11 +326,14 @@ func (i *Injector) TapeFailed(tape int, now float64) bool {
 // exhaustion. It does not account for whole-tape failures (see TapeFailed).
 // Positions outside the injector's geometry hold no copy and report false.
 func (i *Injector) CopyDead(tape, pos int) bool {
-	if i.bad == nil || !i.inGeometry(tape, pos) {
-		return false
-	}
-	return i.bad[tape*i.tapeCap+pos]
+	return i.inGeometry(tape, pos) && i.dead.Has(tape, pos)
 }
+
+// Dead returns the dead-copy table MarkDead fills: the table itself, not
+// a copy, so a holder sees every escalation the moment it is marked. The
+// simulator shares it with the schedulers (sched.Shared.DeadCopy) and the
+// repair planner; callers must not add to it.
+func (i *Injector) Dead() *layout.PosSet { return &i.dead }
 
 // MarkDead escalates the copy at (tape, pos) to permanently unreadable
 // (retry exhaustion, or a latent error's first detected read). It panics
@@ -337,10 +343,7 @@ func (i *Injector) MarkDead(tape, pos int) {
 		panic(fmt.Sprintf("faults: MarkDead(%d, %d) outside %d tapes of %d blocks",
 			tape, pos, len(i.tapeFailAt), i.tapeCap))
 	}
-	if i.bad == nil {
-		i.bad = make([]bool, len(i.tapeFailAt)*i.tapeCap)
-	}
-	i.bad[tape*i.tapeCap+pos] = true
+	i.dead.Add(tape, pos)
 }
 
 // inGeometry reports whether (tape, pos) lies on one of the injector's

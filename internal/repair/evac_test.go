@@ -36,7 +36,7 @@ func TestEnqueueEvacuation(t *testing.T) {
 	// A copy that is already dead has nothing to evacuate.
 	b2 := layout.BlockID(1)
 	c2 := jk.lay.Replicas(b2)[0]
-	jk.dead[c2] = true
+	jk.kill(c2)
 	if pl.EnqueueEvacuation(b2, c2, 3) != nil {
 		t.Error("EnqueueEvacuation of a dead copy returned a job")
 	}
@@ -91,7 +91,7 @@ func TestEvacuationMoot(t *testing.T) {
 	}
 	// The copy to vacate dies on its own: evacuation has no purpose left
 	// and plain repair owns the block now.
-	jk.dead[from] = true
+	jk.kill(from)
 	if !pl.EvacMoot(j) {
 		t.Error("EvacMoot = false for a dead From copy")
 	}
@@ -155,7 +155,7 @@ func evacKillResumeCase(t *testing.T, seed int64) {
 	var pending []layout.Replica // vetoed removals, with their block implied by position
 	pendingBlock := make(map[layout.Replica]layout.BlockID)
 	tryRemove := func(b layout.BlockID, from layout.Replica, veto bool) {
-		if jk.dead[from] {
+		if jk.isDead(from) {
 			return // moot: plain repair owns the dead copy now
 		}
 		if c, ok := jk.lay.ReplicaOn(b, from.Tape); !ok || c.Pos != from.Pos {
@@ -195,15 +195,15 @@ func evacKillResumeCase(t *testing.T, seed int64) {
 		if slots := jk.lay.TapeContents(suspect); len(slots) > 0 {
 			s := slots[rng.Intn(len(slots))]
 			from := layout.Replica{Tape: suspect, Pos: s.Pos}
-			if !jk.dead[from] {
+			if !jk.isDead(from) {
 				pl.EnqueueEvacuation(s.Block, from, now)
 			}
 		}
 		// Occasionally the From copy dies under an active job, mooting it.
 		if jobs := ranked(pl, now); len(jobs) > 0 && rng.Intn(8) == 0 {
 			j := jobs[rng.Intn(len(jobs))]
-			if j.Kind == KindEvacuate && !jk.dead[j.From] {
-				jk.dead[j.From] = true
+			if j.Kind == KindEvacuate && !jk.isDead(j.From) {
+				jk.kill(j.From)
 				killedFrom[j.Block] = true
 			}
 		}
@@ -301,7 +301,7 @@ func evacKillResumeCase(t *testing.T, seed int64) {
 	// a copy that died before its replacement landed, or a block with no
 	// feasible destination left.
 	for _, s := range jk.lay.TapeContents(suspect) {
-		if !jk.dead[layout.Replica{Tape: suspect, Pos: s.Pos}] && !noDest[s.Block] {
+		if !jk.isDead(layout.Replica{Tape: suspect, Pos: s.Pos}) && !noDest[s.Block] {
 			t.Fatalf("seed %d: live copy of block %d left on the suspect tape after drain", seed, s.Block)
 		}
 	}

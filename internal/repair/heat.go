@@ -12,7 +12,11 @@
 // or cancels -- which the kill/resume fuzz in planner_test.go exercises.
 package repair
 
-import "math"
+import (
+	"math"
+
+	"tapejuke/internal/layout"
+)
 
 // Heat tracks exponentially decayed per-block access counts. Decay is
 // lazy: each counter carries the timestamp of its last update and is
@@ -63,4 +67,34 @@ func (h *Heat) Touch(b int, now float64) {
 func (h *Heat) At(b int, now float64) float64 {
 	h.decayTo(b, now)
 	return h.count[b]
+}
+
+// decayEach decays every listed block to now, once each and in list
+// order, writes its heat to out, and returns the index of the hottest
+// (the lowest index on ties). Blocks last stamped at prev -- those the
+// previous pass decayed and nothing touched since -- share one dt, so
+// their factor is computed once, with the bits decayTo would compute.
+func (h *Heat) decayEach(blocks []layout.BlockID, prev, now float64, out []float64) int {
+	out = out[:len(blocks)]
+	top, hot := 0, 0.0
+	dt := now - prev
+	f := math.Exp2(-dt / h.halfLife)
+	for i, b := range blocks {
+		switch {
+		case h.halfLife <= 0:
+		case h.stamp[b] == prev:
+			if dt > 0 {
+				h.count[b] *= f
+			}
+			h.stamp[b] = now
+		default:
+			h.decayTo(int(b), now)
+		}
+		x := h.count[b]
+		out[i] = x
+		if i == 0 || x > hot {
+			top, hot = i, x
+		}
+	}
+	return top
 }

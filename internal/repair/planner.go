@@ -104,13 +104,13 @@ type Planner struct {
 	heat *Heat
 	cfg  Config
 
-	// copyOK reports whether a physical copy is readable (its tape is up
-	// and the copy itself is not dead). tapeUp reports whether a tape may
-	// receive new copies at all (not discovered failed). posOK reports
-	// whether a free position may hold a new copy (not a known bad block).
-	copyOK func(layout.Replica) bool
-	tapeUp func(tape int) bool
-	posOK  func(tape, pos int) bool
+	// down marks tapes discovered failed, which take no new copy, and dead
+	// marks copies known unreadable, which neither serve a read nor take a
+	// new copy. They are the engine's own tables, shared and never copied,
+	// so the planner sees a failure the moment it is marked; nil means
+	// nothing has failed.
+	down []bool
+	dead *layout.PosSet
 	// destOK, when non-nil, further filters destination tapes for every
 	// job kind (the health extension excludes suspect tapes: repairing
 	// onto a tape queued for evacuation would be wasted motion).
@@ -120,32 +120,30 @@ type Planner struct {
 	blocks    []layout.BlockID // jobs[i].Block, so Rank reads no job
 	byBlock   []*Job           // the job covering each block, nil when none
 	base      []int32          // copies per block at construction time
-	reserved  []bool           // tape*TapeCap+pos held by an in-flight write
+	reserved  layout.PosSet    // positions held by an in-flight write
 	nReserved int
 	resByTape []int32
 	nextID    int64
 	cursor    int // rotating scan position
 	created   int64
-	rank      []rankKey  // keys of the snapshot taken by Rank
-	top       int        // index in rank of its hottest key, -1 once Next returned it
-	heaped    bool       // rank is a heap (built by the second Next)
-	cands     []destCand // scratch for ChooseDest
-}
 
-// rankKey is one job's entry in the hottest-first heap: its block's heat
-// decayed to the Rank time.
-type rankKey struct {
-	heat float64
-	job  *Job
-}
+	// The last Rank's snapshot: its jobs in ID order and their heats.
+	// snap views the job table until a drop would shift the table under
+	// it; drop first copies it into snapBuf. first is the hottest job's
+	// index, and top the same until the first Next returns that job (-1
+	// after, and with no jobs). The second Next builds rank, a heap of the
+	// other jobs' indices.
+	snap     []*Job
+	snapView bool
+	snapBuf  []*Job
+	heats    []float64
+	rankedAt float64 // the last decaying Rank's time
+	first    int
+	top      int
+	rank     []int32
+	heaped   bool
 
-// before orders keys hotter first, ties toward the older job. Job IDs are
-// unique, so this is a strict total order.
-func (a rankKey) before(b rankKey) bool {
-	if a.heat != b.heat {
-		return a.heat > b.heat
-	}
-	return a.job.ID < b.job.ID
+	cands []destCand // scratch for ChooseDest
 }
 
 // destCand is a candidate destination tape with its unreserved capacity.
@@ -153,30 +151,29 @@ type destCand struct {
 	tape, spare int
 }
 
-// New builds a planner over lay. copyOK, tapeUp, and posOK inject
-// liveness; any may be nil, meaning everything is live.
-func New(lay *layout.Layout, heat *Heat, cfg Config,
-	copyOK func(layout.Replica) bool, tapeUp func(tape int) bool,
-	posOK func(tape, pos int) bool) *Planner {
-	if copyOK == nil {
-		copyOK = func(layout.Replica) bool { return true }
-	}
-	if tapeUp == nil {
-		tapeUp = func(int) bool { return true }
-	}
-	if posOK == nil {
-		posOK = func(int, int) bool { return true }
-	}
+// New builds a planner over lay. down (indexed by tape) and dead are the
+// liveness tables the planner reads, shared with their owner; either may
+// be nil, meaning nothing has failed.
+func New(lay *layout.Layout, heat *Heat, cfg Config, down []bool, dead *layout.PosSet) *Planner {
 	if cfg.ScanRate <= 0 {
 		cfg.ScanRate = 64
 	}
+	// A tape death enqueues a job per copy the tape held, so the job
+	// table starts with room for the fullest tape's.
+	room := 0
+	for t := 0; t < lay.Tapes(); t++ {
+		room = max(room, len(lay.TapeContents(t)))
+	}
 	p := &Planner{
-		lay: lay, heat: heat, cfg: cfg, copyOK: copyOK, tapeUp: tapeUp, posOK: posOK,
+		lay: lay, heat: heat, cfg: cfg, down: down, dead: dead,
+		jobs:      make([]*Job, 0, room),
+		blocks:    make([]layout.BlockID, 0, room),
 		byBlock:   make([]*Job, lay.NumBlocks()),
 		base:      make([]int32, lay.NumBlocks()),
-		reserved:  make([]bool, lay.Tapes()*lay.TapeCap()),
+		reserved:  layout.NewPosSet(lay.Tapes(), lay.TapeCap()),
 		resByTape: make([]int32, lay.Tapes()),
 		nextID:    1,
+		top:       -1,
 	}
 	for b := range p.base {
 		p.base[b] = int32(len(lay.Replicas(layout.BlockID(b))))
@@ -189,6 +186,18 @@ func New(lay *layout.Layout, heat *Heat, cfg Config,
 // reservations are unaffected; a newly excluded tape simply receives no
 // further reservations.
 func (p *Planner) SetDestFilter(f func(tape int) bool) { p.destOK = f }
+
+// tapeUp reports whether a tape may receive new copies at all (not
+// discovered failed).
+func (p *Planner) tapeUp(t int) bool { return p.down == nil || !p.down[t] }
+
+// posOK reports whether a position may serve a read or hold a new copy
+// (not a known dead copy).
+func (p *Planner) posOK(t, pos int) bool { return p.dead == nil || !p.dead.Has(t, pos) }
+
+// copyOK reports whether a physical copy is readable: its tape is up and
+// the copy itself is not dead.
+func (p *Planner) copyOK(c layout.Replica) bool { return p.tapeUp(c.Tape) && p.posOK(c.Tape, c.Pos) }
 
 // LiveCopies counts block b's readable copies.
 func (p *Planner) LiveCopies(b layout.BlockID) int {
@@ -309,73 +318,84 @@ func (p *Planner) NoteCopyDead(tape, pos int, now float64) {
 
 // Rank snapshots the active jobs for Next to hand out hottest-first (ties
 // break toward the older job), so idle drive time goes to the blocks most
-// likely to be requested. One pass over the table decays each job's heat
-// to now exactly once and notes the hottest job; nothing is ordered yet,
-// so a caller that stops at the first job it can issue pays for neither a
-// sort nor a heap. The decays are never skipped or reordered, even when
-// the caller stops early: At rescales the stored count, so a different
-// decay sequence would change later heat bits. A lone job is not compared
-// with anything, so its heat is left undecayed. Jobs enqueued or
-// cancelled after Rank do not change the snapshot.
+// likely to be requested. One tight pass over the table's blocks decays
+// each job's heat to now exactly once, in ID order, into a dense heat
+// slice and notes the hottest job; nothing is ordered yet, so a caller
+// that stops at the first job it can issue pays for no heap. The decays
+// are never skipped or reordered, even when the caller stops early: At
+// rescales the stored count, so a different decay sequence would change
+// later heat bits. A lone job is not compared with anything, so its heat
+// is left undecayed. Jobs enqueued or cancelled after Rank do not change
+// the snapshot.
 func (p *Planner) Rank(now float64) {
-	h := p.rank[:0]
-	top := 0
-	decay := len(p.jobs) > 1
-	for i, j := range p.jobs {
-		k := rankKey{job: j}
-		if decay {
-			k.heat = p.heat.At(int(p.blocks[i]), now)
-		}
-		h = append(h, k)
-		// Strictly hotter only: jobs are in ID order, so the lower index
-		// keeps a tie.
-		if k.heat > h[top].heat {
-			top = i
-		}
+	n := len(p.jobs)
+	p.snap, p.snapView = p.jobs[:n:n], true
+	p.heats = slices.Grow(p.heats[:0], n)[:n]
+	p.top = -1
+	switch {
+	case n > 1:
+		p.top = p.heat.decayEach(p.blocks, p.rankedAt, now, p.heats)
+		p.rankedAt = now
+	case n == 1:
+		p.heats[0], p.top = 0, 0
 	}
-	p.rank, p.top, p.heaped = h, top, false
+	p.first, p.rank, p.heaped = p.top, p.rank[:0], false
 }
 
 // Next pops the hottest remaining job of the last Rank snapshot, or nil
 // once the snapshot is exhausted. The first call returns the job Rank
-// noted; the second heapifies the remaining keys, in O(n), and every
-// later call pops that heap.
+// noted; the second heaps the other jobs' snapshot indices by heat, in
+// O(n), and every later call pops that heap.
 func (p *Planner) Next() *Job {
+	if i := p.top; i >= 0 {
+		p.top = -1
+		return p.snap[i]
+	}
+	if !p.heaped {
+		h := p.rank[:0]
+		for i := range p.heats {
+			if i != p.first {
+				h = append(h, int32(i))
+			}
+		}
+		for k := len(h)/2 - 1; k >= 0; k-- {
+			p.siftDown(h, k)
+		}
+		p.rank, p.heaped = h, true
+	}
 	h := p.rank
 	if len(h) == 0 {
 		return nil
 	}
-	i := p.top
-	if i < 0 {
-		if !p.heaped {
-			for k := len(h)/2 - 1; k >= 0; k-- {
-				siftDown(h, k)
-			}
-			p.heaped = true
-		}
-		i = 0
-	}
-	j := h[i].job
+	j := p.snap[h[0]]
 	last := len(h) - 1
-	h[i], h[last] = h[last], rankKey{}
-	p.rank, p.top = h[:last], -1
-	if p.heaped {
-		siftDown(p.rank, 0)
-	}
+	h[0] = h[last]
+	p.rank = h[:last]
+	p.siftDown(p.rank, 0)
 	return j
 }
 
+// before orders snapshot indices hotter first, ties toward the older job:
+// the snapshot is in ID order, so the lower index is the older job.
+// Indices are unique, so this is a strict total order.
+func (p *Planner) before(a, b int32) bool {
+	if ha, hb := p.heats[a], p.heats[b]; ha != hb {
+		return ha > hb
+	}
+	return a < b
+}
+
 // siftDown restores the heap order below h[i].
-func siftDown(h []rankKey, i int) {
+func (p *Planner) siftDown(h []int32, i int) {
 	for {
 		c := 2*i + 1
 		if c >= len(h) {
 			return
 		}
-		if r := c + 1; r < len(h) && h[r].before(h[c]) {
+		if r := c + 1; r < len(h) && p.before(h[r], h[c]) {
 			c = r
 		}
-		if !h[c].before(h[i]) {
+		if !p.before(h[c], h[i]) {
 			return
 		}
 		h[i], h[c] = h[c], h[i]
@@ -441,16 +461,15 @@ func (p *Planner) ChooseDest(j *Job, tapeOK func(int) bool) (layout.Replica, boo
 		return cmp.Or(cmp.Compare(b.spare, a.spare), cmp.Compare(a.tape, b.tape))
 	})
 	for _, c := range cands {
-		row := c.tape * p.lay.TapeCap()
 		pos := p.lay.FirstFree(c.tape, func(pos int) bool {
-			return !p.reserved[row+pos] && p.posOK(c.tape, pos)
+			return !p.reserved.Has(c.tape, pos) && p.posOK(c.tape, pos)
 		})
 		if pos < 0 {
 			continue
 		}
 		j.Dst = layout.Replica{Tape: c.tape, Pos: pos}
 		j.Reserved = true
-		p.reserved[row+pos] = true
+		p.reserved.Add(c.tape, pos)
 		p.nReserved++
 		p.resByTape[c.tape]++
 		return j.Dst, true
@@ -463,7 +482,7 @@ func (p *Planner) release(j *Job) {
 	if !j.Reserved {
 		return
 	}
-	p.reserved[j.Dst.Tape*p.lay.TapeCap()+j.Dst.Pos] = false
+	p.reserved.Remove(j.Dst.Tape, j.Dst.Pos)
 	p.nReserved--
 	p.resByTape[j.Dst.Tape]--
 	j.Reserved = false
@@ -499,9 +518,15 @@ func (p *Planner) Cancel(j *Job) {
 	p.drop(j)
 }
 
+// drop takes j out of the job table, first copying the Rank snapshot
+// while it still views the table, since the shift would move it.
 func (p *Planner) drop(j *Job) {
 	for i, q := range p.jobs {
 		if q == j {
+			if p.snapView {
+				p.snapBuf = append(p.snapBuf[:0], p.snap...)
+				p.snap, p.snapView = p.snapBuf, false
+			}
 			p.jobs = append(p.jobs[:i], p.jobs[i+1:]...)
 			p.blocks = append(p.blocks[:i], p.blocks[i+1:]...)
 			break

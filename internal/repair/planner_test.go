@@ -34,7 +34,7 @@ func TestHeatDecay(t *testing.T) {
 type testJuke struct {
 	lay  *layout.Layout
 	down []bool
-	dead map[layout.Replica]bool
+	dead layout.PosSet
 }
 
 func newTestJuke(t testing.TB, tapes, capBlocks, nr, blocks int) *testJuke {
@@ -46,13 +46,15 @@ func newTestJuke(t testing.TB, tapes, capBlocks, nr, blocks int) *testJuke {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	return &testJuke{lay: lay, down: make([]bool, tapes), dead: make(map[layout.Replica]bool)}
+	return &testJuke{lay: lay, down: make([]bool, tapes), dead: layout.NewPosSet(tapes, capBlocks)}
 }
 
-func (j *testJuke) copyOK(c layout.Replica) bool { return !j.down[c.Tape] && !j.dead[c] }
+// isDead reports whether copy c is marked dead; kill marks it.
+func (j *testJuke) isDead(c layout.Replica) bool { return j.dead.Has(c.Tape, c.Pos) }
+func (j *testJuke) kill(c layout.Replica)        { j.dead.Add(c.Tape, c.Pos) }
 
 func (j *testJuke) planner(cfg Config, heat *Heat) *Planner {
-	return New(j.lay, heat, cfg, j.copyOK, func(tp int) bool { return !j.down[tp] }, nil)
+	return New(j.lay, heat, cfg, j.down, &j.dead)
 }
 
 // ranked drains the planner's hottest-first order at now into a fresh
@@ -276,7 +278,7 @@ func TestPlannerPromoteAndReclaim(t *testing.T) {
 	// under-replicated blocks through the scan path, independent of heat.
 	cold := jk.planner(Config{ScanRate: 64}, NewHeat(jk.lay.NumBlocks(), 1000))
 	cs := jk.lay.Replicas(hot)
-	jk.dead[cs[1]] = true
+	jk.kill(cs[1])
 	cold.Scan(30, func(layout.BlockID, layout.Replica) bool { return true })
 	if len(cold.jobs) != 1 {
 		t.Fatalf("scan did not enqueue repair for under-replicated block (Active=%d)", len(cold.jobs))
@@ -393,8 +395,8 @@ func killResumeCase(t *testing.T, seed int64) {
 			b := layout.BlockID(rng.Intn(blocks))
 			cs := jk.lay.Replicas(b)
 			c := cs[rng.Intn(len(cs))]
-			if !jk.dead[c] {
-				jk.dead[c] = true
+			if !jk.isDead(c) {
+				jk.kill(c)
 				pl.NoteCopyDead(c.Tape, c.Pos, now)
 			}
 		case 2:

@@ -102,7 +102,7 @@ const (
 	shapeLongQueue             // up to 140 pending requests instead of 1-5
 	shapeBusy                  // a Busy mask
 	shapeDown                  // a Down mask
-	shapeDead                  // a DeadCopy mask
+	shapeDead                  // a DeadCopy table
 	shapeAging                 // aging on, some requests with deadlines
 	shapeReach                 // a random per-tape reach instead of nil
 )
@@ -173,13 +173,13 @@ func randomSelectState(t testing.TB, rng *rand.Rand, shape uint8) (*State, Polic
 		st.Down = mask()
 	}
 	if shape&shapeDead != 0 {
-		dead := make(map[layout.Replica]bool)
+		dead := layout.NewPosSet(tapes, capBlocks)
 		for c := range used {
 			if rng.Intn(4) == 0 {
-				dead[c] = true
+				dead.Add(c.Tape, c.Pos)
 			}
 		}
-		st.DeadCopy = func(tape, pos int) bool { return dead[layout.Replica{Tape: tape, Pos: pos}] }
+		st.DeadCopy = &dead
 	}
 	var reach []int
 	if shape&shapeReach != 0 {

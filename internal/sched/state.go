@@ -27,10 +27,12 @@ type Shared struct {
 	// nil means every tape is up.
 	Down []bool
 
-	// DeadCopy, when non-nil, reports physical copies that are permanently
-	// unreadable (media bad blocks, or transient errors escalated after
-	// retry exhaustion). Schedulers must not target a dead copy.
-	DeadCopy func(tape, pos int) bool
+	// DeadCopy, when non-nil, is the fault model's dead-copy table: the
+	// physical copies that are permanently unreadable (media bad blocks,
+	// or transient errors escalated after retry exhaustion). The engine
+	// shares the injector's own table, so an escalation shows here the
+	// moment it is marked. Schedulers must not target a dead copy.
+	DeadCopy *layout.PosSet
 
 	// Fenced marks drives withdrawn from scheduling for maintenance (the
 	// health extension's drive fence, the drive-side analogue of Down).
@@ -160,21 +162,11 @@ func (st *State) Available(tape int) bool {
 }
 
 // CopyOK reports whether the physical copy is readable: its tape is up and
-// the copy itself is not dead. Split so the fault-free path (no masks
-// armed) inlines to two nil checks at every call site; the masked path
-// pays one call.
+// the copy itself is not dead. It inlines at every call site: two nil
+// checks on the fault-free path, and two table loads with the masks armed.
 func (sh *Shared) CopyOK(c layout.Replica) bool {
-	if sh.Down == nil && sh.DeadCopy == nil {
-		return true
-	}
-	return sh.copyOKMasked(c)
-}
-
-func (sh *Shared) copyOKMasked(c layout.Replica) bool {
-	if sh.Down != nil && sh.Down[c.Tape] {
-		return false
-	}
-	return sh.DeadCopy == nil || !sh.DeadCopy(c.Tape, c.Pos)
+	return (sh.Down == nil || !sh.Down[c.Tape]) &&
+		(sh.DeadCopy == nil || !sh.DeadCopy.Has(c.Tape, c.Pos))
 }
 
 // UsableOn returns block b's copy on the given tape when that copy exists

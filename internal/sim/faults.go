@@ -63,7 +63,7 @@ func (e *engine) initFaults(capBlocks int) error {
 		maskDirty: inj.InjectedBadBlocks() > 0,
 	}
 	e.sh.Down = e.flt.down
-	e.sh.DeadCopy = inj.CopyDead
+	e.sh.DeadCopy = inj.Dead()
 	e.res.LatentErrorsInjected = inj.InjectedLatentErrors()
 	return nil
 }

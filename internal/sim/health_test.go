@@ -314,7 +314,14 @@ func TestEvacScanBudgetAndDrain(t *testing.T) {
 	}
 	const covered, full, drained = 1, 2, 3
 	h, pl, lay := e.hlt, e.rep.pl, e.sh.Layout
-	e.sh.DeadCopy = func(tape, pos int) bool { return tape == drained }
+	// Replace the injector's dead-copy table in place, which the
+	// schedulers and the planner share: only the drained tape's copies
+	// are dead.
+	only := layout.NewPosSet(lay.Tapes(), lay.TapeCap())
+	for _, s := range lay.TapeContents(drained) {
+		only.Add(drained, s.Pos)
+	}
+	*e.sh.DeadCopy = only
 	for _, tp := range []int{covered, full, drained} {
 		h.suspect[tp] = true
 		e.res.SuspectTapes++

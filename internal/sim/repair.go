@@ -62,7 +62,7 @@ type repairState struct {
 }
 
 // initRepair wires the repair subsystem when enabled. Must run after
-// initFaults (the planner's liveness closures read the fault masks).
+// initFaults (the planner shares the fault model's liveness tables).
 func (e *engine) initRepair() {
 	rc := &e.cfg.Repair
 	if !rc.Enabled() {
@@ -76,9 +76,7 @@ func (e *engine) initRepair() {
 	}
 	lay := e.sh.Layout
 	heat := repair.NewHeat(lay.NumBlocks(), rc.HalfLifeSec)
-	pl := repair.New(lay, heat, *rc, e.sh.CopyOK, e.sh.Up, func(tape, pos int) bool {
-		return e.sh.DeadCopy == nil || !e.sh.DeadCopy(tape, pos)
-	})
+	pl := repair.New(lay, heat, *rc, e.sh.Down, e.sh.DeadCopy)
 	e.rep = &repairState{pl: pl, heat: heat}
 }
 
