@@ -21,7 +21,7 @@ func benchEnvelopeState(b *testing.B, n, nr int) (*sched.State, []*sched.Request
 	if err != nil {
 		b.Fatal(err)
 	}
-	st := sched.NewState(l, costs())
+	st := sched.NewState(l, benchCosts(l.TapeCap()))
 	st.Mounted, st.Head = 3, 100
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < n; i++ {
@@ -30,6 +30,15 @@ func benchEnvelopeState(b *testing.B, n, nr int) (*sched.State, []*sched.Request
 		})
 	}
 	return st, append([]*sched.Request(nil), st.Pending...)
+}
+
+// benchCosts builds the cost model as the simulator does, with the dense
+// cost table over the whole tape, so the benchmarks time the path every
+// helical-scan run takes. Tests keep the untabled costs().
+func benchCosts(capBlocks int) *sched.CostModel {
+	c := costs()
+	c.EnableTable(capBlocks)
+	return c
 }
 
 func benchUpperEnvelope(b *testing.B, n, nr int) {
@@ -49,19 +58,21 @@ func BenchmarkEnvelopeReschedule140(b *testing.B) {
 	e := NewEnvelope(MaxBandwidth)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, ok := e.Reschedule(st); !ok {
+		_, sweep, ok := e.Reschedule(st)
+		if !ok {
 			b.Fatal("reschedule failed")
 		}
-		st.Pending = st.Pending[:0]
-		st.Pending = append(st.Pending, saved...)
+		st.ReleaseSweep(sweep)
+		st.Pending = append(st.Pending[:0], saved...)
 	}
 }
 
 // BenchmarkEnvelopeReschedule exercises the pure major-reschedule path
 // (envelope construction, tape selection, request extraction) without the
 // simulation engine, across the queue lengths of the paper's figures and
-// full replication. Allocations are reported so the steady-state
-// reschedule's allocation profile is tracked by scripts/bench.sh.
+// full replication. Each iteration releases the sweep to the pool, as the
+// engine does, and allocations are reported, so scripts/bench.sh tracks
+// the steady-state reschedule's own allocation profile.
 func BenchmarkEnvelopeReschedule(b *testing.B) {
 	cases := []struct {
 		name string
@@ -79,11 +90,12 @@ func BenchmarkEnvelopeReschedule(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, ok := e.Reschedule(st); !ok {
+				_, sweep, ok := e.Reschedule(st)
+				if !ok {
 					b.Fatal("reschedule failed")
 				}
-				st.Pending = st.Pending[:0]
-				st.Pending = append(st.Pending, saved...)
+				st.ReleaseSweep(sweep)
+				st.Pending = append(st.Pending[:0], saved...)
 			}
 		})
 	}
@@ -105,7 +117,7 @@ func BenchmarkEnvelopeRescheduleShortQueue(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			st := sched.NewState(l, costs())
+			st := sched.NewState(l, benchCosts(l.TapeCap()))
 			st.Mounted, st.Head = 3, 100
 			rng := rand.New(rand.NewSource(11))
 			saved := make([]*sched.Request, 3)
@@ -153,11 +165,12 @@ func BenchmarkEnvelopeRescheduleFaultHooks(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, ok := e.Reschedule(st); !ok {
+				_, sweep, ok := e.Reschedule(st)
+				if !ok {
 					b.Fatal("reschedule failed")
 				}
-				st.Pending = st.Pending[:0]
-				st.Pending = append(st.Pending, saved...)
+				st.ReleaseSweep(sweep)
+				st.Pending = append(st.Pending[:0], saved...)
 			}
 		})
 	}
@@ -195,11 +208,12 @@ func BenchmarkEnvelopeRescheduleWithAging(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, ok := e.Reschedule(st); !ok {
+				_, sweep, ok := e.Reschedule(st)
+				if !ok {
 					b.Fatal("reschedule failed")
 				}
-				st.Pending = st.Pending[:0]
-				st.Pending = append(st.Pending, saved...)
+				st.ReleaseSweep(sweep)
+				st.Pending = append(st.Pending[:0], saved...)
 			}
 		})
 	}

@@ -9,7 +9,9 @@ import (
 )
 
 // benchState builds a pending list of n requests over the paper's jukebox
-// with the given replication.
+// with the given replication. Its cost model has the dense table over the
+// whole tape, as the simulator builds it, so the benchmarks time the path
+// every helical-scan run takes.
 func benchState(b *testing.B, n, nr int) *State {
 	b.Helper()
 	kind := layout.Horizontal
@@ -25,7 +27,9 @@ func benchState(b *testing.B, n, nr int) *State {
 	if err != nil {
 		b.Fatal(err)
 	}
-	st := NewState(l, &CostModel{Prof: tapemodel.EXB8505XL(), BlockMB: 16})
+	costs := &CostModel{Prof: tapemodel.EXB8505XL(), BlockMB: 16}
+	costs.EnableTable(l.TapeCap())
+	st := NewState(l, costs)
 	st.Mounted, st.Head = 3, 100
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < n; i++ {
@@ -47,10 +51,11 @@ func benchReschedule(b *testing.B, s Scheduler, n, nr int) {
 	saved := append([]*Request(nil), st.Pending...)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, ok := s.Reschedule(st)
+		_, sweep, ok := s.Reschedule(st)
 		if !ok {
 			b.Fatal("reschedule failed")
 		}
+		st.ReleaseSweep(sweep)
 		resetPending(st, saved)
 	}
 }
@@ -81,7 +86,7 @@ func BenchmarkSweepBuild140(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NewSweep(reqs, 100)
+		st.ReleaseSweep(st.NewSweep(reqs, 100))
 	}
 }
 
@@ -91,12 +96,14 @@ func BenchmarkSweepInsert(b *testing.B) {
 	for i := range reqs {
 		reqs[i] = &Request{ID: int64(i), Target: layout.Replica{Tape: 0, Pos: rng.Intn(448)}}
 	}
+	var sh Shared
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := NewSweep(reqs[:32], 0)
+		s := sh.NewSweep(reqs[:32], 0)
 		for _, r := range reqs[32:] {
 			s.Insert(r, 0)
 		}
+		sh.ReleaseSweep(s)
 	}
 }
 
@@ -108,5 +115,18 @@ func BenchmarkEffectiveBandwidth(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.Costs.EffectiveBandwidth(3, 100, 3, 100, order)
+	}
+}
+
+// BenchmarkBandwidthBits140 scores one tape's set the way the max-bandwidth
+// policies do: the mounted tape's 140-request set from its head.
+func BenchmarkBandwidthBits140(b *testing.B) {
+	st := benchState(b, 140, 0)
+	var s Selector
+	s.pick(st, MaxRequests, nil)
+	var ps posSorter
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bandwidthBits(st.Costs, 3, 100, 3, 100, s.pos[3], &ps)
 	}
 }

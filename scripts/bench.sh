@@ -27,7 +27,7 @@ go test -run '^$' \
     -bench 'BenchmarkUpperEnvelope|BenchmarkEnvelopeReschedule|BenchmarkEnvelopeOnArrival' \
     -benchmem -benchtime 1s ./internal/core | tee -a "$tmp"
 go test -run '^$' \
-    -bench 'BenchmarkReschedule|BenchmarkSweep' \
+    -bench 'BenchmarkReschedule|BenchmarkSweep|BenchmarkBandwidthBits' \
     -benchmem -benchtime 1s ./internal/sched | tee -a "$tmp"
 go test -run '^$' \
     -bench 'BenchmarkFaultRepairIdle|BenchmarkScrubIdle' \
