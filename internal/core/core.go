@@ -153,7 +153,7 @@ func (e *Envelope) OnArrival(st *sched.State, r *sched.Request) bool {
 		if !st.CopyOK(c) {
 			continue
 		}
-		cost := extensionCost(st, e.env[c.Tape], c.Tape, []int{c.Pos})
+		cost := extensionCost(st, e.env[c.Tape], c.Tape, c.Pos)
 		if bestTape < 0 || cost < bestCost {
 			bestTape, bestCost, bestCopy = c.Tape, cost, c
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"tapejuke/internal/layout"
@@ -304,6 +305,32 @@ func TestOnArrivalIdleDefers(t *testing.T) {
 	st := stateFor(t, l, -1, 0)
 	if e.OnArrival(st, &sched.Request{ID: 1, Block: 0}) {
 		t.Error("OnArrival before any reschedule should defer")
+	}
+}
+
+// extensionCost reads the dense table inline when it covers the envelope
+// and the block's far edge, and goes through the cost model otherwise.
+// Either way every cost keeps its bits: from an empty or a partial
+// envelope, on the mounted tape and on one still to be loaded, against a
+// table over 200 of the tape's 448 blocks, so both paths run.
+func TestExtensionCostTableBitIdentical(t *testing.T) {
+	l, err := layout.NewManual(2, 448, 0, [][]layout.Replica{{{Tape: 0, Pos: 0}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, tabled := stateFor(t, l, 0, 0), stateFor(t, l, 0, 0)
+	if !tabled.Costs.EnableTable(200) {
+		t.Fatal("the paper's profile on 16-MB blocks should be tabulable")
+	}
+	for env := 0; env <= 448; env += 7 {
+		for pos := env % 5; pos < 448; pos += 5 {
+			for tape := 0; tape < 2; tape++ {
+				want := extensionCost(plain, env, tape, pos)
+				if got := extensionCost(tabled, env, tape, pos); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("env %d, tape %d, pos %d: tabled %v, untabled %v", env, tape, pos, got, want)
+				}
+			}
+		}
 	}
 }
 

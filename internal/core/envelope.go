@@ -295,7 +295,9 @@ func (b *builder) initExtensions() {
 // refresh compacts tape t's extension list (dropping entries whose request
 // has been scheduled; compaction preserves the sorted order) and
 // recomputes the cached incremental bandwidth of every prefix with one
-// cumulative cost scan.
+// cumulative cost scan: a serve per entry and a locate back to the
+// envelope per prefix, on the dense table when it covers the scan (the
+// list is sorted, so its last entry is the highest position).
 func (b *builder) refresh(t int) {
 	live := b.ext[t][:0]
 	for _, e := range b.ext[t] {
@@ -305,18 +307,31 @@ func (b *builder) refresh(t int) {
 	}
 	b.ext[t] = live
 
+	costs, env := b.st.Costs, b.env[t]
+	top := env
+	if len(live) > 0 {
+		top = live[len(live)-1].pos + 1
+	}
+	tab := costs.Table(env, top)
+	sw := 0.0 // the mechanical switch, for a tape not yet in the schedule
+	if env == 0 && t != b.st.Mounted {
+		sw = costs.SwitchTime()
+	}
 	bw := b.bw[t][:0]
-	head := b.env[t]
-	cum := 0.0
+	head, cum := env, 0.0
 	for j, e := range live {
-		step, h := b.st.Costs.ServeOne(head, e.pos)
-		cum += step
-		head = h
-		total := cum + locateBack(b.st.Costs, head, b.env[t])
-		if b.env[t] == 0 && t != b.st.Mounted {
-			total += b.st.Costs.SwitchTime()
+		var step, back float64
+		if tab != nil {
+			loc, dir := tab.Locate(head, e.pos)
+			step = loc + tab.ReadBlock(dir)
+			back, _ = tab.Locate(e.pos+1, env)
+		} else {
+			step, _ = costs.ServeOne(head, e.pos)
+			back = locateBack(costs, e.pos+1, env)
 		}
-		bw = append(bw, float64(j+1)*b.st.Costs.BlockMB/total)
+		cum += step
+		head = e.pos + 1
+		bw = append(bw, float64(j+1)*costs.BlockMB/(cum+back+sw))
 	}
 	b.bw[t] = bw
 	b.dirty[t] = false
@@ -505,18 +520,20 @@ func locateBack(costs *sched.CostModel, from, to int) float64 {
 }
 
 // extensionCost is the step-3 incremental cost of extending tape t's
-// envelope (currently at `env`) through the given positions in order:
-// locate+read through the positions, locate back to the envelope, plus the
-// mechanical switch cost for a tape not yet in the schedule.
-func extensionCost(st *sched.State, env, tape int, positions []int) float64 {
-	head := env
-	total := 0.0
-	for _, pos := range positions {
-		step, h := st.Costs.ServeOne(head, pos)
-		total += step
-		head = h
+// envelope (currently at `env`) through the block at pos: locate and read
+// it, locate back to the envelope, plus the mechanical switch cost for a
+// tape not yet in the schedule. It reads the dense table when that covers
+// both motions.
+func extensionCost(st *sched.State, env, tape, pos int) float64 {
+	var total float64
+	if tab := st.Costs.Table(env, pos+1); tab != nil {
+		loc, dir := tab.Locate(env, pos)
+		back, _ := tab.Locate(pos+1, env)
+		total = loc + tab.ReadBlock(dir) + back
+	} else {
+		step, head := st.Costs.ServeOne(env, pos)
+		total = step + locateBack(st.Costs, head, env)
 	}
-	total += locateBack(st.Costs, head, env)
 	if env == 0 && tape != st.Mounted {
 		total += st.Costs.SwitchTime()
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -98,7 +99,18 @@ func manualState(t *testing.T, rng *rand.Rand, tapes, maxCopies, maxReqs int) *s
 			ID: int64(i), Block: layout.BlockID(rng.Intn(blocks)),
 		})
 	}
+	maybeTable(t, rng, st)
 	return st
+}
+
+// maybeTable enables the dense cost table over the whole tape on about
+// half the states: the optimized builder then walks it inline, while the
+// reference evaluates each cost through the model.
+func maybeTable(t *testing.T, rng *rand.Rand, st *sched.State) {
+	t.Helper()
+	if rng.Intn(2) == 0 && !st.Costs.EnableTable(st.Layout.TapeCap()) {
+		t.Fatal("the paper's profile on 16-MB blocks should be tabulable")
+	}
 }
 
 // randomBuiltState builds a scheduling state over the paper's layout space
@@ -137,6 +149,7 @@ func randomBuiltState(t *testing.T, rng *rand.Rand) *sched.State {
 			ID: int64(i), Block: layout.BlockID(rng.Intn(l.NumBlocks())),
 		})
 	}
+	maybeTable(t, rng, st)
 	return st
 }
 
@@ -170,6 +183,54 @@ func TestEnvelopeDifferentialWide(t *testing.T) {
 		tapes := []int{130, 3, 70}[seed%3]
 		st := manualState(t, rng, tapes, min(tapes, 3), 5)
 		diffCompare(t, seed, st, reused)
+	}
+}
+
+// The step-3 scan reads the dense table inline when it covers a tape's
+// list and goes through the cost model otherwise; either way every cached
+// prefix bandwidth keeps its bits. The differential tests see only the
+// builder's decisions, and the scan's epsilon comparison can hide a
+// last-bit difference from them, so this runs an untabled and a tabled
+// builder in lockstep over the same states and compares every cached
+// bandwidth after each step-3 scan.
+func TestRefreshTableBitIdentical(t *testing.T) {
+	for seed := int64(4000); seed < 4300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		st := randomBuiltState(t, rng)
+		var bs [2]*builder
+		for k := range bs {
+			c := costs()
+			if k == 1 && !c.EnableTable(st.Layout.TapeCap()) {
+				t.Fatal("the paper's profile on 16-MB blocks should be tabulable")
+			}
+			s := sched.NewState(st.Layout, c)
+			s.Mounted, s.Head = st.Mounted, st.Head
+			s.Pending = append(s.Pending, st.Pending...)
+			bs[k] = &builder{}
+			bs[k].reset(s)
+			bs[k].initialEnvelope()
+			bs[k].absorb()
+			bs[k].initExtensions()
+		}
+		plain, tabled := bs[0], bs[1]
+		for plain.unsched > 0 {
+			tape, prefix := plain.bestExtension()
+			tabled.bestExtension()
+			for tp := range plain.bw {
+				for j, want := range plain.bw[tp] {
+					if got := tabled.bw[tp][j]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("seed %d: tape %d prefix %d: tabled bandwidth %v, untabled %v", seed, tp, j, got, want)
+					}
+				}
+			}
+			if tape < 0 {
+				break
+			}
+			plain.extend(tape, prefix)
+			plain.shrink()
+			tabled.extend(tape, prefix)
+			tabled.shrink()
+		}
 	}
 }
 

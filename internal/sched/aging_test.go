@@ -134,7 +134,7 @@ func TestSweepRemove(t *testing.T) {
 			{ID: 3, Target: layout.Replica{Tape: 0, Pos: 5}},
 			{ID: 4, Target: layout.Replica{Tape: 0, Pos: 3}},
 		}
-		return NewSweep(reqs, 4), reqs
+		return newSweep(reqs, 4), reqs
 	}
 
 	s, reqs := mk()

@@ -29,6 +29,21 @@ func (c *CostModel) EnableTable(maxBlocks int) bool {
 	return c.tab != nil
 }
 
+// Table returns the dense cost table when it covers the block boundaries
+// head and top, and nil otherwise. A cost walk from head that reads no
+// position above top-1 visits only boundaries from 0 up to the larger of
+// the two (positions are never negative), so one check serves the whole
+// walk, which then reads CostTable.Locate and ReadBlock inline. Locate,
+// ServeOneParts, SwitchCost and ExecTime each carry the interface path
+// beside the table lookup and are too large to inline: a walk that called
+// them would pay a call and two Covers checks per block.
+func (c *CostModel) Table(head, top int) *tapemodel.CostTable {
+	if t := c.tab; t != nil && t.Covers(head) && t.Covers(top) {
+		return t
+	}
+	return nil
+}
+
 // PosMB converts a block-unit position to a megabyte offset.
 func (c *CostModel) PosMB(pos int) float64 { return float64(pos) * c.BlockMB }
 
@@ -76,6 +91,27 @@ func (c *CostModel) ExecTime(head int, positions []int) (seconds float64, finalH
 		head = h
 	}
 	return total, head
+}
+
+// execWalk is ExecTime's seconds over positions whose highest is top: on
+// the dense table when it covers the walk (see Table), through ServeOne
+// otherwise. Either way each step adds the same terms in the same order,
+// so the result is bit-identical.
+func (c *CostModel) execWalk(head int, positions []int, top int) float64 {
+	tab := c.Table(head, top+1)
+	exec := 0.0
+	for _, p := range positions {
+		var step float64
+		if tab != nil {
+			loc, dir := tab.Locate(head, p)
+			step = loc + tab.ReadBlock(dir)
+		} else {
+			step, _ = c.ServeOne(head, p)
+		}
+		exec += step
+		head = p + 1
+	}
+	return exec
 }
 
 // SwitchCost returns the cost of making `tape` the mounted tape when

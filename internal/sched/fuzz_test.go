@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"testing"
 
 	"tapejuke/internal/layout"
@@ -79,32 +80,60 @@ func FuzzSweepInsert(f *testing.F) {
 	})
 }
 
-// FuzzCostModel checks that schedule costs stay finite and non-negative
-// over arbitrary position sequences.
+// FuzzCostModel checks that schedule costs stay finite, non-negative and
+// within the streaming rate over arbitrary position sequences, and that
+// the dense cost table changes no bit of them: ExecTime, EffectiveBandwidth
+// and the selector's score (bandwidthBits), for the mounted tape and after
+// a switch, agree bit for bit between an untabled model, one tabled over
+// the whole 448-block tape, and one tabled over 128 blocks, which covers
+// only some walks and must fall back for the rest.
 func FuzzCostModel(f *testing.F) {
 	f.Add([]byte{0, 5, 3, 10}, uint8(2))
+	f.Add([]byte{200, 3, 3, 90, 0, 127, 128, 1, 64, 64, 250, 17, 17, 33, 5, 9, 140, 0}, uint8(128))
 	f.Fuzz(func(t *testing.T, raw []byte, headRaw uint8) {
 		if len(raw) > 64 {
 			raw = raw[:64]
 		}
-		c := testCosts()
+		plain, whole, part := testCosts(), testCosts(), testCosts()
+		if !whole.EnableTable(448) || !part.EnableTable(128) {
+			t.Fatal("the paper's profile on 16-MB blocks should be tabulable")
+		}
 		positions := make([]int, len(raw))
 		for i, b := range raw {
 			positions[i] = int(b)
 		}
-		sec, final := c.ExecTime(int(headRaw), positions)
+		head := int(headRaw)
+		sec, final := plain.ExecTime(head, positions)
 		if sec < 0 || sec != sec { // NaN check
 			t.Fatalf("ExecTime = %v", sec)
 		}
 		if len(positions) > 0 && final != positions[len(positions)-1]+1 {
 			t.Fatalf("final head %d after %v", final, positions)
 		}
-		bw := c.EffectiveBandwidth(0, int(headRaw), 1, 0, positions)
+		bw := plain.EffectiveBandwidth(0, head, 1, 0, positions)
 		if bw < 0 || bw != bw {
 			t.Fatalf("bandwidth = %v", bw)
 		}
-		if bw > c.Prof.StreamingRateMBps()+1e-9 {
+		if bw > plain.Prof.StreamingRateMBps()+1e-9 {
 			t.Fatalf("bandwidth %v exceeds streaming rate", bw)
+		}
+		var ps posSorter
+		score := func(c *CostModel, tape, startHead int) float64 {
+			return bandwidthBits(c, 0, head, tape, startHead, positions, &ps)
+		}
+		for _, c := range []*CostModel{whole, part} {
+			if s, h := c.ExecTime(head, positions); math.Float64bits(s) != math.Float64bits(sec) || h != final {
+				t.Fatalf("table to %d: ExecTime = %v, %d; untabled %v, %d", c.tab.Max, s, h, sec, final)
+			}
+			if b := c.EffectiveBandwidth(0, head, 1, 0, positions); math.Float64bits(b) != math.Float64bits(bw) {
+				t.Fatalf("table to %d: EffectiveBandwidth = %v, untabled %v", c.tab.Max, b, bw)
+			}
+			for _, sw := range []struct{ tape, startHead int }{{0, head}, {1, 0}} {
+				got, want := score(c, sw.tape, sw.startHead), score(plain, sw.tape, sw.startHead)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("table to %d, tape %d from %d: score %v, untabled %v", c.tab.Max, sw.tape, sw.startHead, got, want)
+				}
+			}
 		}
 	})
 }

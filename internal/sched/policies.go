@@ -47,6 +47,9 @@ func (p Policy) String() string {
 	return "unknown"
 }
 
+// bandwidth reports whether the policy scores tapes by effective bandwidth.
+func (p Policy) bandwidth() bool { return p == MaxBandwidth || p == OldestMaxBandwidth }
+
 // Selector is the tape-selection path of every sweep-building scheduler:
 // the static and dynamic algorithms reach each tape's whole length, the
 // envelope algorithms reach each tape's upper envelope. It groups the
@@ -60,25 +63,40 @@ type Selector struct {
 	cand  []bool       // per tape: eligible for the current choice
 	urg   []float64    // per tape: highest urgency in its set (aging only)
 	tapes TapeSet      // the tapes whose set is non-empty; only these are read
-	bits  posSorter    // bandwidthBits scratch
+	ps    posSorter    // orders a candidate's set
+	best  []int32      // the sweep order of the best candidate so far
 }
 
 // Reschedule picks a tape with policy p among the per-tape sets of the
 // pending requests within reach (nil: every copy), and extracts the
 // chosen tape's set: every request is targeted at its copy there, removed
 // from the pending list, and ordered into a sweep from the tape's start
-// head. ok is false when no available tape has a request in reach.
+// head. ok is false when no available tape has a request in reach. The
+// max-bandwidth policies score each candidate's set in sweep order, so
+// the winner's order is already built; the other policies order the
+// winner's set here.
 func (s *Selector) Reschedule(st *State, p Policy, reach []int) (int, *Sweep, bool) {
 	tape, ok := s.pick(st, p, reach)
 	if !ok {
 		return 0, nil, false
 	}
-	reqs := s.sets[tape]
+	reqs, pos, head := s.sets[tape], s.pos[tape], st.StartHead(tape)
+	if !p.bandwidth() {
+		s.ps.sweepOrder(pos, head)
+		s.keepOrder(pos)
+	}
 	for i, r := range reqs {
-		r.Target = layout.Replica{Tape: tape, Pos: s.pos[tape][i]}
+		r.Target = layout.Replica{Tape: tape, Pos: pos[i]}
 	}
 	st.RemovePending(reqs)
-	return tape, st.NewSweep(reqs, st.StartHead(tape)), true
+	return tape, st.sweep(reqs, s.best, head), true
+}
+
+// keepOrder makes the set whose positions the last sweepOrder call
+// ordered the best so far: its index order goes to s.best.
+func (s *Selector) keepOrder(pos []int) {
+	s.ps.indexOrder(pos)
+	s.best, s.ps.order = s.ps.order, s.best
 }
 
 // pick groups the pending requests into per-tape sets and returns the
@@ -124,7 +142,7 @@ func (s *Selector) pick(st *State, p Policy, reach []int) (tape int, ok bool) {
 		})
 		return tape, ok
 	}
-	bandwidth := p == MaxBandwidth || p == OldestMaxBandwidth
+	bandwidth := p.bandwidth()
 	best, bestScore := -1, -1.0
 	s.tapes.JukeboxOrder(st.jukeboxFirst(), func(t int) bool {
 		if !cand[t] {
@@ -132,10 +150,13 @@ func (s *Selector) pick(st *State, p Policy, reach []int) (tape int, ok bool) {
 		}
 		score := float64(len(s.sets[t]))
 		if bandwidth {
-			score = bandwidthBits(st.Costs, st.Mounted, st.Head, t, st.StartHead(t), s.pos[t], &s.bits)
+			score = bandwidthBits(st.Costs, st.Mounted, st.Head, t, st.StartHead(t), s.pos[t], &s.ps)
 		}
 		if score > bestScore {
 			best, bestScore = t, score
+			if bandwidth {
+				s.keepOrder(s.pos[t])
+			}
 		}
 		return true
 	})
@@ -224,142 +245,19 @@ func (s *Selector) ageWindow(st *State) {
 	}
 }
 
-// posSorter is reusable scratch for bandwidthBits' bitmap pass: an
-// occupancy bitmap over block positions plus per-position multiplicities.
-// Both are kept all-zero between calls (the bitmap is cleared word-wise,
-// the counts sparsely through the input positions), so a call touches
-// O(range/64 + n) words rather than the whole position space.
-type posSorter struct {
-	set []uint64
-	cnt []uint32
-}
-
 // bandwidthBits is CostModel.EffectiveBandwidth over the positions in
 // single-sweep order from startHead (ascending positions at or above it,
-// then descending positions below it), computed without materializing the
-// order. Fewer than smallSort positions are insertion-sorted on the stack;
-// more are walked in sweep order by a counting sort keyed by an occupancy
-// bitmap. Either way the serve costs accumulate in exactly the order
-// ExecTime would add them, so the score is bit-identical to the two-step
-// computation (the tests pin this). pick calls it once per candidate tape
-// per reschedule under the max-bandwidth policies.
+// then descending positions below it): it sorts them (sweepOrder) and
+// walks them in that order, so the serve costs accumulate in exactly the
+// order ExecTime would add them and the score is bit-identical to the
+// two-step computation (the tests pin this). pick calls it once per
+// candidate tape per reschedule under the max-bandwidth policies, and
+// keeps the order of the best tape for its sweep.
 func bandwidthBits(costs *CostModel, mounted, head, tape, startHead int, positions []int, ps *posSorter) float64 {
-	var exec float64
-	if len(positions) < smallSort {
-		exec = execInsertion(costs, startHead, positions)
-	} else {
-		exec = execBitmap(costs, startHead, positions, ps)
-	}
-	total := costs.SwitchCost(mounted, head, tape) + exec
+	top := ps.sweepOrder(positions, startHead)
+	total := costs.SwitchCost(mounted, head, tape) + costs.execWalk(startHead, ps.vals, top)
 	if total <= 0 {
 		return 0
 	}
 	return float64(len(positions)) * costs.BlockMB / total
-}
-
-// execInsertion is the execution time of fewer than smallSort positions in
-// sweep order from startHead: it sorts a copy on the stack by insertion,
-// then serves forward from the first position at or above startHead and
-// backward from the one below it.
-func execInsertion(costs *CostModel, startHead int, positions []int) float64 {
-	var buf [smallSort]int
-	sorted := buf[:len(positions)]
-	for i, p := range positions {
-		j := i
-		for ; j > 0 && sorted[j-1] > p; j-- {
-			sorted[j] = sorted[j-1]
-		}
-		sorted[j] = p
-	}
-	split := 0
-	for split < len(sorted) && sorted[split] < startHead {
-		split++
-	}
-	exec, cur := 0.0, startHead
-	for _, p := range sorted[split:] {
-		step, h := costs.ServeOne(cur, p)
-		exec += step
-		cur = h
-	}
-	for i := split - 1; i >= 0; i-- {
-		step, h := costs.ServeOne(cur, sorted[i])
-		exec += step
-		cur = h
-	}
-	return exec
-}
-
-// execBitmap is the execution time of the positions in sweep order from
-// startHead, walked through ps's occupancy bitmap: upward from startHead,
-// then downward below it, each position served as often as it occurs.
-func execBitmap(costs *CostModel, startHead int, positions []int, ps *posSorter) float64 {
-	maxp := -1
-	for _, p := range positions {
-		if p > maxp {
-			maxp = p
-		}
-	}
-	words := maxp>>6 + 1
-	if len(ps.set) < words {
-		ps.set = make([]uint64, words)
-		ps.cnt = make([]uint32, words*64)
-	}
-	set, cnt := ps.set, ps.cnt
-	for _, p := range positions {
-		set[p>>6] |= uint64(1) << uint(p&63)
-		cnt[p]++
-	}
-	exec := 0.0
-	cur := startHead
-	start := startHead
-	if start < 0 {
-		start = 0
-	}
-	for w := start >> 6; w < words; w++ {
-		word := set[w]
-		if w == start>>6 {
-			word &^= uint64(1)<<uint(start&63) - 1
-		}
-		for word != 0 {
-			p := w<<6 | mathbits.TrailingZeros64(word)
-			for c := cnt[p]; c > 0; c-- {
-				step, h := costs.ServeOne(cur, p)
-				exec += step
-				cur = h
-			}
-			word &= word - 1
-		}
-	}
-	limit := startHead
-	if limit > maxp+1 {
-		limit = maxp + 1
-	}
-	if limit > 0 {
-		wtop := (limit - 1) >> 6
-		for w := wtop; w >= 0; w-- {
-			word := set[w]
-			if w == wtop {
-				if r := limit - wtop<<6; r < 64 {
-					word &= uint64(1)<<uint(r) - 1
-				}
-			}
-			for word != 0 {
-				b := 63 - mathbits.LeadingZeros64(word)
-				p := w<<6 | b
-				for c := cnt[p]; c > 0; c-- {
-					step, h := costs.ServeOne(cur, p)
-					exec += step
-					cur = h
-				}
-				word &^= uint64(1) << uint(b)
-			}
-		}
-	}
-	for i := 0; i < words; i++ {
-		set[i] = 0
-	}
-	for _, p := range positions {
-		cnt[p] = 0
-	}
-	return exec
 }

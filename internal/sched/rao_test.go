@@ -27,7 +27,7 @@ func TestReorderRAONearestFirst(t *testing.T) {
 			want[reqs[i]] = true
 		}
 		head := rng.Intn(maxPos + 2)
-		s := NewSweep(reqs, head)
+		s := newSweep(reqs, head)
 		s.ReorderRAO(p, blockMB, head)
 
 		order := s.Requests()

@@ -105,6 +105,7 @@ const (
 	shapeDead                  // a DeadCopy table
 	shapeAging                 // aging on, some requests with deadlines
 	shapeReach                 // a random per-tape reach instead of nil
+	shapeTable                 // the dense cost table over the whole tape
 )
 
 // randomSelectState builds a scheduling state over a random hand-placed
@@ -137,6 +138,9 @@ func randomSelectState(t testing.TB, rng *rand.Rand, shape uint8) (*State, Polic
 		t.Fatal(err)
 	}
 	st := NewState(l, &CostModel{Prof: tapemodel.EXB8505XL(), BlockMB: 16})
+	if shape&shapeTable != 0 && !st.Costs.EnableTable(capBlocks) {
+		t.Fatal("the paper's profile on 16-MB blocks should be tabulable")
+	}
 	if rng.Intn(4) > 0 {
 		st.Mounted, st.Head = rng.Intn(tapes), rng.Intn(capBlocks+1)
 	} else {
@@ -254,14 +258,15 @@ func checkSelector(t *testing.T, s *Selector, st *State, p Policy, reach []int) 
 // reference does, over random states of every shape: few and many tapes
 // (so sets span two or three words and jukebox order wraps across a word
 // boundary), short and long queues, empty and mounted drives, every mask,
-// aging on and off, every policy, with and without a reach. One Selector
-// serves every state, so rows a larger previous state left behind are
-// exercised.
+// aging on and off, every policy, with and without a reach, and with and
+// without the dense cost table (the selector walks it inline, the
+// reference evaluates each cost through the model). One Selector serves
+// every state, so rows a larger previous state left behind are exercised.
 func TestSelectorMatchesReference(t *testing.T) {
 	var s Selector
 	rng := rand.New(rand.NewSource(24))
 	for trial := 0; trial < 1500; trial++ {
-		st, p, reach := randomSelectState(t, rng, uint8(rng.Intn(128)))
+		st, p, reach := randomSelectState(t, rng, uint8(rng.Intn(256)))
 		checkSelector(t, &s, st, p, reach)
 	}
 }
@@ -274,6 +279,7 @@ func FuzzSelectorMatchesReference(f *testing.F) {
 		f.Add(i, uint8(i*37))
 	}
 	f.Add(int64(99), uint8(shapeManyTapes|shapeLongQueue|shapeAging|shapeReach))
+	f.Add(int64(100), uint8(shapeLongQueue|shapeReach|shapeTable))
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		var s Selector

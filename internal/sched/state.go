@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"slices"
+
 	"tapejuke/internal/layout"
 )
 
@@ -57,19 +59,51 @@ type Shared struct {
 	// steady-state reschedules reuse sweep headers and request arrays
 	// instead of allocating fresh ones per sweep.
 	sweepFree []*Sweep
+
+	// NewSweep's ordering scratch: the requests' positions and their
+	// sweep order.
+	pos []int
+	ps  posSorter
 }
 
-// NewSweep builds a sweep like the package function, drawing the Sweep
-// struct and its request array from the shared pool when one is free.
+// NewSweep builds a sweep over the given requests (whose Targets must
+// already be set and lie on one tape), starting from head position `head`:
+// requests at or above the head form the forward phase in ascending order;
+// requests below the head form the reverse phase in descending order. Ties
+// on position keep the order of reqs.
 func (sh *Shared) NewSweep(reqs []*Request, head int) *Sweep {
-	n := len(sh.sweepFree)
-	if n == 0 {
-		return NewSweep(reqs, head)
+	sh.pos = sh.pos[:0]
+	for _, r := range reqs {
+		sh.pos = append(sh.pos, r.Target.Pos)
 	}
-	s := sh.sweepFree[n-1]
-	sh.sweepFree[n-1] = nil
-	sh.sweepFree = sh.sweepFree[:n-1]
-	s.init(reqs, head)
+	sh.ps.sweepOrder(sh.pos, head)
+	sh.ps.indexOrder(sh.pos)
+	return sh.sweep(reqs, sh.ps.order, head)
+}
+
+// sweep builds a sweep over reqs[order[0]], reqs[order[1]], ..., which
+// must be the requests' sweep order from head by their target positions
+// (posSorter), drawing the Sweep struct and its request array from the
+// pool when one is free; reqs must not alias a pooled array.
+func (sh *Shared) sweep(reqs []*Request, order []int32, head int) *Sweep {
+	var s *Sweep
+	if n := len(sh.sweepFree); n > 0 {
+		s = sh.sweepFree[n-1]
+		sh.sweepFree[n-1] = nil
+		sh.sweepFree = sh.sweepFree[:n-1]
+	} else {
+		s = &Sweep{}
+	}
+	buf := slices.Grow(s.buf[:0], len(order))
+	nfwd := 0
+	for _, k := range order {
+		r := reqs[k]
+		if r.Target.Pos >= head {
+			nfwd++
+		}
+		buf = append(buf, r)
+	}
+	s.buf, s.next, s.nfwd, s.frozen = buf, 0, nfwd, false
 	return s
 }
 

@@ -1,7 +1,7 @@
 package sched
 
 import (
-	"cmp"
+	mathbits "math/bits"
 	"slices"
 	"sort"
 )
@@ -25,69 +25,134 @@ type Sweep struct {
 	next   int
 	nfwd   int
 	frozen bool // explicit (RAO) order: no phases, Insert declines
-
-	keys []uint64 // init's sort scratch
 }
 
-// NewSweep builds a sweep over the given requests (whose Targets must
-// already be set and lie on one tape), starting from head position `head`:
-// requests at or above the head form the forward phase in ascending order;
-// requests below the head form the reverse phase in descending order. Ties
-// on position preserve arrival order.
-func NewSweep(reqs []*Request, head int) *Sweep {
-	s := &Sweep{}
-	s.init(reqs, head)
-	return s
-}
-
-// smallSort is the size below which a comparison sort is cheapest:
-// Sweep.init stable-sorts fewer requests by comparison and bandwidthBits
-// insertion-sorts fewer positions, while from smallSort on Sweep.init
-// sorts packed keys and bandwidthBits walks an occupancy bitmap.
+// smallSort is the set size from which sweepOrder counts positions into
+// an occupancy bitmap instead of sorting them by insertion.
 const smallSort = 16
 
-// init (re)builds the sweep contents, reusing any backing arrays the sweep
-// already owns; reqs must not alias them. smallSort or more requests sort
-// (phaseKey, original index) packed into uint64s -- the index in the low
-// bits reproduces stability exactly -- trading two extra passes for an
-// ordered sort with single-instruction comparisons instead of a
-// comparator-function stable sort.
-func (s *Sweep) init(reqs []*Request, head int) {
-	s.next, s.nfwd, s.frozen = 0, 0, false
-	for _, r := range reqs {
-		if r.Target.Pos >= head {
-			s.nfwd++
-		}
-	}
-	buf := slices.Grow(s.buf[:0], len(reqs))
-	if len(reqs) < smallSort {
-		buf = append(buf, reqs...)
-		slices.SortStableFunc(buf, func(a, b *Request) int {
-			return cmp.Compare(phaseKey(a.Target.Pos, head), phaseKey(b.Target.Pos, head))
-		})
-	} else {
-		keys := slices.Grow(s.keys[:0], len(reqs))
-		for i, r := range reqs {
-			keys = append(keys, uint64(phaseKey(r.Target.Pos, head))<<32|uint64(uint32(i)))
-		}
-		slices.Sort(keys)
-		for _, k := range keys {
-			buf = append(buf, reqs[uint32(k)])
-		}
-		s.keys = keys
-	}
-	s.buf = buf
+// posSorter orders a tape's positions into single-sweep order from a head
+// -- ascending positions at or above it, then descending positions below
+// it -- in two steps. sweepOrder sorts the positions themselves, which is
+// all a bandwidth score needs; indexOrder then gives their indices in the
+// same order, equal positions in index order, which a sweep needs, so the
+// selector pays it only for a tape that takes the lead. Fewer than
+// smallSort positions are sorted by insertion, indices alongside. More are
+// counted into an occupancy bitmap, whose walk upward from the head and
+// then downward below it emits the sorted positions and leaves each
+// occupied position's first slot for indexOrder. The walk clears each
+// word it reads, and a position's count is written when its bit is first
+// set, so a call touches O(range/64 + n) words rather than the whole
+// position space.
+type posSorter struct {
+	vals  []int    // the positions in sweep order (sweepOrder)
+	order []int32  // their indices in the same order (indexOrder)
+	set   []uint64 // occupancy bitmap over block positions, all-zero between calls
+	cnt   []uint32 // per occupied position: its count, then its next slot
+	small bool     // the last sweepOrder sorted by insertion, order included
 }
 
-// phaseKey orders the forward phase (positions at or above the head)
-// ascending, then the reverse phase descending: a reverse position takes
-// its 32-bit complement, which sorts above every forward position as long
-// as positions stay below 2^31.
-func phaseKey(pos, head int) uint32 {
-	if pos < head {
-		return ^uint32(pos)
+// sweepOrder sets ps.vals to positions in single-sweep order from head and
+// returns the highest position (-1 when there is none).
+func (ps *posSorter) sweepOrder(positions []int, head int) (top int) {
+	n := len(positions)
+	vals := slices.Grow(ps.vals[:0], n)[:n]
+	ps.vals = vals
+	top = -1
+	if ps.small = n < smallSort; ps.small {
+		order := slices.Grow(ps.order[:0], n)[:n]
+		ps.order = order
+		k := 0
+		for i, p := range positions {
+			top = max(top, p)
+			if p >= head {
+				j := k
+				for ; j > 0 && vals[j-1] > p; j-- {
+					vals[j], order[j] = vals[j-1], order[j-1]
+				}
+				vals[j], order[j] = p, int32(i)
+				k++
+			}
+		}
+		nfwd := k
+		for i, p := range positions {
+			if p < head {
+				j := k
+				for ; j > nfwd && vals[j-1] < p; j-- {
+					vals[j], order[j] = vals[j-1], order[j-1]
+				}
+				vals[j], order[j] = p, int32(i)
+				k++
+			}
+		}
+		return top
 	}
-	return uint32(pos)
+	set, cnt := ps.set, ps.cnt
+	for _, p := range positions {
+		top = max(top, p)
+		w, bit := p>>6, uint64(1)<<uint(p&63)
+		if w >= len(set) {
+			set = append(set, make([]uint64, w+1-len(set))...)
+			cnt = append(cnt, make([]uint32, len(set)*64-len(cnt))...)
+			ps.set, ps.cnt = set, cnt
+		}
+		if set[w]&bit == 0 {
+			set[w] |= bit
+			cnt[p] = 1
+		} else {
+			cnt[p]++
+		}
+	}
+	// Emit each occupied position as often as it occurs, and turn its count
+	// into its first slot. The upward walk leaves the bits below the head
+	// in their word for the downward walk.
+	words, start, k := top>>6+1, max(head, 0), uint32(0)
+	for w := start >> 6; w < words; w++ {
+		word := set[w]
+		set[w] = 0
+		if w == start>>6 {
+			below := uint64(1)<<uint(start&63) - 1
+			set[w], word = word&below, word&^below
+		}
+		for ; word != 0; word &= word - 1 {
+			p := w<<6 | mathbits.TrailingZeros64(word)
+			c := cnt[p]
+			cnt[p] = k
+			for end := k + c; k < end; k++ {
+				vals[k] = p
+			}
+		}
+	}
+	for w := min(start>>6, words-1); w >= 0; w-- {
+		word := set[w]
+		set[w] = 0
+		for word != 0 {
+			b := 63 - mathbits.LeadingZeros64(word)
+			p := w<<6 | b
+			c := cnt[p]
+			cnt[p] = k
+			for end := k + c; k < end; k++ {
+				vals[k] = p
+			}
+			word &^= uint64(1) << uint(b)
+		}
+	}
+	return top
+}
+
+// indexOrder sets ps.order to the indices of the positions the last
+// sweepOrder call ordered, in its order, equal positions in index order.
+// It takes the same positions and may follow that call once.
+func (ps *posSorter) indexOrder(positions []int) {
+	if ps.small {
+		return
+	}
+	order := slices.Grow(ps.order[:0], len(positions))[:len(positions)]
+	for i, p := range positions {
+		order[ps.cnt[p]] = int32(i)
+		ps.cnt[p]++
+	}
+	ps.order = order
 }
 
 // Len returns the number of requests remaining in the sweep.

@@ -10,6 +10,9 @@ import (
 	"tapejuke/internal/layout"
 )
 
+// newSweep builds a sweep over reqs from head through a fresh Shared.
+func newSweep(reqs []*Request, head int) *Sweep { return new(Shared).NewSweep(reqs, head) }
+
 func req(id int64, pos int) *Request {
 	return &Request{ID: id, Target: layout.Replica{Tape: 0, Pos: pos}}
 }
@@ -30,7 +33,7 @@ func popOrder(s *Sweep) []int {
 
 func TestSweepOrdering(t *testing.T) {
 	// Head at 10: 12, 30 forward ascending; 7, 3 reverse descending.
-	s := NewSweep([]*Request{req(1, 30), req(2, 7), req(3, 12), req(4, 3)}, 10)
+	s := newSweep([]*Request{req(1, 30), req(2, 7), req(3, 12), req(4, 3)}, 10)
 	want := []int{12, 30, 7, 3}
 	got := popOrder(s)
 	if len(got) != len(want) {
@@ -44,7 +47,7 @@ func TestSweepOrdering(t *testing.T) {
 }
 
 func TestSweepHeadZeroAllForward(t *testing.T) {
-	s := NewSweep([]*Request{req(1, 5), req(2, 2), req(3, 9)}, 0)
+	s := newSweep([]*Request{req(1, 5), req(2, 2), req(3, 9)}, 0)
 	if _, rev := phases(s); len(rev) != 0 {
 		t.Fatal("head 0 should produce a purely forward sweep")
 	}
@@ -56,14 +59,14 @@ func TestSweepHeadZeroAllForward(t *testing.T) {
 
 func TestSweepTiesPreserveArrival(t *testing.T) {
 	a, b := req(1, 5), req(2, 5)
-	s := NewSweep([]*Request{a, b}, 0)
+	s := newSweep([]*Request{a, b}, 0)
 	if s.Pop() != a || s.Pop() != b {
 		t.Error("equal positions should pop in arrival order")
 	}
 }
 
 func TestSweepInsertForwardPhase(t *testing.T) {
-	s := NewSweep([]*Request{req(1, 10), req(2, 20)}, 0)
+	s := newSweep([]*Request{req(1, 10), req(2, 20)}, 0)
 	// Ahead of head in forward phase: accepted into forward order.
 	if !s.Insert(req(3, 15), 5) {
 		t.Fatal("insert ahead of head rejected")
@@ -83,7 +86,7 @@ func TestSweepInsertForwardPhase(t *testing.T) {
 
 func TestSweepInsertReversePhase(t *testing.T) {
 	// Every position is below the head: a reverse-only sweep.
-	s := NewSweep([]*Request{req(1, 30), req(2, 10)}, 40)
+	s := newSweep([]*Request{req(1, 30), req(2, 10)}, 40)
 	// Head descending at 40: position 20 is still ahead (below).
 	if !s.Insert(req(3, 20), 40) {
 		t.Fatal("reverse-phase insert below head rejected")
@@ -109,7 +112,7 @@ func TestSweepInsertEmptyRejected(t *testing.T) {
 }
 
 func TestSweepPeekAndMaxPos(t *testing.T) {
-	s := NewSweep([]*Request{req(1, 10), req(2, 4)}, 8)
+	s := newSweep([]*Request{req(1, 10), req(2, 4)}, 8)
 	if next := s.Requests()[0].Target.Pos; next != 10 {
 		t.Errorf("next request at %d, want 10", next)
 	}
@@ -138,7 +141,7 @@ func TestSweepSinglePassProperty(t *testing.T) {
 		for i := range reqs {
 			reqs[i] = req(int64(i), rng.Intn(100))
 		}
-		s := NewSweep(reqs, head)
+		s := newSweep(reqs, head)
 		if s.Len() != count {
 			return false
 		}
@@ -178,7 +181,7 @@ func TestSweepInsertProperty(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			reqs = append(reqs, req(int64(i), rng.Intn(100)))
 		}
-		s := NewSweep(reqs, head)
+		s := newSweep(reqs, head)
 		inserted := 0
 		for i := 0; i < 10; i++ {
 			if s.Insert(req(int64(100+i), rng.Intn(100)), head) {
