@@ -138,6 +138,7 @@ func RunFarm(fc FarmConfig) (*FarmResult, error) {
 
 	cfgs := make([]Config, n)
 	var traces []farm.Trace
+	var lay *layout.Layout // the planned shard layout (multi-shard runs)
 	routed := make([]int64, n)
 	var failedOver int64
 	if n == 1 {
@@ -147,37 +148,11 @@ func RunFarm(fc FarmConfig) (*FarmResult, error) {
 		// plain single-library one.
 		cfgs[0] = base
 	} else {
-		shardCfg, lay, capBlocks, fh, fcold, err := planPlacement(base, n, pol)
+		shardCfg, sl, split, err := splitFarm(fc, base, pol)
 		if err != nil {
 			return nil, err
 		}
-		dead, err := projectDeaths(shardCfg, lay, capBlocks, base.Seed, n, pol)
-		if err != nil {
-			return nil, err
-		}
-		tenants, err := farmTenants(fc, base)
-		if err != nil {
-			return nil, err
-		}
-		split, err := farm.Split(farm.SplitConfig{
-			Shards:    n,
-			Policy:    pol,
-			Copies:    base.Replicas,
-			FarmHot:   fh,
-			FarmCold:  fcold,
-			LocalHot:  lay.NumHot(),
-			LocalCold: lay.NumCold(),
-			HotDeadAt: dead,
-			Horizon:   base.HorizonSec,
-			Tenants:   tenants,
-			Seed:      base.Seed + 6,
-		})
-		if err != nil {
-			return nil, err
-		}
-		traces = split.Traces
-		routed = split.Routed
-		failedOver = split.FailedOver
+		lay, traces, routed, failedOver = sl, split.Traces, split.Routed, split.FailedOver
 		for i := range cfgs {
 			cfgs[i] = shardCfg
 			cfgs[i].Seed = shardSeed(base.Seed, i)
@@ -189,7 +164,7 @@ func RunFarm(fc FarmConfig) (*FarmResult, error) {
 		}
 	}
 
-	results, err := runShards(cfgs, traces, base.Seed, fc.Workers)
+	results, err := runShards(cfgs, traces, lay, base.Seed, fc.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -197,6 +172,43 @@ func RunFarm(fc FarmConfig) (*FarmResult, error) {
 		routed[0] = results[0].TotalArrivals
 	}
 	return mergeFarm(results, routed, failedOver, pol), nil
+}
+
+// splitFarm is the pre-pass of a multi-shard farm: it plans the
+// placement, projects copy deaths for the router, and routes the
+// aggregated arrival stream into per-shard traces. It returns the shard
+// configuration (seed aside), the planned shard layout and the split.
+func splitFarm(fc FarmConfig, base Config, pol farm.Policy) (Config, *layout.Layout, *farm.SplitResult, error) {
+	n := fc.Shards
+	shardCfg, lay, capBlocks, fh, fcold, err := planPlacement(base, n, pol)
+	if err != nil {
+		return Config{}, nil, nil, err
+	}
+	dead, err := projectDeaths(shardCfg, lay, capBlocks, base.Seed, n, pol)
+	if err != nil {
+		return Config{}, nil, nil, err
+	}
+	tenants, err := farmTenants(fc, base)
+	if err != nil {
+		return Config{}, nil, nil, err
+	}
+	split, err := farm.Split(farm.SplitConfig{
+		Shards:    n,
+		Policy:    pol,
+		Copies:    base.Replicas,
+		FarmHot:   fh,
+		FarmCold:  fcold,
+		LocalHot:  lay.NumHot(),
+		LocalCold: lay.NumCold(),
+		HotDeadAt: dead,
+		Horizon:   base.HorizonSec,
+		Tenants:   tenants,
+		Seed:      base.Seed + 6,
+	})
+	if err != nil {
+		return Config{}, nil, nil, err
+	}
+	return shardCfg, lay, split, nil
 }
 
 // validateFarm checks the farm-specific configuration surface and
@@ -251,9 +263,11 @@ func validateFarm(fc FarmConfig, base Config) (farm.Policy, error) {
 }
 
 // planPlacement derives the per-shard library configuration for the
-// placement policy, the layout every shard builds from it with its per-tape
-// capacity in blocks, and the farm-wide hot/cold universe sizes. All
-// shards share one geometry; only seeds differ.
+// placement policy, the layout of it with its per-tape capacity in blocks,
+// and the farm-wide hot/cold universe sizes. All shards share one
+// geometry; only seeds differ. The layout is built once, here: the death
+// projection reads it and every shard runs on it unless repair gives the
+// shard a private copy to mutate.
 //
 // Storage accounting keeps the expansion factor E equal between FarmLocal
 // and FarmSpread: under FarmLocal one library stores Hl hot blocks with
@@ -271,45 +285,43 @@ func planPlacement(base Config, n int, pol farm.Policy) (shardCfg Config, lay *l
 	if err != nil {
 		return Config{}, nil, 0, 0, 0, err
 	}
-	lt, err := layout.Build(layCfg)
+	// Only the base geometry's block counts matter here: the one layout
+	// built below is the shards' (the base itself only under local).
+	blocks, hl, err := layout.Counts(layCfg)
 	if err != nil {
 		return Config{}, nil, 0, 0, 0, fmt.Errorf("tapejuke: %w", err)
 	}
-	hl, cl := lt.NumHot(), lt.NumCold()
+	cl := blocks - hl
 	farmHot, farmCold = n*hl, n*cl
 	shardCfg = base
-	switch pol {
-	case farm.PlaceLocal:
-		return shardCfg, lt, capBlocks, farmHot, farmCold, nil
-	case farm.PlaceSpread:
-		stored := hl*(1+base.Replicas) + cl
+	if pol != farm.PlaceLocal {
+		storedHot := hl * (1 + base.Replicas) // spread: local's block count, so local's E
+		if pol == farm.PlaceMirror {
+			storedHot = n * hl
+		}
+		stored := storedHot + cl
 		shardCfg.Replicas = 0
 		shardCfg.DataMB = float64(stored) * base.BlockMB
-		shardCfg.HotPercent = 100 * float64(hl*(1+base.Replicas)) / float64(stored)
-	case farm.PlaceMirror:
-		stored := n*hl + cl
-		shardCfg.Replicas = 0
-		shardCfg.DataMB = float64(stored) * base.BlockMB
-		shardCfg.HotPercent = 100 * float64(n*hl) / float64(stored)
+		shardCfg.HotPercent = 100 * float64(storedHot) / float64(stored)
+		// Re-derive the layout configuration the shards run: integer
+		// rounding in the hot count must match the engine exactly, not
+		// the intent.
+		ssc, err := shardCfg.toSim()
+		if err != nil {
+			return Config{}, nil, 0, 0, 0, err
+		}
+		if layCfg, capBlocks, err = ssc.LayoutConfig(); err != nil {
+			return Config{}, nil, 0, 0, 0, err
+		}
 	}
-	// Re-derive the actual layout the shards will build: integer rounding
-	// in the hot count must match the engine exactly, not the intent.
-	ssc, err := shardCfg.toSim()
-	if err != nil {
-		return Config{}, nil, 0, 0, 0, err
-	}
-	sLayCfg, capBlocks, err := ssc.LayoutConfig()
-	if err != nil {
-		return Config{}, nil, 0, 0, 0, err
-	}
-	sl, err := layout.Build(sLayCfg)
+	lay, err = layout.Build(layCfg)
 	if err != nil {
 		if pol == farm.PlaceMirror {
 			return Config{}, nil, 0, 0, 0, fmt.Errorf("tapejuke: mirrored hot set (%d blocks per library) does not fit: %w", n*hl, err)
 		}
 		return Config{}, nil, 0, 0, 0, fmt.Errorf("tapejuke: %w", err)
 	}
-	return shardCfg, sl, capBlocks, farmHot, farmCold, nil
+	return shardCfg, lay, capBlocks, farmHot, farmCold, nil
 }
 
 // projectDeaths pre-computes, per shard, when each local hot block of the
@@ -404,15 +416,16 @@ func farmTenants(fc FarmConfig, base Config) ([]farm.Tenant, error) {
 
 // runShards simulates every shard configuration on the worker pool, with
 // up to workers goroutines (GOMAXPROCS when workers <= 0). Each worker
-// owns one Runner (cached layouts, cost tables, scratch); results land in
-// per-shard slots, so the outcome is independent of the claim order.
-func runShards(cfgs []Config, traces []farm.Trace, baseSeed int64, workers int) ([]*Result, error) {
+// owns one Runner (cached layouts, cost tables, scratch), handed the
+// planned layout lay when there is one; results land in per-shard slots,
+// so the outcome is independent of the claim order.
+func runShards(cfgs []Config, traces []farm.Trace, lay *layout.Layout, baseSeed int64, workers int) ([]*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	results := make([]*Result, len(cfgs))
 	errs := pool.Each(len(cfgs), workers, NewRunner, func(rn *Runner, i int) (err error) {
-		results[i], err = rn.runShard(cfgs[i], traces, i, baseSeed)
+		results[i], err = rn.runShard(cfgs[i], traces, lay, i, baseSeed)
 		return err
 	})
 	for i, err := range errs {
@@ -427,8 +440,10 @@ func runShards(cfgs []Config, traces []farm.Trace, baseSeed int64, workers int) 
 // the farm materialized one (multi-shard runs). The trace replaces both
 // the arrival clock and the block generator; everything else — layout,
 // scheduler, faults, overload machinery — is the ordinary per-library
-// simulation.
-func (r *Runner) runShard(c Config, traces []farm.Trace, shard int, baseSeed int64) (*Result, error) {
+// simulation. A planned layout lay is shared with the session, which runs
+// on it only when the shard's layout configuration equals lay's and the
+// shard does not repair (see sim.Session.ShareLayout).
+func (r *Runner) runShard(c Config, traces []farm.Trace, lay *layout.Layout, shard int, baseSeed int64) (*Result, error) {
 	sc, err := r.prepare(c)
 	if err != nil {
 		return nil, err
@@ -437,6 +452,9 @@ func (r *Runner) runShard(c Config, traces []farm.Trace, shard int, baseSeed int
 		tr := &traces[shard]
 		sc.Arrivals = workload.NewTraceArrivals(tr.Times)
 		sc.Source = workload.NewTraceSource(tr.Blocks, shardSeed(baseSeed, shard))
+	}
+	if lay != nil {
+		r.sess.ShareLayout(lay)
 	}
 	return r.sess.Run(*sc)
 }

@@ -1,10 +1,16 @@
 package tapejuke
 
 import (
+	"math"
 	"reflect"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
+
+	"tapejuke/internal/farm"
+	"tapejuke/internal/layout"
 )
 
 // farmBase returns a small open-model library config exercising faults
@@ -23,6 +29,19 @@ func farmBase() Config {
 		Faults:              FaultConfig{TapeMTBFSec: 400_000, BadBlocksPerTape: 0.5},
 		Seed:                3,
 	}.WithDefaults()
+}
+
+// farmRepairBase is farmBase with bad-block, tape and latent faults,
+// repair, and a health scrub that evacuates suspect tapes, so every shard
+// rebuilds and moves copies in its layout.
+func farmRepairBase() Config {
+	c := farmBase()
+	c.DataMB = 4_800
+	c.Faults = FaultConfig{BadBlocksPerTape: 1, TapeMTBFSec: 1_500_000,
+		LatentErrorsPerTape: 2, LatentMeanOnsetSec: 100_000}
+	c.Repair = RepairConfig{Enable: true}
+	c.Health = HealthConfig{Enable: true, ScrubRate: 64, SuspectScore: 2, Evacuate: true}
+	return c
 }
 
 // shardEventCollector returns a ShardObserver recording every shard's
@@ -78,39 +97,161 @@ func TestFarmOneShardInert(t *testing.T) {
 
 // TestFarmDeterministicAcrossWorkers pins the headline determinism claim:
 // per-shard event streams and the merged result are byte-identical at
-// worker counts 1, 4, and GOMAXPROCS.
+// worker counts 1, 4, and GOMAXPROCS. The first farm's shards all run on
+// the one layout the pre-pass built, read concurrently; the second
+// repairs and evacuates, so each of its shards builds and mutates a
+// private layout instead.
 func TestFarmDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) (*FarmResult, [][]Event) {
-		obs, evs := shardEventCollector(4)
-		fr, err := RunFarm(FarmConfig{
-			Shards:        4,
-			Placement:     FarmSpread,
-			Workers:       workers,
-			Base:          farmBase(),
-			ShardObserver: obs,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fr, evs
-	}
-	refRes, refEvs := run(1)
-	for _, w := range []int{4, runtime.GOMAXPROCS(0)} {
-		res, evs := run(w)
-		// The observer funcs differ by identity; compare everything else.
-		if !reflect.DeepEqual(res, refRes) {
-			t.Errorf("workers=%d: merged FarmResult differs from workers=1", w)
-		}
-		for s := range evs {
-			if len(evs[s]) != len(refEvs[s]) {
-				t.Fatalf("workers=%d shard %d: %d events vs %d", w, s, len(evs[s]), len(refEvs[s]))
+	for _, base := range []Config{farmBase(), farmRepairBase()} {
+		run := func(workers int) (*FarmResult, [][]Event) {
+			obs, evs := shardEventCollector(4)
+			fr, err := RunFarm(FarmConfig{
+				Shards:        4,
+				Placement:     FarmSpread,
+				Workers:       workers,
+				Base:          base,
+				ShardObserver: obs,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range evs[s] {
-				if evs[s][i] != refEvs[s][i] {
-					t.Fatalf("workers=%d shard %d: event %d differs", w, s, i)
+			return fr, evs
+		}
+		name := "shared layout"
+		refRes, refEvs := run(1)
+		if base.Repair.Enabled() {
+			name = "repairing"
+			var evacuated int64
+			for _, r := range refRes.Shards {
+				evacuated += r.EvacuatedCopies
+			}
+			if evacuated == 0 {
+				t.Fatalf("%s: no copy was evacuated, so no shard mutated its layout", name)
+			}
+		}
+		for _, w := range []int{4, runtime.GOMAXPROCS(0)} {
+			res, evs := run(w)
+			// The observer funcs differ by identity; compare everything else.
+			if !reflect.DeepEqual(res, refRes) {
+				t.Errorf("%s, workers=%d: merged FarmResult differs from workers=1", name, w)
+			}
+			for s := range evs {
+				if len(evs[s]) != len(refEvs[s]) {
+					t.Fatalf("%s, workers=%d shard %d: %d events vs %d", name, w, s, len(evs[s]), len(refEvs[s]))
+				}
+				for i := range evs[s] {
+					if evs[s][i] != refEvs[s][i] {
+						t.Fatalf("%s, workers=%d shard %d: event %d differs", name, w, s, i)
+					}
 				}
 			}
 		}
+	}
+}
+
+// TestFarmShardsRunPlannedLayout pins that a farm's shards run on the
+// layout its pre-pass planned, under every placement: each shard of a farm
+// without repair runs on the very layout splitFarm returned, so the death
+// projection read the geometry the shards simulate, and each shard of a
+// repairing farm runs on a private one.
+func TestFarmShardsRunPlannedLayout(t *testing.T) {
+	for _, base := range []Config{farmBase(), farmRepairBase()} {
+		for _, pl := range []FarmPlacement{FarmLocal, FarmSpread, FarmMirror} {
+			fc := FarmConfig{Shards: 3, Placement: pl, Base: base}
+			pol, err := validateFarm(fc, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shardCfg, lay, split, err := splitFarm(fc, base, pol)
+			if err != nil {
+				t.Fatalf("%s: %v", pl, err)
+			}
+			for i := 0; i < fc.Shards; i++ {
+				c := shardCfg
+				c.Seed = shardSeed(base.Seed, i)
+				rn := NewRunner()
+				if _, err := rn.runShard(c, split.Traces, lay, i, base.Seed); err != nil {
+					t.Fatalf("%s shard %d: %v", pl, i, err)
+				}
+				repair := base.Repair.Enabled()
+				if shared := rn.sess.Layout() == lay; shared == repair {
+					t.Errorf("%s shard %d (repair %v): ran on the planned layout = %v, want %v",
+						pl, i, repair, shared, !repair)
+				}
+			}
+		}
+	}
+}
+
+// TestFarmSplitSizesTracesOnce pins the split's one-time trace sizing on
+// the benchmark's farm (four spread libraries, NR 1, two tenants, tape
+// failures; perfbench's farm-spread-failover) over 100 seeds spaced as the
+// benchmark spaces them: seed bases 1 to 25, four seeds each. Every shard
+// trace is sized once, when the merge first reaches a quarter of the
+// horizon, to the count so far projected over the horizon plus four
+// standard deviations of that projection; the test restates that rule,
+// replays the trace's appends and the one Grow, and requires the final
+// capacity to be exactly the sized one: no trace regrew.
+func TestFarmSplitSizesTracesOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("splits 100 benchmark-sized farm streams")
+	}
+	sized := func(n, more int) int {
+		var s []layout.BlockID
+		for i := 0; i < n; i++ {
+			s = append(s, 0)
+		}
+		return cap(slices.Grow(s, more))
+	}
+	traces := 0
+	for base := int64(1); base <= 25; base++ {
+		for k := int64(0); k < 4; k++ {
+			fc := FarmConfig{
+				Shards:    4,
+				Placement: FarmSpread,
+				Tenants: []TenantClass{
+					{Name: "interactive", MeanInterarrivalSec: 70, ReadHotPercent: 80},
+					{Name: "batch", MeanInterarrivalSec: 250, ReadHotPercent: 10},
+				},
+				Base: Config{
+					Algorithm:           EnvelopeMaxBandwidth,
+					Replicas:            1,
+					HotPercent:          10,
+					ReadHotPercent:      60,
+					MeanInterarrivalSec: 55,
+					Faults:              FaultConfig{TapeMTBFSec: 75_000_000},
+					HorizonSec:          5_000_000,
+					Seed:                1 + base*7_919_000 + k*1_000_003,
+				}.WithDefaults(),
+			}
+			_, _, split, err := splitFarm(fc, fc.Base, farm.PlaceSpread)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The merge sizes the traces at its first arrival at or past
+			// a quarter of the horizon.
+			horizon := fc.Base.HorizonSec
+			at := math.Inf(1)
+			for _, tr := range split.Traces {
+				if i := sort.SearchFloat64s(tr.Times, horizon/4); i < len(tr.Times) {
+					at = min(at, tr.Times[i])
+				}
+			}
+			for s, tr := range split.Traces {
+				n := sort.SearchFloat64s(tr.Times, at)
+				est := float64(n) * horizon / at
+				more := int(est+4*math.Sqrt(est*horizon/at)) + 1 - n
+				want := sized(n, more)
+				if cap(tr.Times) != want || cap(tr.Blocks) != want {
+					t.Errorf("seed %d shard %d: sized at %d arrivals to capacity %d, the trace ends with %d arrivals and capacity %d/%d",
+						fc.Base.Seed, s, n, want, len(tr.Times), cap(tr.Times), cap(tr.Blocks))
+				}
+				traces++
+			}
+		}
+	}
+	if traces != 400 {
+		t.Fatalf("checked %d traces, want 400", traces)
 	}
 }
 

@@ -133,7 +133,7 @@ func Split(cfg SplitConfig) (*SplitResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	r, err := NewRouter(cfg.Shards)
+	rt, err := newRoutes(&cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -151,11 +151,7 @@ func Split(cfg SplitConfig) (*SplitResult, error) {
 		next[i] = t.Arrivals.Next()
 	}
 
-	var prefBuf []int
-	mirrorAll := make([]int, cfg.Shards)
-	for s := range mirrorAll {
-		mirrorAll[s] = s
-	}
+	dead := cfg.HotDeadAt
 	var seq int64
 	sizeAt := cfg.Horizon / 4
 	for {
@@ -184,52 +180,35 @@ func Split(cfg SplitConfig) (*SplitResult, error) {
 		} else if cfg.FarmHot == 0 {
 			hot = false
 		}
-		var key, shard int
-		var local layout.BlockID
+		var to route
 		if hot {
-			key = rng.Intn(cfg.FarmHot)
-			hk := hotKey(key)
-			var cands []int
-			switch cfg.Policy {
-			case PlaceSpread:
-				prefBuf = r.Prefer(hk, cfg.Copies+1, prefBuf)
-				cands = prefBuf
-			case PlaceMirror:
-				cands = mirrorAll
-			default: // PlaceLocal
-				prefBuf = r.Prefer(hk, 1, prefBuf)
-				cands = prefBuf
-			}
-			start := Rotate(hk, seq, len(cands))
-			shard = -1
-			for j := 0; j < len(cands); j++ {
-				s := cands[(start+j)%len(cands)]
-				if cfg.aliveHot(s, key, at) {
+			key := rng.Intn(cfg.FarmHot)
+			holders := rt.hot[key*rt.k : (key+1)*rt.k]
+			start := Rotate(hotKey(key), seq, len(holders))
+			// When every holder has lost its copy the request goes to the
+			// rotation target anyway; the shard will count it
+			// unserviceable, exactly as a single library would.
+			to = holders[start]
+			for j := range holders {
+				h := holders[(start+j)%len(holders)]
+				// A holder without a projection counts as alive: the shard
+				// handles its own faults, the router cannot anticipate them.
+				if dead == nil || dead[h.shard] == nil || dead[h.shard][h.local] > at {
 					if j > 0 {
 						res.FailedOver++
 					}
-					shard = s
+					to = h
 					break
 				}
 			}
-			if shard < 0 {
-				// Every holder has lost its copy: route to the rotation
-				// target anyway; the shard will count it unserviceable,
-				// exactly as a single library would.
-				shard = cands[start]
-			}
-			local = cfg.localHot(shard, key)
 		} else {
-			key = rng.Intn(cfg.FarmCold)
-			ck := coldKey(key)
-			shard = r.Owner(ck)
-			local = cfg.localCold(shard, key)
+			to = rt.cold[rng.Intn(cfg.FarmCold)]
 		}
 
-		tr := &res.Traces[shard]
+		tr := &res.Traces[to.shard]
 		tr.Times = append(tr.Times, at)
-		tr.Blocks = append(tr.Blocks, local)
-		res.Routed[shard]++
+		tr.Blocks = append(tr.Blocks, layout.BlockID(to.local))
+		res.Routed[to.shard]++
 		res.Total++
 		seq++
 		if res.Total > maxSplitRequests {
@@ -239,16 +218,74 @@ func Split(cfg SplitConfig) (*SplitResult, error) {
 	return res, nil
 }
 
+// route is one place a farm key's requests can land: a shard and the
+// shard-local block the key maps to there.
+type route struct {
+	shard int32
+	local int32
+}
+
+// routes holds the routing of every farm key, computed once per split: a
+// hot key's holders in preference order, each with its local block, and a
+// cold key's owner with its local block. Each key costs its rendezvous
+// scores and block hashes once, however often it recurs; only the rotation
+// over the holders, which depends on the request's sequence number, and
+// the dead test stay per arrival.
+type routes struct {
+	k    int     // holders per hot key
+	hot  []route // FarmHot runs of k holders, key-major
+	cold []route // one per farm cold key
+}
+
+// newRoutes routes every farm key. A hot key's holders are the order
+// requests rotate over them: the top Copies+1 of its rendezvous preference
+// under spread, its owner under local, and every shard in index order
+// under mirror.
+func newRoutes(cfg *SplitConfig) (*routes, error) {
+	r, err := NewRouter(cfg.Shards)
+	if err != nil {
+		return nil, err
+	}
+	k := 1 // PlaceLocal: the owner holds every copy
+	switch cfg.Policy {
+	case PlaceSpread:
+		k = cfg.Copies + 1
+	case PlaceMirror:
+		k = cfg.Shards
+	}
+	rt := &routes{k: k, hot: make([]route, 0, cfg.FarmHot*k), cold: make([]route, cfg.FarmCold)}
+	var pref []int
+	for key := 0; key < cfg.FarmHot; key++ {
+		if cfg.Policy == PlaceMirror {
+			for s := 0; s < k; s++ {
+				rt.hot = append(rt.hot, route{int32(s), int32(cfg.localHot(s, key))})
+			}
+			continue
+		}
+		pref = r.Prefer(hotKey(key), k, pref)
+		for _, s := range pref {
+			rt.hot = append(rt.hot, route{int32(s), int32(cfg.localHot(s, key))})
+		}
+	}
+	for key := range rt.cold {
+		s := r.Owner(coldKey(key))
+		rt.cold[key] = route{int32(s), int32(cfg.localCold(s, key))}
+	}
+	return rt, nil
+}
+
 // sizeTraces grows every shard's trace once, when the merge first reaches
 // `at`, to the count its arrivals so far project over the whole horizon
-// plus four standard deviations of a Poisson count that size: a steady
-// stream then fills the trace without regrowing it.
+// plus four standard deviations of that projection: a steady stream then
+// fills the trace without regrowing it. The projection scales a Poisson
+// count by horizon/at, so its standard deviation is sqrt(est*horizon/at),
+// twice a Poisson count's own at a quarter of the horizon.
 func (res *SplitResult) sizeTraces(at, horizon float64) {
 	for s := range res.Traces {
 		tr := &res.Traces[s]
 		n := len(tr.Times)
 		est := float64(n) * horizon / at // at < horizon, so est >= n
-		more := int(est+4*math.Sqrt(est)) + 1 - n
+		more := int(est+4*math.Sqrt(est*horizon/at)) + 1 - n
 		tr.Times = slices.Grow(tr.Times, more)
 		tr.Blocks = slices.Grow(tr.Blocks, more)
 	}
@@ -265,17 +302,6 @@ func (cfg *SplitConfig) localHot(shard, key int) layout.BlockID {
 // cold block IDs start after the local hot range, as in package layout.
 func (cfg *SplitConfig) localCold(shard, key int) layout.BlockID {
 	return layout.BlockID(uint64(cfg.LocalHot) + mix64(coldKey(key)^shardSalt(shard))%uint64(cfg.LocalCold))
-}
-
-// aliveHot reports whether shard s still holds a readable copy of farm
-// hot block key at time t, per the projected fault streams. With no
-// projection every copy counts as alive (the shard handles its own
-// faults; the router just cannot anticipate them).
-func (cfg *SplitConfig) aliveHot(s, key int, t float64) bool {
-	if cfg.HotDeadAt == nil || cfg.HotDeadAt[s] == nil {
-		return true
-	}
-	return cfg.HotDeadAt[s][cfg.localHot(s, key)] > t
 }
 
 // validate reports the first configuration error.
@@ -305,6 +331,9 @@ func (cfg *SplitConfig) validate() error {
 	}
 	if cfg.FarmCold > 0 && cfg.LocalCold < 1 {
 		return fmt.Errorf("farm: shards store no cold blocks but the farm universe has %d", cfg.FarmCold)
+	}
+	if cfg.LocalHot > math.MaxInt32-cfg.LocalCold {
+		return fmt.Errorf("farm: %d local blocks exceed the routing table's 32-bit block numbers", cfg.LocalHot+cfg.LocalCold)
 	}
 	switch cfg.Policy {
 	case PlaceLocal, PlaceMirror:

@@ -2,9 +2,11 @@ package farm
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
+	"tapejuke/internal/layout"
 	"tapejuke/internal/workload"
 )
 
@@ -183,4 +185,230 @@ func TestSplitValidation(t *testing.T) {
 	bad("no local hot storage", func(c *SplitConfig) { c.LocalHot = 0 })
 	bad("zero horizon", func(c *SplitConfig) { c.Horizon = 0 })
 	bad("short dead table", func(c *SplitConfig) { c.HotDeadAt = make([][]float64, 2) })
+	bad("local blocks past 32 bits", func(c *SplitConfig) { c.LocalCold = math.MaxInt32 })
+}
+
+// splitByHashing is Split as it routed before the routing tables: every
+// arrival re-derives its route from the rendezvous scores, the block
+// hashes and the dead-time table. It is the reference the tables are held
+// to, bit for bit.
+func splitByHashing(cfg SplitConfig) (*SplitResult, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	r, err := NewRouter(cfg.Shards)
+	if err != nil {
+		return nil, err
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	res := &SplitResult{
+		Traces: make([]Trace, cfg.Shards),
+		Routed: make([]int64, cfg.Shards),
+	}
+	next := make([]float64, len(cfg.Tenants))
+	for i, t := range cfg.Tenants {
+		next[i] = t.Arrivals.Next()
+	}
+	var prefBuf []int
+	mirrorAll := make([]int, cfg.Shards)
+	for s := range mirrorAll {
+		mirrorAll[s] = s
+	}
+	alive := func(s, key int, t float64) bool {
+		if cfg.HotDeadAt == nil || cfg.HotDeadAt[s] == nil {
+			return true
+		}
+		return cfg.HotDeadAt[s][cfg.localHot(s, key)] > t
+	}
+	var seq int64
+	sizeAt := cfg.Horizon / 4
+	for {
+		ten := -1
+		for i, t := range next {
+			if !math.IsInf(t, 1) && (ten < 0 || t < next[ten]) {
+				ten = i
+			}
+		}
+		if ten < 0 || next[ten] >= cfg.Horizon {
+			break
+		}
+		at := next[ten]
+		next[ten] = cfg.Tenants[ten].Arrivals.Next()
+		if at >= sizeAt {
+			res.sizeTraces(at, cfg.Horizon)
+			sizeAt = math.Inf(1)
+		}
+
+		classDraw := rng.Float64()
+		hot := classDraw < cfg.Tenants[ten].HotFrac
+		if cfg.FarmCold == 0 {
+			hot = true
+		} else if cfg.FarmHot == 0 {
+			hot = false
+		}
+		var key, shard int
+		var local layout.BlockID
+		if hot {
+			key = rng.Intn(cfg.FarmHot)
+			hk := hotKey(key)
+			var cands []int
+			switch cfg.Policy {
+			case PlaceSpread:
+				prefBuf = r.Prefer(hk, cfg.Copies+1, prefBuf)
+				cands = prefBuf
+			case PlaceMirror:
+				cands = mirrorAll
+			default: // PlaceLocal
+				prefBuf = r.Prefer(hk, 1, prefBuf)
+				cands = prefBuf
+			}
+			start := Rotate(hk, seq, len(cands))
+			shard = -1
+			for j := 0; j < len(cands); j++ {
+				s := cands[(start+j)%len(cands)]
+				if alive(s, key, at) {
+					if j > 0 {
+						res.FailedOver++
+					}
+					shard = s
+					break
+				}
+			}
+			if shard < 0 {
+				shard = cands[start]
+			}
+			local = cfg.localHot(shard, key)
+		} else {
+			key = rng.Intn(cfg.FarmCold)
+			shard = r.Owner(coldKey(key))
+			local = cfg.localCold(shard, key)
+		}
+		tr := &res.Traces[shard]
+		tr.Times = append(tr.Times, at)
+		tr.Blocks = append(tr.Blocks, local)
+		res.Routed[shard]++
+		res.Total++
+		seq++
+	}
+	return res, nil
+}
+
+// hashCase derives a split configuration from seed for the given policy,
+// shard and copy counts: universe and local sizes, two tenants whose
+// streams last about `keysPer` arrivals per farm key (well under one, so
+// most keys arrive once, or several, so keys repeat), and, when dead is
+// set, a dead-time projection in which some shards have none, some blocks
+// never die and the rest die inside the horizon, so requests fail over.
+// Each call builds fresh arrival processes.
+func hashCase(t *testing.T, seed int64, pol Policy, shards, copies int, dead bool, keysPer float64) SplitConfig {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	cfg := SplitConfig{
+		Shards:    shards,
+		Policy:    pol,
+		Copies:    copies,
+		FarmHot:   1 + rng.Intn(120),
+		FarmCold:  1 + rng.Intn(600),
+		LocalHot:  1 + rng.Intn(60),
+		LocalCold: 1 + rng.Intn(300),
+		Horizon:   10_000,
+		Seed:      rng.Int63(),
+	}
+	switch rng.Intn(8) { // now and then a single class
+	case 0:
+		cfg.FarmCold = 0
+	case 1:
+		cfg.FarmHot = 0
+	}
+	arrivals := keysPer * float64(cfg.FarmHot+cfg.FarmCold)
+	mean := 2 * cfg.Horizon / math.Max(arrivals, 1) // two tenants share the stream
+	for i := 0; i < 2; i++ {
+		a, err := workload.NewPoissonArrivals(mean, rng.Int63())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Tenants = append(cfg.Tenants, Tenant{Arrivals: a, HotFrac: rng.Float64()})
+	}
+	if dead {
+		cfg.HotDeadAt = make([][]float64, shards)
+		for s := range cfg.HotDeadAt {
+			if rng.Intn(4) == 0 {
+				continue // no projection for this shard
+			}
+			row := make([]float64, cfg.LocalHot)
+			for b := range row {
+				row[b] = math.Inf(1)
+				if rng.Intn(3) > 0 {
+					row[b] = rng.Float64() * cfg.Horizon
+				}
+			}
+			cfg.HotDeadAt[s] = row
+		}
+	}
+	return cfg
+}
+
+// checkAgainstHashing splits the case twice, through the routing tables
+// and by hashing every arrival, and reports the first difference in the
+// traces, the per-shard counts, the failover count or the total.
+func checkAgainstHashing(t *testing.T, seed int64, pol Policy, shards, copies int, dead bool, keysPer float64) *SplitResult {
+	t.Helper()
+	got, err := Split(hashCase(t, seed, pol, shards, copies, dead, keysPer))
+	if err != nil {
+		t.Fatalf("seed %d %v shards %d copies %d: %v", seed, pol, shards, copies, err)
+	}
+	want, err := splitByHashing(hashCase(t, seed, pol, shards, copies, dead, keysPer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Traces, want.Traces) || !reflect.DeepEqual(got.Routed, want.Routed) ||
+		got.FailedOver != want.FailedOver || got.Total != want.Total {
+		t.Fatalf("seed %d %v shards %d copies %d dead %v keysPer %v: tables route %d requests (%d failed over, per shard %v), hashing %d (%d, %v)",
+			seed, pol, shards, copies, dead, keysPer, got.Total, got.FailedOver, got.Routed, want.Total, want.FailedOver, want.Routed)
+	}
+	return got
+}
+
+// TestSplitTablesMatchHashing holds the routing tables to per-arrival
+// hashing over every policy, 1 to 8 shards with every legal copy count,
+// with and without a dead-time projection, on streams short enough that
+// most keys arrive once and long enough that keys repeat.
+func TestSplitTablesMatchHashing(t *testing.T) {
+	var failedOver int64
+	seed := int64(1)
+	for shards := 1; shards <= 8; shards++ {
+		for copies := 0; copies < shards; copies++ {
+			for _, pol := range []Policy{PlaceLocal, PlaceSpread, PlaceMirror} {
+				if pol != PlaceSpread && copies > 0 {
+					continue // only spread places cross-library copies
+				}
+				for _, dead := range []bool{false, true} {
+					for _, keysPer := range []float64{0.3, 6} {
+						seed++
+						failedOver += checkAgainstHashing(t, seed, pol, shards, copies, dead, keysPer).FailedOver
+					}
+				}
+			}
+		}
+	}
+	if failedOver == 0 {
+		t.Error("no request failed over: the cases never exercise the dead test")
+	}
+}
+
+// FuzzSplitMatchesHashing is TestSplitTablesMatchHashing over fuzzed
+// seeds, policies, shard and copy counts and stream lengths.
+func FuzzSplitMatchesHashing(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint8(1), uint8(1), true, uint8(2))
+	f.Add(int64(9), uint8(7), uint8(0), uint8(2), true, uint8(40))
+	f.Add(int64(4), uint8(0), uint8(0), uint8(0), false, uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, shards, copies, pol uint8, dead bool, keysPer uint8) {
+		n := 1 + int(shards)%8
+		p := Policy(pol % 3)
+		c := 0
+		if p == PlaceSpread {
+			c = int(copies) % n
+		}
+		checkAgainstHashing(t, seed, p, n, c, dead, 0.1+float64(keysPer%64)/8)
+	})
 }

@@ -139,35 +139,36 @@ func (l *Layout) finalize() {
 	}
 }
 
-// Build computes a layout for the given configuration. The number of logical
-// blocks is derived from the jukebox capacity and the replication expansion
-// factor E = 1 + NR*PH/100: replicas consume capacity that would otherwise
-// hold cold data, exactly as in Section 4.8 of the paper.
-func Build(cfg Config) (*Layout, error) {
+// Counts returns the number of logical blocks a layout of cfg stores and
+// how many of them are hot, or the error Build reports for a configuration
+// that fails before any block is placed. The block count derives from the
+// jukebox capacity and the replication expansion factor E = 1 + NR*PH/100:
+// replicas consume capacity that would otherwise hold cold data, exactly
+// as in Section 4.8 of the paper.
+func Counts(cfg Config) (numBlocks, numHot int, err error) {
 	if cfg.Tapes < 1 {
-		return nil, errors.New("layout: need at least one tape")
+		return 0, 0, errors.New("layout: need at least one tape")
 	}
 	if cfg.TapeCapBlocks < 1 {
-		return nil, errors.New("layout: tape capacity must be positive")
+		return 0, 0, errors.New("layout: tape capacity must be positive")
 	}
 	if cfg.HotPercent < 0 || cfg.HotPercent > 100 {
-		return nil, fmt.Errorf("layout: hot percent %v out of range [0,100]", cfg.HotPercent)
+		return 0, 0, fmt.Errorf("layout: hot percent %v out of range [0,100]", cfg.HotPercent)
 	}
 	if cfg.Replicas < 0 || cfg.Replicas > cfg.Tapes-1 {
-		return nil, fmt.Errorf("layout: %d replicas impossible with %d tapes (at most one copy per tape)", cfg.Replicas, cfg.Tapes)
+		return 0, 0, fmt.Errorf("layout: %d replicas impossible with %d tapes (at most one copy per tape)", cfg.Replicas, cfg.Tapes)
 	}
 	if cfg.StartPos < 0 || cfg.StartPos > 1 {
-		return nil, fmt.Errorf("layout: start position %v out of range [0,1]", cfg.StartPos)
+		return 0, 0, fmt.Errorf("layout: start position %v out of range [0,1]", cfg.StartPos)
 	}
 
 	capacity := cfg.Tapes * cfg.TapeCapBlocks
 	ph := cfg.HotPercent / 100
-	var numBlocks, numHot int
 	if cfg.DataBlocks > 0 {
 		numBlocks = cfg.DataBlocks
 		numHot = int(ph * float64(numBlocks))
 		if numBlocks+numHot*cfg.Replicas > capacity {
-			return nil, fmt.Errorf("layout: %d blocks with %d replicas of %d hot blocks exceed capacity %d",
+			return 0, 0, fmt.Errorf("layout: %d blocks with %d replicas of %d hot blocks exceed capacity %d",
 				numBlocks, cfg.Replicas, numHot, capacity)
 		}
 	} else {
@@ -182,13 +183,23 @@ func Build(cfg Config) (*Layout, error) {
 		}
 	}
 	if numBlocks < 1 {
-		return nil, errors.New("layout: capacity too small for any data")
+		return 0, 0, errors.New("layout: capacity too small for any data")
 	}
 	if cfg.Kind == Vertical && numHot > cfg.TapeCapBlocks {
-		return nil, fmt.Errorf("layout: vertical layout needs %d hot blocks on one tape of capacity %d", numHot, cfg.TapeCapBlocks)
+		return 0, 0, fmt.Errorf("layout: vertical layout needs %d hot blocks on one tape of capacity %d", numHot, cfg.TapeCapBlocks)
 	}
 	if cfg.Kind == Vertical && numHot > 0 && cfg.Tapes == 1 && cfg.Replicas > 0 {
-		return nil, errors.New("layout: vertical replication needs at least two tapes")
+		return 0, 0, errors.New("layout: vertical replication needs at least two tapes")
+	}
+	return numBlocks, numHot, nil
+}
+
+// Build computes a layout for the given configuration, storing the blocks
+// Counts derives for it.
+func Build(cfg Config) (*Layout, error) {
+	numBlocks, numHot, err := Counts(cfg)
+	if err != nil {
+		return nil, err
 	}
 
 	// Every hot block gets the same number of copies, every cold block one;
@@ -380,6 +391,9 @@ func originalTape(cfg Config, b int) int {
 	}
 	return b % cfg.Tapes
 }
+
+// Config returns the configuration the layout was built from.
+func (l *Layout) Config() Config { return l.cfg }
 
 // Tapes returns the number of tapes.
 func (l *Layout) Tapes() int { return l.cfg.Tapes }

@@ -184,6 +184,11 @@ func TestErrors(t *testing.T) {
 		if _, err := Build(cfg); err == nil {
 			t.Errorf("Build(%+v) succeeded, want error", cfg)
 		}
+		// Every one of these fails before a block is placed, so Counts
+		// reports it too.
+		if _, _, err := Counts(cfg); err == nil {
+			t.Errorf("Counts(%+v) succeeded, want error", cfg)
+		}
 	}
 }
 
@@ -300,6 +305,9 @@ func TestBuildPropertyValid(t *testing.T) {
 			return true
 		}
 		if l.Validate() != nil {
+			return false
+		}
+		if blocks, hot, err := Counts(cfg); err != nil || blocks != l.NumBlocks() || hot != l.NumHot() {
 			return false
 		}
 		// Footprint accounting.

@@ -59,6 +59,16 @@ func (s *Session) Run(cfg Config) (*Result, error) {
 	return res, rerr
 }
 
+// ShareLayout makes lay, a layout built by layout.Build elsewhere, the
+// session's cached layout: a run whose layout configuration equals lay's
+// own uses it instead of building one, and any other run builds its own as
+// usual. A run never changes it (a repair run builds and mutates a private
+// layout), so sessions on different goroutines may share one layout.
+func (s *Session) ShareLayout(lay *layout.Layout) { s.lay, s.layKey = lay, lay.Config() }
+
+// Layout returns the layout the session's last run ran on.
+func (s *Session) Layout() *layout.Layout { return s.sh.Layout }
+
 // cachedLayout returns the layout for the given configuration, building and
 // caching it on a key change. layout.Layout is immutable after Build (the
 // fault and write extensions keep their masks and delta logs outside it),

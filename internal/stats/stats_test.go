@@ -142,6 +142,25 @@ func TestReservoirPercentileMatchesSort(t *testing.T) {
 	}
 }
 
+// TestReservoirFirstSortAllocations pins that a fresh, full reservoir's
+// first Percentile allocates only the three scratch slices it keeps (the
+// sort keys, the radix scatter and the sorted copy), each once.
+func TestReservoirFirstSortAllocations(t *testing.T) {
+	const k = 4096
+	full := NewReservoir(k)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < k; i++ {
+		full.Add(rng.ExpFloat64()*250, rng.Int63n)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		fresh := *full // shares the samples; no scratch yet
+		fresh.Percentile(0.99)
+	})
+	if allocs != 3 {
+		t.Errorf("first Percentile of a fresh reservoir made %v allocations, want 3", allocs)
+	}
+}
+
 func TestEmptyReservoir(t *testing.T) {
 	r := NewReservoir(4)
 	if got := r.Percentile(0.5); got != 0 {

@@ -29,6 +29,7 @@ var reachAllow = map[string]string{
 	"tapejuke/internal/layout.Layout.Validate":             "the layout invariant check that tests in other packages run",
 	"tapejuke/internal/sched.NewState":                     "builds scheduler states for tests in other packages",
 	"tapejuke/internal/repair.Planner.ReservedCount":       "counts reserved free positions for tests in other packages",
+	"tapejuke/internal/sim.Session.Layout":                 "lets the farm's tests check which layout a shard ran on",
 	"tapejuke/internal/workload.NewGenerator":              "perfbench builds its uniform block source with it",
 	"tapejuke/internal/workload.NewZipfGenerator":          "perfbench builds its Zipf block source with it",
 }
