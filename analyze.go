@@ -58,25 +58,23 @@ func AssessOpenLoad(c Config) (*OpenAssessment, error) {
 	return analytic.AssessOpen(prof, c.BlockMB, lay, c.ReadHotPercent, c.MeanInterarrivalSec)
 }
 
-// analyticModel resolves the helical-scan profile and builds the
-// unreplicated layout the closed forms evaluate; fn names the caller in the
-// profile error.
+// analyticModel resolves the helical-scan profile and builds the layout a
+// run of c simulates, by the derivation the engine and the farm pre-pass
+// share; fn names the caller in the profile error.
 func (c Config) analyticModel(fn string) (*tapemodel.Profile, *layout.Layout, error) {
-	prof, ok := tapemodel.PositionerByName(driveName(c.DriveProfile)).(*tapemodel.Profile)
-	if !ok || prof == nil {
-		return nil, nil, fmt.Errorf("tapejuke: %s needs a helical-scan profile, not %q", fn, c.DriveProfile)
-	}
-	kind, err := c.Placement.kind()
+	sc, err := c.toSim()
 	if err != nil {
 		return nil, nil, err
 	}
-	lay, err := layout.Build(layout.Config{
-		Tapes:         c.Tapes,
-		TapeCapBlocks: int(c.TapeCapMB / c.BlockMB),
-		HotPercent:    c.HotPercent,
-		Kind:          kind,
-		StartPos:      c.StartPos,
-	})
+	prof, ok := sc.Profile.(*tapemodel.Profile)
+	if !ok {
+		return nil, nil, fmt.Errorf("tapejuke: %s needs a helical-scan profile, not %q", fn, c.DriveProfile)
+	}
+	layCfg, _, err := sc.LayoutConfig()
+	if err != nil {
+		return nil, nil, err
+	}
+	lay, err := layout.Build(layCfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("tapejuke: %w", err)
 	}

@@ -444,7 +444,7 @@ func run() int {
 			res.MeanResponseSec, res.P50ResponseSec, res.P95ResponseSec, res.P99ResponseSec,
 			res.TapeSwitches, res.MeanQueueLen, res.DeadlineMissRate, res.Shed, res.Rejected)
 	default:
-		stream, _ := tapejuke.StreamingRateKBps(*profile)
+		stream, _ := tapejuke.StreamingRateKBps(cfg.DriveProfile)
 		fmt.Printf("scheduler            %s\n", res.SchedulerName)
 		fmt.Printf("simulated            %.0f s (%.0f s measured after warm-up)\n", res.SimSeconds, res.MeasuredSeconds)
 		fmt.Printf("completed            %d requests (%d switches)\n", res.Completed, res.TapeSwitches)

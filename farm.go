@@ -15,18 +15,19 @@ import (
 )
 
 // FarmPlacement selects how hot-data copies are distributed across the
-// farm's libraries; see the internal farm.Policy values for semantics.
-type FarmPlacement string
+// farm's libraries: FarmLocal ("local"), FarmSpread ("spread") or
+// FarmMirror ("mirror"); see the internal farm.Policy values for semantics.
+type FarmPlacement = farm.Policy
 
 const (
 	// FarmLocal keeps the NR replicas inside each block's one home
 	// library (the paper's scheme, hash-partitioned across libraries).
-	FarmLocal FarmPlacement = "local"
+	FarmLocal FarmPlacement = farm.PlaceLocal
 	// FarmSpread puts the NR+1 copies of each hot block on NR+1 distinct
 	// libraries, with request rotation and failover between them.
-	FarmSpread FarmPlacement = "spread"
+	FarmSpread FarmPlacement = farm.PlaceSpread
 	// FarmMirror mirrors the whole farm-wide hot set onto every library.
-	FarmMirror FarmPlacement = "mirror"
+	FarmMirror FarmPlacement = farm.PlaceMirror
 )
 
 // TenantClass is one arrival class of the aggregated farm workload. The
@@ -215,48 +216,45 @@ func splitFarm(fc FarmConfig, base Config, pol farm.Policy) (Config, *layout.Lay
 // resolves the placement policy.
 func validateFarm(fc FarmConfig, base Config) (farm.Policy, error) {
 	if fc.Shards < 1 {
-		return 0, fmt.Errorf("tapejuke: farm needs at least one shard, got %d", fc.Shards)
+		return "", fmt.Errorf("tapejuke: farm needs at least one shard, got %d", fc.Shards)
 	}
-	var pol farm.Policy
-	switch fc.Placement {
-	case FarmLocal, "":
+	pol := fc.Placement
+	switch pol {
+	case "":
 		pol = farm.PlaceLocal
-	case FarmSpread:
-		pol = farm.PlaceSpread
-	case FarmMirror:
-		pol = farm.PlaceMirror
+	case farm.PlaceLocal, farm.PlaceSpread, farm.PlaceMirror:
 	default:
-		return 0, fmt.Errorf("tapejuke: unknown farm placement %q", fc.Placement)
+		return "", fmt.Errorf("tapejuke: unknown farm placement %q", pol)
 	}
 	if fc.Shards == 1 {
 		// Every policy stores the same single-library layout at N=1.
 		pol = farm.PlaceLocal
 	}
 	if base.MeanInterarrivalSec <= 0 || base.QueueLength > 0 {
-		return 0, errors.New("tapejuke: a farm aggregates open-model arrivals; set Base.MeanInterarrivalSec and leave QueueLength zero")
+		return "", errors.New("tapejuke: a farm aggregates open-model arrivals; set Base.MeanInterarrivalSec and leave QueueLength zero")
 	}
 	if base.Writes.MeanInterarrivalSec > 0 {
-		return 0, errors.New("tapejuke: the farm router cannot split the write extension's delta stream")
+		return "", errors.New("tapejuke: the farm router cannot split the write extension's delta stream")
 	}
 	if base.ZipfS > 0 || base.SequentialProb > 0 {
-		return 0, errors.New("tapejuke: farm workloads use the two-class skew (ZipfS and SequentialProb unsupported)")
+		return "", errors.New("tapejuke: farm workloads use the two-class skew (ZipfS and SequentialProb unsupported)")
 	}
 	if base.Observer != nil {
-		return 0, errors.New("tapejuke: shards run concurrently; use FarmConfig.ShardObserver instead of Base.Observer")
+		return "", errors.New("tapejuke: shards run concurrently; use FarmConfig.ShardObserver instead of Base.Observer")
 	}
 	if base.Burst.Enabled() && len(fc.Tenants) > 1 {
-		return 0, errors.New("tapejuke: burst modulation supports a single tenant class")
+		return "", errors.New("tapejuke: burst modulation supports a single tenant class")
 	}
 	if pol == farm.PlaceSpread && base.Replicas+1 > fc.Shards {
-		return 0, fmt.Errorf("tapejuke: spread placement cannot put %d copies on %d libraries; lower Replicas or add shards",
+		return "", fmt.Errorf("tapejuke: spread placement cannot put %d copies on %d libraries; lower Replicas or add shards",
 			base.Replicas+1, fc.Shards)
 	}
 	for i, t := range fc.Tenants {
 		if t.MeanInterarrivalSec <= 0 {
-			return 0, fmt.Errorf("tapejuke: tenant %d needs a positive mean interarrival", i)
+			return "", fmt.Errorf("tapejuke: tenant %d needs a positive mean interarrival", i)
 		}
 		if t.ReadHotPercent < 0 || t.ReadHotPercent > 100 {
-			return 0, fmt.Errorf("tapejuke: tenant %d RH %v out of [0,100]", i, t.ReadHotPercent)
+			return "", fmt.Errorf("tapejuke: tenant %d RH %v out of [0,100]", i, t.ReadHotPercent)
 		}
 	}
 	return pol, nil
@@ -464,7 +462,7 @@ func (r *Runner) runShard(c Config, traces []farm.Trace, lay *layout.Layout, sha
 func mergeFarm(results []*Result, routed []int64, failedOver int64, pol farm.Policy) *FarmResult {
 	fr := &FarmResult{
 		Shards:     results,
-		Placement:  FarmPlacement(pol.String()),
+		Placement:  pol,
 		Routed:     routed,
 		FailedOver: failedOver,
 	}

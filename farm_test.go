@@ -319,6 +319,8 @@ func TestFarmValidation(t *testing.T) {
 
 	reject("zero shards", "at least one shard", FarmConfig{Shards: 0, Base: farmBase()})
 	reject("bad placement", "unknown farm placement", FarmConfig{Shards: 2, Placement: "ring", Base: farmBase()})
+	// One shard never reaches the split, so the farm checks the placement.
+	reject("bad placement, one shard", "unknown farm placement", FarmConfig{Shards: 1, Placement: "ring", Base: farmBase()})
 
 	thin := farmBase()
 	thin.Replicas = 3

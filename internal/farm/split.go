@@ -12,38 +12,26 @@ import (
 
 // Policy selects where the farm lands the cross-library copies of hot
 // data. All policies store the same cold data (hash-partitioned, one copy
-// farm-wide); they differ in how many libraries hold each hot block.
-type Policy int
+// farm-wide); they differ in how many libraries hold each hot block. The
+// empty string is PlaceLocal; Split rejects any other value.
+type Policy string
 
 const (
 	// PlaceLocal keeps replication inside each library: every hot block
 	// lives on exactly one library, which holds NR+1 in-library tape
 	// copies (the paper's §4.4 scheme, scaled out by hashing blocks to
 	// libraries). The router has exactly one destination per block.
-	PlaceLocal Policy = iota
+	PlaceLocal Policy = "local"
 	// PlaceSpread puts the NR+1 copies of each hot block on NR+1
 	// *different* libraries (the block's rendezvous preference list), one
 	// tape copy per library. The router rotates requests over the
 	// holders and fails over when a holder's copy has died.
-	PlaceSpread
+	PlaceSpread Policy = "spread"
 	// PlaceMirror mirrors the entire farm-wide hot set onto every
 	// library. Any library can serve any hot request; storage cost grows
 	// with the shard count instead of NR.
-	PlaceMirror
+	PlaceMirror Policy = "mirror"
 )
-
-// String names the policy as the CLI spells it.
-func (p Policy) String() string {
-	switch p {
-	case PlaceLocal:
-		return "local"
-	case PlaceSpread:
-		return "spread"
-	case PlaceMirror:
-		return "mirror"
-	}
-	return "unknown"
-}
 
 // Tenant is one open-model arrival class of the aggregated farm workload:
 // an arrival process plus the fraction of its requests aimed at hot data.
@@ -336,13 +324,13 @@ func (cfg *SplitConfig) validate() error {
 		return fmt.Errorf("farm: %d local blocks exceed the routing table's 32-bit block numbers", cfg.LocalHot+cfg.LocalCold)
 	}
 	switch cfg.Policy {
-	case PlaceLocal, PlaceMirror:
+	case "", PlaceLocal, PlaceMirror:
 	case PlaceSpread:
 		if cfg.Copies < 0 || cfg.Copies+1 > cfg.Shards {
 			return fmt.Errorf("farm: spread placement cannot put %d copies on %d libraries", cfg.Copies+1, cfg.Shards)
 		}
 	default:
-		return fmt.Errorf("farm: unknown placement policy %d", cfg.Policy)
+		return fmt.Errorf("farm: unknown placement policy %q", cfg.Policy)
 	}
 	if cfg.HotDeadAt != nil && len(cfg.HotDeadAt) != cfg.Shards {
 		return fmt.Errorf("farm: HotDeadAt has %d shards, want %d", len(cfg.HotDeadAt), cfg.Shards)

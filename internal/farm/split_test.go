@@ -404,7 +404,7 @@ func FuzzSplitMatchesHashing(f *testing.F) {
 	f.Add(int64(4), uint8(0), uint8(0), uint8(0), false, uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, shards, copies, pol uint8, dead bool, keysPer uint8) {
 		n := 1 + int(shards)%8
-		p := Policy(pol % 3)
+		p := []Policy{PlaceLocal, PlaceSpread, PlaceMirror}[pol%3]
 		c := 0
 		if p == PlaceSpread {
 			c = int(copies) % n

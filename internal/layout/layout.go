@@ -26,26 +26,19 @@ type Replica struct {
 	Pos  int
 }
 
-// Kind selects the hot-data layout across tapes.
-type Kind int
+// Kind selects the hot-data layout across tapes. The empty string is
+// horizontal; Counts rejects any other value.
+type Kind string
 
 const (
 	// Horizontal distributes hot blocks (and their replicas) across all
 	// tapes in the jukebox.
-	Horizontal Kind = iota
+	Horizontal Kind = "horizontal"
 	// Vertical collects all hot originals onto a single tape (tape 0);
 	// replicas, if any, are distributed round-robin across the remaining
 	// tapes.
-	Vertical
+	Vertical Kind = "vertical"
 )
-
-// String names the layout kind.
-func (k Kind) String() string {
-	if k == Vertical {
-		return "vertical"
-	}
-	return "horizontal"
-}
 
 // Config describes a data layout to build.
 type Config struct {
@@ -160,6 +153,9 @@ func Counts(cfg Config) (numBlocks, numHot int, err error) {
 	}
 	if cfg.StartPos < 0 || cfg.StartPos > 1 {
 		return 0, 0, fmt.Errorf("layout: start position %v out of range [0,1]", cfg.StartPos)
+	}
+	if cfg.Kind != "" && cfg.Kind != Horizontal && cfg.Kind != Vertical {
+		return 0, 0, fmt.Errorf("layout: unknown placement %q", cfg.Kind)
 	}
 
 	capacity := cfg.Tapes * cfg.TapeCapBlocks

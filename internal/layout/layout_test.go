@@ -179,6 +179,8 @@ func TestErrors(t *testing.T) {
 		{Tapes: 2, TapeCapBlocks: 10, StartPos: -0.5},
 		// Vertical with more hot data than one tape holds.
 		{Tapes: 2, TapeCapBlocks: 10, HotPercent: 90, Kind: Vertical},
+		// A placement that is neither horizontal nor vertical.
+		{Tapes: 2, TapeCapBlocks: 10, Kind: "diagonal"},
 	}
 	for _, cfg := range bad {
 		if _, err := Build(cfg); err == nil {
@@ -277,9 +279,11 @@ func TestPackAfterData(t *testing.T) {
 	}
 }
 
+// The kinds are their public spellings: tapejuke.Placement aliases Kind,
+// so saved configurations and the CLI use these strings.
 func TestKindString(t *testing.T) {
-	if Horizontal.String() != "horizontal" || Vertical.String() != "vertical" {
-		t.Error("Kind.String mismatch")
+	if Horizontal != "horizontal" || Vertical != "vertical" {
+		t.Error("Kind spelling changed")
 	}
 }
 

@@ -361,6 +361,10 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("sim: WriteReserveMB %v must leave room for data on a %v MB tape",
 			c.WriteReserveMB, c.TapeCapMB)
 	}
+	if w := c.WritePolicy; c.WriteMeanInterarrival > 0 &&
+		w != "" && w != WritePiggyback && w != WriteIdleOnly && w != WritePiggybackAndIdle {
+		return fmt.Errorf("sim: unknown write policy %q", w)
+	}
 	if c.RAO {
 		if _, ok := c.Profile.(*tapemodel.Serpentine); !ok {
 			return errors.New("sim: RAO reordering requires a serpentine drive profile")

@@ -334,10 +334,6 @@ func (e *engine) leave(r *sched.Request, kind EventKind) bool {
 		if post {
 			e.noteQueueAge(e.now - r.Arrival)
 		}
-	case EventUnserviceable:
-		if post {
-			e.flt.unservPost++
-		}
 	}
 	e.push(ev)
 	respawn := e.arr.Closed() && !r.Ephemeral && (e.flt == nil || e.flt.anyTapeUp())
@@ -384,8 +380,6 @@ func (e *engine) result() *Result {
 		res.RepairJobs = rp.pl.Created()
 		res.MeanTimeToRepairSec = rp.mttr.Mean()
 	}
-	if h := e.hlt; h != nil {
-		res.ScrubbedMB = float64(h.scrubbedBlocks) * e.cfg.BlockMB
-	}
+	res.ScrubbedMB = float64(e.tally.Count[EventScrubRead]) * e.cfg.BlockMB
 	return res
 }

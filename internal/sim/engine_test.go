@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tapejuke/internal/core"
+	"tapejuke/internal/layout"
 	"tapejuke/internal/sched"
 	"tapejuke/internal/tapemodel"
 )
@@ -230,7 +231,7 @@ func TestEnvelopeRunsWithReplication(t *testing.T) {
 	cfg := quickCfg(core.NewEnvelope(core.MaxBandwidth))
 	cfg.Replicas = 9
 	cfg.StartPos = 1
-	cfg.Kind = 1 // vertical
+	cfg.Kind = layout.Vertical
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -17,8 +17,7 @@ type faultState struct {
 	upTapes   int    // tapes not yet discovered failed: len(down) minus set bits
 	maskDirty bool   // a copy or tape was lost since the last pending scan
 
-	unservPost int64 // post-warmup unserviceable requests, for availability
-	recovery   stats.Accumulator
+	recovery stats.Accumulator
 
 	// latentDet records when each latent error was first detected (packed
 	// (tape,pos) -> detection time), by whichever path touched it first:
@@ -195,8 +194,8 @@ func (e *engine) faultResult() {
 		return
 	}
 	res.MeanRecoverySec = f.recovery.Mean()
-	if res.Completed+f.unservPost > 0 {
-		res.Availability = float64(res.Completed) / float64(res.Completed+f.unservPost)
+	if unserv := e.tally.Post[EventUnserviceable]; res.Completed+unserv > 0 {
+		res.Availability = float64(res.Completed) / float64(res.Completed+unserv)
 	}
 	// Mean time to detect, over every latent error that developed within
 	// the run: detection latency when found, censored at run end when not.

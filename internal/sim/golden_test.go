@@ -11,6 +11,7 @@ import (
 
 	"tapejuke/internal/core"
 	"tapejuke/internal/faults"
+	"tapejuke/internal/layout"
 	"tapejuke/internal/sched"
 )
 
@@ -52,14 +53,14 @@ func goldenCases() map[string]func() Config {
 		"repl-envmbw-s1": func() Config {
 			cfg := closed(core.NewEnvelope(core.MaxBandwidth), 1)
 			cfg.Replicas = 4
-			cfg.Kind = 1 // vertical
+			cfg.Kind = layout.Vertical
 			cfg.StartPos = 1
 			return cfg
 		},
 		"repl-dynmbw-s7": func() Config {
 			cfg := closed(sched.NewDynamic(sched.MaxBandwidth), 7)
 			cfg.Replicas = 4
-			cfg.Kind = 1
+			cfg.Kind = layout.Vertical
 			cfg.StartPos = 1
 			return cfg
 		},

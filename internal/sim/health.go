@@ -104,11 +104,10 @@ type healthState struct {
 	sc  *health.Scorer
 	scr *health.Scrubber // nil when ScrubRate is 0
 
-	suspect        []bool // tapes whose score crossed SuspectScore
-	evacuated      []bool // suspect tapes fully drained of copies
-	pendingRemove  []pendingEvac
-	scratch        []int // scrub-region occupied positions, reused
-	scrubbedBlocks int64 // ScrubbedMB, in blocks until the run ends
+	suspect       []bool // tapes whose score crossed SuspectScore
+	evacuated     []bool // suspect tapes fully drained of copies
+	pendingRemove []pendingEvac
+	scratch       []int // scrub-region occupied positions, reused
 }
 
 // initHealth wires the health subsystem when enabled, writing its
@@ -287,7 +286,6 @@ func (e *engine) issueScrub(d, tape int, poss []int) {
 		if vt, sec, ok = e.bgTransfer(d, pos, vt, &e.res.ScrubSeconds); !ok {
 			break
 		}
-		e.hlt.scrubbedBlocks++
 		e.push(Event{Kind: EventScrubRead, Time: vt, Tape: tape, Pos: pos, Seconds: sec})
 		if e.flt != nil && e.flt.inj.LatentActive(tape, pos, vt) {
 			e.noteLatentFound(tape, pos, vt, true)

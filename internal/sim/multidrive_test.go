@@ -7,6 +7,7 @@ import (
 
 	"tapejuke/internal/core"
 	"tapejuke/internal/faults"
+	"tapejuke/internal/layout"
 	"tapejuke/internal/sched"
 )
 
@@ -89,7 +90,7 @@ func TestMultiDriveAllSchedulers(t *testing.T) {
 				cfg.Horizon = 50_000
 				cfg.Replicas = nr
 				if nr > 0 {
-					cfg.Kind = 1 // vertical
+					cfg.Kind = layout.Vertical
 					cfg.StartPos = 1
 				}
 				res, err := Run(cfg)

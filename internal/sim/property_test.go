@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"tapejuke/internal/core"
+	"tapejuke/internal/layout"
 	"tapejuke/internal/sched"
 	"tapejuke/internal/stats"
 )
@@ -34,7 +35,7 @@ func randomConfig(rng *rand.Rand) Config {
 	}
 	cfg.Replicas = rng.Intn(cfg.Tapes)
 	if rng.Intn(2) == 0 && cfg.HotPercent > 0 {
-		cfg.Kind = 1 // vertical
+		cfg.Kind = layout.Vertical
 	}
 	if rng.Intn(2) == 0 {
 		cfg.QueueLength = 1 + rng.Intn(140)
@@ -109,7 +110,7 @@ func TestEnvelopeDominatesDynamicUnderReplication(t *testing.T) {
 		run := func(s sched.Scheduler) float64 {
 			cfg := quickCfg(s)
 			cfg.Replicas = 9
-			cfg.Kind = 1 // vertical
+			cfg.Kind = layout.Vertical
 			cfg.StartPos = 1
 			cfg.Seed = seed
 			res, err := Run(cfg)

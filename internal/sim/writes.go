@@ -16,32 +16,21 @@ import (
 // first picks up the flush, claiming the target tape through the shared
 // busy vector like any other operation.
 
-// WritePolicy selects when buffered delta writes drain to tape.
-type WritePolicy int
+// WritePolicy selects when buffered delta writes drain to tape. The empty
+// string is piggyback; Config.Validate rejects any other value while
+// writes are on.
+type WritePolicy string
 
 const (
 	// WritePiggyback appends a tape's buffered deltas to the read schedule
 	// whenever a sweep on that tape finishes.
-	WritePiggyback WritePolicy = iota
+	WritePiggyback WritePolicy = "piggyback"
 	// WriteIdleOnly flushes only while the drive has nothing to read
 	// (open-queuing models; a closed jukebox never idles).
-	WriteIdleOnly
+	WriteIdleOnly WritePolicy = "idle-only"
 	// WritePiggybackAndIdle does both.
-	WritePiggybackAndIdle
+	WritePiggybackAndIdle WritePolicy = "piggyback+idle"
 )
-
-// String names the policy.
-func (p WritePolicy) String() string {
-	switch p {
-	case WritePiggyback:
-		return "piggyback"
-	case WriteIdleOnly:
-		return "idle-only"
-	case WritePiggybackAndIdle:
-		return "piggyback+idle"
-	}
-	return "unknown"
-}
 
 // writeState tracks the write extension inside the engine; its metrics
 // are charged straight into the engine's Result.
@@ -160,7 +149,7 @@ func (e *engine) piggybackOp(d int) bool {
 	st := e.drives[d].st
 	vt := e.now
 	did := false
-	if e.cfg.WritePolicy == WritePiggyback || e.cfg.WritePolicy == WritePiggybackAndIdle {
+	if e.cfg.WritePolicy != WriteIdleOnly {
 		if st.Mounted >= 0 && len(w.buffer[st.Mounted]) > 0 {
 			if e.deferWrites() {
 				// Graceful degradation: keep the drive on read work while

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"tapejuke/internal/sched"
@@ -100,6 +101,10 @@ func TestWriteValidation(t *testing.T) {
 	if _, err := Run(cfg); err == nil {
 		t.Error("full-tape write reserve accepted")
 	}
+	cfg = writeCfg("sideways")
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "unknown write policy") {
+		t.Errorf("unknown write policy: err = %v", err)
+	}
 }
 
 // TestMultiDriveWritesDrain exercises the write extension on a two-drive
@@ -156,12 +161,11 @@ func TestMultiDriveWritesDrain(t *testing.T) {
 	}
 }
 
+// The policies are their public spellings: tapejuke.WritePolicy aliases
+// this type, so saved configurations and the CLI use these strings.
 func TestWritePolicyStrings(t *testing.T) {
-	if WritePiggyback.String() != "piggyback" ||
-		WriteIdleOnly.String() != "idle-only" ||
-		WritePiggybackAndIdle.String() != "piggyback+idle" ||
-		WritePolicy(9).String() != "unknown" {
-		t.Error("WritePolicy.String mismatch")
+	if WritePiggyback != "piggyback" || WriteIdleOnly != "idle-only" || WritePiggybackAndIdle != "piggyback+idle" {
+		t.Error("WritePolicy spelling changed")
 	}
 }
 

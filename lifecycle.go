@@ -3,7 +3,6 @@ package tapejuke
 import (
 	"errors"
 
-	"tapejuke/internal/layout"
 	"tapejuke/internal/lifecycle"
 )
 
@@ -46,11 +45,7 @@ func PlanGradualFill(cfg Config) (Config, *FillPlan, error) {
 	cfg.Replicas = rec.Replicas
 	cfg.StartPos = rec.StartPos
 	cfg.PackAfterData = rec.Packed
-	if rec.Kind == layout.Vertical {
-		cfg.Placement = Vertical
-	} else {
-		cfg.Placement = Horizontal
-	}
+	cfg.Placement = rec.Kind
 	return cfg, &FillPlan{
 		Stage:     rec.Stage,
 		Fill:      rec.Fill,

@@ -50,11 +50,10 @@ func (r *Runner) prepare(c Config) (*sim.Config, error) {
 	// Pin one Positioner instance per profile name: toSim resolves a fresh
 	// instance every call, and the session's cost-table cache compares
 	// profiles by identity, so without pinning it could never hit.
-	name := driveName(c.DriveProfile)
-	if r.prof != nil && name == r.profName {
+	if r.prof != nil && c.DriveProfile == r.profName {
 		sc.Profile = r.prof
 	} else {
-		r.profName, r.prof = name, sc.Profile
+		r.profName, r.prof = c.DriveProfile, sc.Profile
 	}
 	// Reuse one scheduler per algorithm: the envelope family keeps ~35 KB of
 	// builder and selection scratch that is expensive to re-grow every run.

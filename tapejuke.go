@@ -36,27 +36,16 @@ import (
 	"tapejuke/internal/tapemodel"
 )
 
-// Placement selects how hot data is laid out across the tapes.
-type Placement string
+// Placement selects how hot data is laid out across the tapes: Horizontal
+// ("horizontal") or Vertical ("vertical").
+type Placement = layout.Kind
 
 const (
 	// Horizontal spreads hot blocks (and replicas) across all tapes.
-	Horizontal Placement = "horizontal"
+	Horizontal Placement = layout.Horizontal
 	// Vertical collects all hot originals on a single tape.
-	Vertical Placement = "vertical"
+	Vertical Placement = layout.Vertical
 )
-
-// kind maps the placement to its layout kind; the empty string is the
-// default horizontal placement.
-func (p Placement) kind() (layout.Kind, error) {
-	switch p {
-	case Horizontal, "":
-		return layout.Horizontal, nil
-	case Vertical:
-		return layout.Vertical, nil
-	}
-	return 0, fmt.Errorf("tapejuke: unknown placement %q", p)
-}
 
 // Result holds the metrics of one simulation run; see the field
 // documentation in the internal sim package mirror of this type.
@@ -230,15 +219,11 @@ func Run(c Config) (*Result, error) {
 }
 
 // toSim translates the public configuration into the internal one,
-// instantiating the profile, layout kind, and scheduler.
+// instantiating the profile and the scheduler.
 func (c Config) toSim() (*sim.Config, error) {
-	prof := tapemodel.PositionerByName(driveName(c.DriveProfile))
+	prof := tapemodel.PositionerByName(c.DriveProfile)
 	if prof == nil {
 		return nil, fmt.Errorf("tapejuke: unknown drive profile %q", c.DriveProfile)
-	}
-	kind, err := c.Placement.kind()
-	if err != nil {
-		return nil, err
 	}
 	schd, err := NewScheduler(c.Algorithm)
 	if err != nil {
@@ -262,7 +247,7 @@ func (c Config) toSim() (*sim.Config, error) {
 		Tapes:            c.Tapes,
 		HotPercent:       c.HotPercent,
 		Replicas:         c.Replicas,
-		Kind:             kind,
+		Kind:             c.Placement,
 		StartPos:         c.StartPos,
 		DataBlocks:       int(c.DataMB / c.BlockMB),
 		PackAfterData:    c.PackAfterData,
@@ -288,9 +273,7 @@ func (c Config) toSim() (*sim.Config, error) {
 		Repair:           c.Repair,
 		Health:           c.Health,
 	}
-	if err := c.Writes.toSim(sc); err != nil {
-		return nil, err
-	}
+	c.Writes.toSim(sc)
 	sc.Faults = c.Faults.toFaults()
 	return sc, nil
 }
@@ -322,17 +305,9 @@ func ScaledQueueLength(base int, expansion float64) (int, error) {
 // rate in KB/s, the denominator of the "fraction of streaming" figure of
 // merit.
 func StreamingRateKBps(profile string) (float64, error) {
-	p := tapemodel.PositionerByName(driveName(profile))
+	p := tapemodel.PositionerByName(profile)
 	if p == nil {
 		return 0, fmt.Errorf("tapejuke: unknown drive profile %q", profile)
 	}
 	return p.StreamingRateMBps() * 1024, nil
-}
-
-// driveName maps the empty string to the default drive.
-func driveName(name string) string {
-	if name == "" {
-		return "exb8505xl"
-	}
-	return name
 }

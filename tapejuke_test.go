@@ -72,8 +72,8 @@ func TestConfigErrors(t *testing.T) {
 	}
 	c = shortCfg()
 	c.Placement = "diagonal"
-	if _, err := Run(c); err == nil {
-		t.Error("bogus placement accepted")
+	if _, err := Run(c); err == nil || !strings.Contains(err.Error(), "unknown placement") {
+		t.Errorf("bogus placement: err = %v, want an unknown placement", err)
 	}
 	c = shortCfg()
 	c.Algorithm = "bogus"
@@ -160,6 +160,20 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	}
 	if bytes.Contains(data, []byte("Observer")) {
 		t.Error("Observer leaked into JSON")
+	}
+	// The choices encode as their public spellings, which saved
+	// configurations and jukesim -config files depend on.
+	for _, want := range []string{`"Placement":"vertical"`, `"Policy":"idle-only"`} {
+		if !bytes.Contains(data, []byte(want)) {
+			t.Errorf("encoded config lacks %s:\n%s", want, data)
+		}
+	}
+	fdata, err := json.Marshal(FarmConfig{Shards: 3, Placement: FarmSpread, Base: orig})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(fdata, []byte(`"Placement":"spread"`)) {
+		t.Errorf("encoded farm config lacks \"Placement\":\"spread\":\n%s", fdata)
 	}
 	var back Config
 	if err := json.Unmarshal(data, &back); err != nil {
@@ -307,6 +321,26 @@ func TestAnalyze(t *testing.T) {
 	bad.Placement = "diagonal"
 	if _, err := Analyze(bad); err == nil || !strings.Contains(err.Error(), "unknown placement") {
 		t.Errorf("unknown placement: err = %v, want the placement rejected as Run rejects it", err)
+	}
+
+	// A partially filled jukebox: the estimate reads the layout the run
+	// simulates, not a full jukebox's.
+	part := shortCfg()
+	part.DataMB = 20_000
+	pest, err := Analyze(part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pres, err := Run(part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pest.ThroughputKBps == est.ThroughputKBps {
+		t.Errorf("DataMB %v: estimate %.1f KB/s equals the full jukebox's", part.DataMB, pest.ThroughputKBps)
+	}
+	if math.Abs(pest.ThroughputKBps-pres.ThroughputKBps) > 0.15*pres.ThroughputKBps {
+		t.Errorf("DataMB %v: estimate %.1f KB/s is not within 15%% of the simulated %.1f KB/s",
+			part.DataMB, pest.ThroughputKBps, pres.ThroughputKBps)
 	}
 }
 

@@ -1,10 +1,6 @@
 package tapejuke
 
-import (
-	"fmt"
-
-	"tapejuke/internal/sim"
-)
+import "tapejuke/internal/sim"
 
 // Event is one simulator occurrence (tape switch, block read, request
 // completion, idle period, or delta-block write), reported in
@@ -35,16 +31,17 @@ type ObserverFunc = sim.ObserverFunc
 // WritePolicy names a delta-write flush policy for the write-model
 // extension: the paper assumes writes buffer in disk-resident delta files
 // and reach tape "during idle time or piggybacked on the read schedule".
-type WritePolicy string
+// The policies are spelled "piggyback", "idle-only" and "piggyback+idle".
+type WritePolicy = sim.WritePolicy
 
 const (
 	// WritePiggyback flushes a tape's buffered deltas whenever a read sweep
 	// on that tape completes.
-	WritePiggyback WritePolicy = "piggyback"
+	WritePiggyback WritePolicy = sim.WritePiggyback
 	// WriteIdleOnly flushes only while the jukebox would otherwise idle.
-	WriteIdleOnly WritePolicy = "idle-only"
+	WriteIdleOnly WritePolicy = sim.WriteIdleOnly
 	// WritePiggybackAndIdle does both.
-	WritePiggybackAndIdle WritePolicy = "piggyback+idle"
+	WritePiggybackAndIdle WritePolicy = sim.WritePiggybackAndIdle
 )
 
 // WriteConfig enables the write-model extension on a Config.
@@ -62,22 +59,12 @@ type WriteConfig struct {
 	FlushThreshold int
 }
 
-func (w WriteConfig) toSim(sc *sim.Config) error {
+func (w WriteConfig) toSim(sc *sim.Config) {
 	if w.MeanInterarrivalSec == 0 {
-		return nil
+		return
 	}
 	sc.WriteMeanInterarrival = w.MeanInterarrivalSec
 	sc.WriteReserveMB = w.ReserveMB
 	sc.WriteFlushThreshold = w.FlushThreshold
-	switch w.Policy {
-	case "", WritePiggyback:
-		sc.WritePolicy = sim.WritePiggyback
-	case WriteIdleOnly:
-		sc.WritePolicy = sim.WriteIdleOnly
-	case WritePiggybackAndIdle:
-		sc.WritePolicy = sim.WritePiggybackAndIdle
-	default:
-		return fmt.Errorf("tapejuke: unknown write policy %q", w.Policy)
-	}
-	return nil
+	sc.WritePolicy = w.Policy
 }
